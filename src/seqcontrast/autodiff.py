@@ -13,8 +13,6 @@ import itertools
 
 import numpy as np
 
-from .errors import DegenerateInputError
-
 COSINE_EPS = 1e-12  # stabilizer under the norms in training mode
 
 _ids = itertools.count()
@@ -121,19 +119,8 @@ def add(a: Var, b: Var) -> Var:
     return Var(a.value + b.value, (a, b), lambda g: (g, g))
 
 
-def sub(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
-    return Var(a.value - b.value, (a, b), lambda g: (g, -g))
-
-
 def scale(a: Var, c: float) -> Var:
     return Var(a.value * c, (a,), lambda g: (g * c,))
-
-
-def mul(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
-    av, bv = a.value, b.value
-    return Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def matmul(x: Var, w: Var) -> Var:
@@ -211,22 +198,18 @@ def channel_norm(x: Var, eps: float = 1e-5) -> Var:
     return Var(y, (x,), bw)
 
 
-def neg_cosine_rows(p: Var, z: Var, strict: bool = False, eps: float = COSINE_EPS) -> Var:
+def neg_cosine_rows(p: Var, z: Var, eps: float = COSINE_EPS) -> Var:
     """Row-wise negative cosine similarity of two (R, C) feature matrices.
 
-    In strict mode a zero-norm row raises; otherwise the norms are floored at
-    ``eps``. Scale-invariant in each row of each argument.
+    The norms are floored at ``eps``, so a zero row gives 0 rather than NaN.
+    Scale-invariant in each row of each argument.
     """
     p, z = as_var(p), as_var(z)
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:
         raise ValueError(f"expected matching (R, C) matrices, got {pv.shape} and {zv.shape}")
-    pn_raw = np.sqrt((pv * pv).sum(axis=1))
-    zn_raw = np.sqrt((zv * zv).sum(axis=1))
-    if strict and (np.any(pn_raw == 0.0) or np.any(zn_raw == 0.0)):
-        raise DegenerateInputError("zero-norm feature vector in cosine similarity")
-    pn = np.maximum(pn_raw, eps)
-    zn = np.maximum(zn_raw, eps)
+    pn = np.maximum(np.sqrt((pv * pv).sum(axis=1)), eps)
+    zn = np.maximum(np.sqrt((zv * zv).sum(axis=1)), eps)
     pu = pv / pn[:, None]
     zu = zv / zn[:, None]
     dot = (pu * zu).sum(axis=1)
@@ -238,17 +221,6 @@ def neg_cosine_rows(p: Var, z: Var, strict: bool = False, eps: float = COSINE_EP
         return (dp, dz)
 
     return Var(-dot, (p, z), bw)
-
-
-def neg_cosine(p: Var, z: Var, strict: bool = True) -> Var:
-    """Negative cosine similarity of two 1-D feature vectors."""
-    p, z = as_var(p), as_var(z)
-    out = neg_cosine_rows(
-        Var(p.value.reshape(1, -1), (p,), lambda g: (g.reshape(p.value.shape),)),
-        Var(z.value.reshape(1, -1), (z,), lambda g: (g.reshape(z.value.shape),)),
-        strict=strict,
-    )
-    return Var(np.asarray(out.value[0]), (out,), lambda g: (np.asarray(g).reshape(1),))
 
 
 # ---------------------------------------------------------------------------

@@ -43,20 +43,7 @@ def _load_run_config(args) -> RunConfig:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
-    if getattr(args, "config", None):
-        return load_config(args.config, overrides)
-    cfg = RunConfig()
-    if overrides:
-        import tempfile
-
-        with tempfile.NamedTemporaryFile("w", suffix=".cfg", delete=False) as f:
-            name = f.name
-        try:
-            dump_config(cfg, name)
-            cfg = load_config(name, overrides)
-        finally:
-            Path(name).unlink(missing_ok=True)
-    return cfg
+    return load_config(getattr(args, "config", None), overrides)
 
 
 def cmd_synth(args) -> int:
@@ -101,9 +88,9 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
-    sequences = load_dataset(args.data)
     train_cfg = cfg.train_config()
     model_cfg = cfg.model_config()
+    sequences = load_dataset(args.data)
     log_path = args.log or (str(args.out) + ".log")
     ckpt, reports = pretrain(sequences, train_cfg, model_cfg, log_path=log_path)
     save_checkpoint(args.out, ckpt)
@@ -162,6 +149,7 @@ def cmd_export(args) -> int:
             from .autodiff import Var
             from .nets import encode_3d
 
+            # projection-head features, as ContrastivePretrainer.transform gives
             params = {k: Var(v) for k, v in ckpt.tensors.items()}
             z, rows = encode_3d(frame.static_view().points, params, ckpt.model, cache={})
             feats = z.feats.value[rows]
@@ -238,8 +226,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("export", help="export sequence frames or the 3D backbone")
     p.add_argument("--seq", default=None)
     p.add_argument("--out", default="export")
-    p.add_argument("--ckpt", default=None)
-    p.add_argument("--backbone", default=None, help="write a backbone-only checkpoint here")
+    p.add_argument("--ckpt", default=None, help="with --seq: also write per-point projection-head features")
+    p.add_argument("--backbone", default=None, help="write a backbone-only (3D U-Net) checkpoint here")
     p.set_defaults(func=cmd_export)
 
     p = sub.add_parser("inspect", help="summarize a sequence file")

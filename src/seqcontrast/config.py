@@ -112,20 +112,22 @@ def _field_kind(f):
     return type(getattr(RunConfig(), f.name))
 
 
-def load_config(path: str | Path, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Parse a config file, rejecting unknown keys; apply flag overrides last."""
+def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
+    """Parse a config file (or start from the defaults when ``path`` is None),
+    rejecting unknown keys; apply flag overrides last."""
     cfg = RunConfig()
     known = {f.name: f for f in fields(RunConfig)}
     entries: dict[str, str] = {}
-    with open(path) as f:
-        for lineno, line in enumerate(f, 1):
-            line = line.split("#", 1)[0].strip()
-            if not line:
-                continue
-            if "=" not in line:
-                raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-            key, _, value = line.partition("=")
-            entries[key.strip()] = value.strip()
+    if path is not None:
+        with open(path) as f:
+            for lineno, line in enumerate(f, 1):
+                line = line.split("#", 1)[0].strip()
+                if not line:
+                    continue
+                if "=" not in line:
+                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
+                key, _, value = line.partition("=")
+                entries[key.strip()] = value.strip()
     if overrides:
         entries.update(overrides)
     for key, raw in entries.items():

@@ -23,17 +23,9 @@ class TrajectoryFailure(SeqContrastError):
     """Rejection-sampling budget exhausted while extending a trajectory."""
 
 
-class DegenerateInputError(SeqContrastError):
-    """A numerically degenerate input, e.g. a zero-norm feature vector."""
-
-
-class MissingFeatureError(SeqContrastError):
-    """A query location falls in an unoccupied voxel."""
-
-
 class LossUndefinedError(SeqContrastError):
     """No usable correspondences; the loss term has no value."""
 
 
-class ConfigError(SeqContrastError):
+class ConfigError(SeqContrastError, ValueError):
     """Invalid or unknown configuration key/value."""

@@ -147,16 +147,7 @@ class OccupancyMap2D:
     cell_size: float
     accumulation: dict[tuple[int, int], int]
     max_height: dict[tuple[int, int], float]
-    min_height: dict[tuple[int, int], float]
     floor_height: float
-
-    def cell_of(self, xy: np.ndarray) -> tuple[int, int]:
-        i = int(np.floor((xy[0] - self.origin[0]) / self.cell_size))
-        j = int(np.floor((xy[1] - self.origin[1]) / self.cell_size))
-        return (i, j)
-
-    def cell_center(self, cell: tuple[int, int]) -> np.ndarray:
-        return self.origin + (np.asarray(cell, dtype=np.float64) + 0.5) * self.cell_size
 
 
 def height_accumulate(
@@ -192,6 +183,5 @@ def height_accumulate(
         cell_size=cell_size,
         accumulation=accumulation,
         max_height=max_h,
-        min_height=min_h,
         floor_height=floor,
     )

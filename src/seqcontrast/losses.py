@@ -21,7 +21,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Var, stop_gradient
-from .errors import LossUndefinedError
+from .errors import ConfigError, LossUndefinedError
 
 
 @dataclass(frozen=True)
@@ -32,7 +32,7 @@ class LossWeights:
 
     def __post_init__(self):
         if min(self.w_3d, self.w_3d4d, self.w_4d) < 0:
-            raise ValueError("loss weights must be non-negative")
+            raise ConfigError("loss weights must be non-negative")
 
 
 @dataclass
@@ -63,24 +63,14 @@ def _reduce(terms: list[Var], normalize: bool) -> Var:
     return stacked
 
 
-def simsiam_pair(p1: Var, z2: Var, p2: Var, z1: Var, strict: bool = True) -> Var:
-    """Symmetrized negative cosine loss of two augmented views.
-
-    The z-side vectors are treated as constants during back-propagation.
-    """
-    a = ad.neg_cosine(p1, stop_gradient(ad.as_var(z2)), strict=strict)
-    b = ad.neg_cosine(p2, stop_gradient(ad.as_var(z1)), strict=strict)
-    return ad.vsum([ad.scale(a, 0.5), ad.scale(b, 0.5)])
-
-
 def _sym_rows(p_a: Var, z_b: Var, p_b: Var, z_a: Var, sg_on_p: bool, normalize: bool) -> Var:
     """Mean (or sum) of the symmetrized row-wise negative cosine loss."""
     if sg_on_p:
-        v1 = ad.neg_cosine_rows(stop_gradient(p_a), z_b, strict=False)
-        v2 = ad.neg_cosine_rows(stop_gradient(p_b), z_a, strict=False)
+        v1 = ad.neg_cosine_rows(stop_gradient(p_a), z_b)
+        v2 = ad.neg_cosine_rows(stop_gradient(p_b), z_a)
     else:
-        v1 = ad.neg_cosine_rows(p_a, stop_gradient(z_b), strict=False)
-        v2 = ad.neg_cosine_rows(p_b, stop_gradient(z_a), strict=False)
+        v1 = ad.neg_cosine_rows(p_a, stop_gradient(z_b))
+        v2 = ad.neg_cosine_rows(p_b, stop_gradient(z_a))
     red = ad.mean_all if normalize else ad.sum_all
     return ad.vsum([ad.scale(red(v1), 0.5), ad.scale(red(v2), 0.5)])
 
@@ -93,9 +83,10 @@ def loss_3d(
 ) -> tuple[Var, int]:
     """Inter-frame spatial loss over every frame pair of the sequence.
 
-    ``p[i]``/``z[i]`` are (N_i, C) per-point predictor/projection features of
-    frame i; pair maps give corresponding point indices. Returns the loss and
-    the number of correspondences used.
+    ``p[i]``/``z[i]`` are the predictor/projection feature rows of frame i
+    (frames may share one matrix); ``pair_maps[(i, j)]`` gives corresponding
+    rows of frame i and frame j. Returns the loss and the number of
+    correspondences used.
     """
     terms = []
     used = 0
@@ -119,28 +110,30 @@ def loss_3d4d(
     z3: list[Var],
     p4: list[Var],
     z4: list[Var],
-    per_frame: list[np.ndarray],
+    per_frame: list[tuple[np.ndarray, np.ndarray]],
     normalize: bool = True,
     sg_on_predictor: bool = True,
 ) -> tuple[Var, int]:
     """Spatio-temporal loss tying each frame's 3D features to its 4D features.
 
+    ``per_frame[i]`` is a (3D rows, 4D rows) pair: the rows of ``p3[i]``/
+    ``z3[i]`` and of ``p4[i]``/``z4[i]`` that hold the same points of frame i.
     The stop-gradient sits on the predictor outputs (``sg_on_predictor=True``),
     so this term trains the encoders only; the flag exposes the conventional
     placement (on z) for comparison.
     """
     terms = []
     used = 0
-    for i, idx in enumerate(per_frame):
-        if len(idx) == 0:
+    for i, (i3, i4) in enumerate(per_frame):
+        if len(i3) == 0:
             continue
         term = _sym_rows(
-            ad.rows(p3[i], idx), ad.rows(z4[i], idx),
-            ad.rows(p4[i], idx), ad.rows(z3[i], idx),
+            ad.rows(p3[i], i3), ad.rows(z4[i], i4),
+            ad.rows(p4[i], i4), ad.rows(z3[i], i3),
             sg_on_p=sg_on_predictor, normalize=normalize,
         )
         terms.append(term)
-        used += len(idx)
+        used += len(i3)
     if not terms:
         raise LossUndefinedError("no usable correspondences for the 3D-4D loss")
     return _reduce(terms, normalize), used

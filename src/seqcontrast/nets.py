@@ -15,7 +15,7 @@ import numpy as np
 from . import autodiff as ad
 from . import sparse as sp
 from .autodiff import Var
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 from .geom import voxel_indices
 from .seqgen import Sequence
 from .sparse import SparseTensor
@@ -37,7 +37,7 @@ class UNetConfig:
 
     def __post_init__(self):
         if len(self.channels) < 1 or any(c < 1 for c in self.channels):
-            raise ValueError("need at least one level of positive channel width")
+            raise ConfigError("need at least one level of positive channel width")
 
     @property
     def levels(self) -> int:
@@ -192,52 +192,44 @@ def predict(z: SparseTensor, params: dict[str, Var], prefix: str, normalize: boo
 # Voxelization of inputs
 
 
-def points_to_tensor(points: np.ndarray, voxel_size: float, dim: int = 3, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
-    """Quantize points into an occupancy tensor.
+def _voxelize(clouds: list[np.ndarray], voxel_size: float, dtype, time_axis: bool = False) -> tuple[SparseTensor, list[np.ndarray]]:
+    """Quantize point clouds into one occupancy tensor.
 
-    Returns the tensor and, per input point, the row of its voxel. Feature
-    assignment is first-occupancy: every occupied cell carries (1, 1, 1).
+    Cloud k goes to batch k, or, with ``time_axis``, to time step k of batch
+    0 as a fourth coordinate. Every occupied cell carries the occupancy
+    feature repeated to three channels. Also returns, per cloud, the tensor
+    row of each point.
     """
-    if len(points) == 0:
-        raise EmptyInputError("cannot voxelize an empty frame")
-    idx = voxel_indices(points[:, :3], voxel_size)
-    coords = np.concatenate([np.zeros((len(idx), 1), dtype=np.int64), idx], axis=1)
-    if points.shape[1] > 3:  # trailing integer columns (e.g. time) pass through
-        extra = points[:, 3:].astype(np.int64)
-        coords = np.concatenate([coords, extra], axis=1)
-    uniq, inverse = sp.unique_coords(coords)
+    blocks = []
+    for k, pts in enumerate(clouds):
+        if len(pts) == 0:
+            raise EmptyInputError(f"cannot voxelize empty frame {k}")
+        cols = [np.full((len(pts), 1), 0 if time_axis else k, dtype=np.int64), voxel_indices(pts[:, :3], voxel_size)]
+        if time_axis:
+            cols.append(np.full((len(pts), 1), k, dtype=np.int64))
+        blocks.append(np.concatenate(cols, axis=1))
+    uniq, inverse = sp.unique_coords(np.concatenate(blocks, axis=0))
     feats = np.ones((len(uniq), IN_CHANNELS), dtype=dtype)
-    return SparseTensor(uniq, Var(feats), (1,) * dim), inverse
+    rows = np.split(inverse, np.cumsum([len(b) for b in blocks[:-1]]))
+    return SparseTensor(uniq, Var(feats), (1,) * (uniq.shape[1] - 1)), rows
+
+
+def points_to_tensor(points: np.ndarray, voxel_size: float, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
+    """Quantize one (N, 3) point cloud into a 3D occupancy tensor.
+
+    Returns the tensor and, per input point, the row of its voxel.
+    """
+    x, rows = _voxelize([points], voxel_size, dtype)
+    return x, rows[0]
 
 
 def sequence_to_4d(seq: Sequence, voxel_size: float = VOXEL_4D, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
     """Stack the (unaugmented) sequence view into a 4D occupancy tensor.
 
     Coordinates are (x, y, z) quantized at ``voxel_size`` plus the frame index
-    as the time axis; every occupied cell carries the occupancy feature
-    repeated to three channels. Also returns, per frame, the tensor row of
-    each point.
+    as the time axis. Also returns, per frame, the tensor row of each point.
     """
-    blocks = []
-    counts = []
-    for t, frame in enumerate(seq.frames):
-        pts = frame.cloud.points
-        block = np.concatenate([pts, np.full((len(pts), 1), float(t))], axis=1)
-        blocks.append(block)
-        counts.append(len(pts))
-    stacked = np.concatenate(blocks, axis=0)
-    idx3 = voxel_indices(stacked[:, :3], voxel_size)
-    tcol = stacked[:, 3:].astype(np.int64)
-    coords = np.concatenate([np.zeros((len(idx3), 1), dtype=np.int64), idx3, tcol], axis=1)
-    uniq, inverse = sp.unique_coords(coords)
-    feats = np.ones((len(uniq), IN_CHANNELS), dtype=dtype)
-    tensor = SparseTensor(uniq, Var(feats), (1, 1, 1, 1))
-    rows = []
-    start = 0
-    for n in counts:
-        rows.append(inverse[start : start + n])
-        start += n
-    return tensor, rows
+    return _voxelize([frame.cloud.points for frame in seq.frames], voxel_size, dtype, time_axis=True)
 
 
 def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
@@ -246,36 +238,25 @@ def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float, dtype=n
     The batch column keeps frames apart, so one U-Net pass convolves them all
     without mixing. Returns the tensor and, per frame, the row of each point.
     """
-    blocks = []
-    counts = []
-    for b, pts in enumerate(frames_points):
-        if len(pts) == 0:
-            raise EmptyInputError(f"cannot voxelize empty frame {b}")
-        idx = voxel_indices(pts[:, :3], voxel_size)
-        blocks.append(np.concatenate([np.full((len(idx), 1), b, dtype=np.int64), idx], axis=1))
-        counts.append(len(idx))
-    uniq, inverse = sp.unique_coords(np.concatenate(blocks, axis=0))
-    feats = np.ones((len(uniq), IN_CHANNELS), dtype=dtype)
-    rows = []
-    start = 0
-    for n in counts:
-        rows.append(inverse[start : start + n])
-        start += n
-    return SparseTensor(uniq, Var(feats), (1, 1, 1)), rows
+    return _voxelize(frames_points, voxel_size, dtype)
+
+
+def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
+    """Per-voxel projection-head features ``z``: U-Net, then projection."""
+    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix, cfg.normalize)
 
 
 def encode_3d(points: np.ndarray, params: dict[str, Var], model: ModelConfig, cache: dict | None = None, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
-    """Per-voxel projected features ``z`` of a static 3D frame view."""
-    x, rows = points_to_tensor(points, model.voxel3d, dim=3, dtype=dtype)
-    z = project(unet_forward(x, params, model.unet3d, "3d", cache), params, "3d", model.unet3d.normalize)
-    return z, rows
+    """Per-voxel projection-head features ``z`` of a static 3D frame view,
+    and the voxel row of each point."""
+    x, rows = points_to_tensor(points, model.voxel3d, dtype=dtype)
+    return encode(x, params, model.unet3d, "3d", cache), rows
 
 
 def encode_3d_frames(frames_points: list[np.ndarray], params: dict[str, Var], model: ModelConfig, cache: dict | None = None, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
-    """Projected 3D features of several frames from one batched U-Net pass."""
+    """Projection-head 3D features of several frames from one batched U-Net pass."""
     x, rows = frames_to_tensor(frames_points, model.voxel3d, dtype=dtype)
-    z = project(unet_forward(x, params, model.unet3d, "3d", cache), params, "3d", model.unet3d.normalize)
-    return z, rows
+    return encode(x, params, model.unet3d, "3d", cache), rows
 
 
 def predict_3d(z: SparseTensor, params: dict[str, Var], normalize: bool = True) -> SparseTensor:
@@ -283,29 +264,11 @@ def predict_3d(z: SparseTensor, params: dict[str, Var], normalize: bool = True) 
 
 
 def encode_4d(tensor: SparseTensor, params: dict[str, Var], model: ModelConfig, cache: dict | None = None) -> SparseTensor:
-    """Per-(voxel, time) projected features ``z`` of a 4D sequence tensor."""
+    """Per-(voxel, time) projection-head features ``z`` of a 4D sequence tensor."""
     if tensor.dim != 4:
         raise ValueError(f"expected a 4D tensor, got dim {tensor.dim}")
-    return project(unet_forward(tensor, params, model.unet4d, "4d", cache), params, "4d", model.unet4d.normalize)
+    return encode(tensor, params, model.unet4d, "4d", cache)
 
 
 def predict_4d(z: SparseTensor, params: dict[str, Var], normalize: bool = True) -> SparseTensor:
     return predict(z, params, "4d", normalize)
-
-
-def gather_features(features: SparseTensor, locations: np.ndarray, voxel_size: float, time_index: int | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """Rows of ``features`` at the voxels containing ``locations``.
-
-    Returns (row indices, missing mask); missing entries are -1 and counted
-    by callers (correspondences in unoccupied voxels are dropped, not fatal).
-    """
-    idx = voxel_indices(locations[:, :3], voxel_size)
-    # queries are expressed at the tensor's stride
-    cols = [np.zeros((len(idx), 1), dtype=np.int64), idx]
-    if time_index is not None:
-        cols.append(np.full((len(idx), 1), time_index, dtype=np.int64))
-    q = np.concatenate(cols, axis=1)
-    keys = sp.pack_coords(features.coords)
-    order = np.argsort(keys, kind="stable")
-    hits = sp._lookup(keys[order], order, sp.pack_coords(q))
-    return hits, hits < 0

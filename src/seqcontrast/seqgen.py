@@ -546,9 +546,7 @@ def generate_dataset(
     """
     if not scenes or not objects:
         raise EmptyInputError("need at least one scene and one object")
-    params = params or GenParams()
-    params.per_scene = per_scene
-    params.t = t
+    params = replace(params or GenParams(), per_scene=per_scene, t=t)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

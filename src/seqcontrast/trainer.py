@@ -16,7 +16,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Var
-from .errors import EmptyInputError
+from .errors import ConfigError, EmptyInputError
 from .formats import read_checkpoint, write_checkpoint
 from .geom import PointCloud
 from .losses import LossReport, LossWeights, loss_3d, loss_3d4d, loss_4d, loss_total
@@ -50,15 +50,19 @@ class TrainConfig:
 
     def __post_init__(self):
         if self.learning_rate <= 0:
-            raise ValueError("learning rate must be positive")
+            raise ConfigError("learning rate must be positive")
         if self.batch_size < 1:
-            raise ValueError("batch size must be >= 1")
+            raise ConfigError("batch size must be >= 1")
         if not (0 < self.decay_factor <= 1):
-            raise ValueError("decay factor must be in (0, 1]")
+            raise ConfigError("decay factor must be in (0, 1]")
+        if not (0 <= self.momentum < 1):
+            raise ConfigError("momentum must be in [0, 1)")
+        if self.dtype not in ("float32", "float64"):
+            raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
 
     @property
     def np_dtype(self):
-        return np.float64 if self.dtype == "float64" else np.float32
+        return np.dtype(self.dtype).type
 
 
 def balance_batch(t: int) -> int:
@@ -77,8 +81,9 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 
 
 class _SequenceState:
-    """Static per-sequence structures reused across steps: kernel maps,
-    correspondences (optionally subsampled), and the 4D input tensor layout."""
+    """Static per-sequence structures reused across steps: correspondences
+    (optionally subsampled), and in ``cache`` the kernel maps and the
+    voxelised views built by `_voxel_views`."""
 
     def __init__(self, seq: Sequence, cfg: TrainConfig, seq_key: int):
         self.seq = seq
@@ -99,6 +104,25 @@ class _SequenceState:
         self.static_views = [f.static_view().points for f in seq.frames]
 
 
+def _voxel_views(state: _SequenceState, model: ModelConfig, dtype) -> tuple:
+    """Both voxelised views of a sequence and its correspondences as voxel rows.
+
+    Point indices are composed with each view's point-to-voxel rows once, so
+    the losses gather straight from the per-voxel features: the 3D and 4D
+    pair maps, and per frame the (3D rows, 4D rows) pairs of the 3D-4D term.
+    Cached in ``state.cache``, keyed by the voxel sizes and the dtype.
+    """
+    key = ("views", model.voxel3d, model.voxel4d, np.dtype(dtype).str)
+    if key not in state.cache:
+        x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
+        x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
+        pairs3 = {(i, j): (rows3[i][ia], rows3[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
+        pairs4 = {(i, j): (rows4[i][ia], rows4[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
+        frames34 = [(rows3[i][idx], rows4[i][idx]) for i, idx in enumerate(state.per_frame)]
+        state.cache[key] = (x3, x4, pairs3, pairs4, frames34)
+    return state.cache[key]
+
+
 def sequence_loss(
     state: _SequenceState,
     params: dict[str, Var],
@@ -109,35 +133,28 @@ def sequence_loss(
     w = cfg.weights
     dtype = cfg.np_dtype
     t = len(state.seq.frames)
-    need_3d = w.w_3d > 0 or w.w_3d4d > 0
-    need_4d = w.w_4d > 0 or w.w_3d4d > 0
+    x3, x4, pairs3, pairs4, frames34 = _voxel_views(state, model, dtype)
 
-    p3, z3, p4, z4 = [], [], [], []
-    if need_3d:
-        z_t, rows3 = nets.encode_3d_frames(state.static_views, params, model, state.cache, dtype=dtype)
-        p_t = nets.predict_3d(z_t, params)
-        for i in range(t):
-            z3.append(ad.rows(z_t.feats, rows3[i]))
-            p3.append(ad.rows(p_t.feats, rows3[i]))
-    if need_4d:
-        tensor, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
-        z_t = nets.encode_4d(tensor, params, model, state.cache)
-        p_t = nets.predict_4d(z_t, params)
-        for i in range(t):
-            z4.append(ad.rows(z_t.feats, rows4[i]))
-            p4.append(ad.rows(p_t.feats, rows4[i]))
+    # every frame of a view shares one feature matrix; the index maps pick rows
+    p3 = z3 = p4 = z4 = []
+    if w.w_3d > 0 or w.w_3d4d > 0:
+        z_t = nets.encode(x3, params, model.unet3d, "3d", state.cache)
+        z3, p3 = [z_t.feats] * t, [nets.predict_3d(z_t, params).feats] * t
+    if w.w_4d > 0 or w.w_3d4d > 0:
+        z_t = nets.encode_4d(x4, params, model, state.cache)
+        z4, p4 = [z_t.feats] * t, [nets.predict_4d(z_t, params).feats] * t
 
     zero = Var(np.asarray(0.0, dtype=dtype))
     report = LossReport(weights=w)
     l3 = l34 = l4 = zero
     if w.w_3d > 0:
-        l3, report.correspondences_3d = loss_3d(p3, z3, state.pair_maps, cfg.normalize_losses)
+        l3, report.correspondences_3d = loss_3d(p3, z3, pairs3, cfg.normalize_losses)
     if w.w_3d4d > 0:
         l34, report.correspondences_3d4d = loss_3d4d(
-            p3, z3, p4, z4, state.per_frame, cfg.normalize_losses, cfg.sg_on_predictor_3d4d
+            p3, z3, p4, z4, frames34, cfg.normalize_losses, cfg.sg_on_predictor_3d4d
         )
     if w.w_4d > 0:
-        l4, report.correspondences_4d = loss_4d(p4, z4, state.pair_maps, cfg.normalize_losses)
+        l4, report.correspondences_4d = loss_4d(p4, z4, pairs4, cfg.normalize_losses)
     total = loss_total(l3, l34, l4, w)
     report.l_3d = float(l3.value)
     report.l_3d4d = float(l34.value)
@@ -212,10 +229,11 @@ def export_backbone(ckpt: Checkpoint) -> Checkpoint:
 
 
 def backbone_features(points: np.ndarray, ckpt: Checkpoint, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-only forward of the 3D U-Net; returns (per-voxel features,
-    per-point voxel rows)."""
+    """Inference-only forward of the 3D U-Net; returns (per-voxel backbone
+    features, per-point voxel rows). No projection head is applied, so a
+    backbone-only checkpoint from `export_backbone` suffices."""
     params = {k: Var(v.astype(dtype)) for k, v in ckpt.tensors.items() if k.startswith("unet3d.")}
-    x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d, dim=3, dtype=dtype)
+    x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d, dtype=dtype)
     out = nets.unet_forward(x, params, ckpt.model.unet3d, "3d", cache={})
     return out.feats.value, rows
 
@@ -386,8 +404,10 @@ class ContrastivePretrainer:
     """Fit/transform wrapper around the pre-training pipeline.
 
     ``fit`` pre-trains on a list of sequences (or a dataset directory);
-    ``transform`` maps an (N, 3) point array to per-point 3D features from the
-    learned encoder. Follows the scikit-learn estimator conventions
+    ``transform`` maps an (N, 3) point array to per-point 3D projection-head
+    features ``z`` (U-Net then projection, the features the losses compare),
+    not the U-Net backbone features that `probe` and `export_backbone` use.
+    Follows the scikit-learn estimator conventions
     (constructor stores hyperparameters verbatim; ``get_params`` /
     ``set_params`` for composition) without requiring scikit-learn itself.
     """
@@ -439,6 +459,7 @@ class ContrastivePretrainer:
         return self
 
     def transform(self, X) -> np.ndarray:
+        """Per-point projection-head features, shape (N, projection width)."""
         if not hasattr(self, "checkpoint_"):
             raise RuntimeError("ContrastivePretrainer is not fitted")
         points = X.points if isinstance(X, PointCloud) else np.asarray(X, dtype=np.float64)

@@ -10,10 +10,19 @@ def pytest_terminal_summary(terminalreporter):
         for line in ACCEPTANCE_LINES:
             terminalreporter.write_line(line)
 
+from seqcontrast import autodiff as ad
 from seqcontrast import synth
 from seqcontrast.geom import height_accumulate
 from seqcontrast.seqgen import GenParams, generate_dataset, make_sequence, valid_positions
 from seqcontrast.synth import object_footprint_radius
+
+
+def mul(a, b):
+    """Elementwise product with its gradient, to turn op outputs into scalar
+    test losses (sum_all(mul(out, weights)))."""
+    a, b = ad.as_var(a), ad.as_var(b)
+    av, bv = a.value, b.value
+    return ad.Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 @pytest.fixture(scope="session")

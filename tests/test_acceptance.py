@@ -187,7 +187,7 @@ class TestP3StopGradientContract:
         mk = lambda: [ad.parameter(rng.normal(size=(n, c))) for _ in range(t)]
         p3, z3, p4, z4 = mk(), mk(), mk(), mk()
         maps = {(0, 1): (np.arange(n), np.arange(n))}
-        per_frame = [np.arange(n)] * t
+        per_frame = [(np.arange(n), np.arange(n))] * t
         l3, _ = loss_3d(p3, z3, maps)
         l34, _ = loss_3d4d(p3, z3, p4, z4, per_frame)
         l4, _ = loss_4d(p4, z4, maps)
@@ -272,7 +272,7 @@ class TestP4LossAlgebra:
         shared = [Var(base.copy()) for _ in range(3)]
         full = {(i, j): (np.arange(6), np.arange(6)) for i in range(3) for j in range(i + 1, 3)}
         l3, _ = loss_3d(shared, shared, full)
-        l34, _ = loss_3d4d(shared, shared, shared, shared, [np.arange(6)] * 3)
+        l34, _ = loss_3d4d(shared, shared, shared, shared, [(np.arange(6), np.arange(6))] * 3)
         l4, _ = loss_4d(shared, shared, full)
         total = float(loss_total(l3, l34, l4).value)
         identical_ok = (

@@ -3,8 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mul
 from seqcontrast import autodiff as ad
-from seqcontrast.errors import DegenerateInputError
 
 
 def fd_grad(f, x, h=1e-6):
@@ -43,24 +43,24 @@ class TestOpGradients:
 
     def test_add_bias(self):
         x = RNG.normal(size=(6, 3))
-        check_against_fd(lambda p: ad.sum_all(ad.mul(ad.add_bias(ad.Var(x), p), ad.Var(x))), RNG.normal(size=3))
+        check_against_fd(lambda p: ad.sum_all(mul(ad.add_bias(ad.Var(x), p), ad.Var(x))), RNG.normal(size=3))
 
     def test_relu(self):
         check_against_fd(
-            lambda p: ad.sum_all(ad.mul(ad.relu(p), ad.Var(np.arange(12.0).reshape(4, 3)))),
+            lambda p: ad.sum_all(mul(ad.relu(p), ad.Var(np.arange(12.0).reshape(4, 3)))),
             RNG.normal(size=(4, 3)) + 0.01,
         )
 
     def test_rows_scatter_adds(self):
         idx = np.array([0, 2, 2, 1])
         w = RNG.normal(size=(4, 3))
-        check_against_fd(lambda p: ad.sum_all(ad.mul(ad.rows(p, idx), ad.Var(w))), RNG.normal(size=(3, 3)))
+        check_against_fd(lambda p: ad.sum_all(mul(ad.rows(p, idx), ad.Var(w))), RNG.normal(size=(3, 3)))
 
     def test_concat_cols(self):
         b = RNG.normal(size=(4, 2))
         w = RNG.normal(size=(4, 5))
         check_against_fd(
-            lambda p: ad.sum_all(ad.mul(ad.concat_cols(p, ad.Var(b)), ad.Var(w))),
+            lambda p: ad.sum_all(mul(ad.concat_cols(p, ad.Var(b)), ad.Var(w))),
             RNG.normal(size=(4, 3)),
         )
 
@@ -70,7 +70,7 @@ class TestOpGradients:
     def test_channel_norm(self):
         w = RNG.normal(size=(8, 4))
         check_against_fd(
-            lambda p: ad.sum_all(ad.mul(ad.channel_norm(p), ad.Var(w))),
+            lambda p: ad.sum_all(mul(ad.channel_norm(p), ad.Var(w))),
             RNG.normal(size=(8, 4)),
             atol=1e-6,
         )
@@ -84,16 +84,21 @@ class TestOpGradients:
 
 class TestNegCosine:
     def test_identical_vectors_give_minus_one(self):
-        v = RNG.normal(size=7)
-        assert ad.neg_cosine(ad.Var(v), ad.Var(v)).value == pytest.approx(-1.0)
+        v = RNG.normal(size=(3, 7))
+        assert ad.neg_cosine_rows(ad.Var(v), ad.Var(v)).value == pytest.approx(-1.0)
 
     def test_opposite_vectors_give_plus_one(self):
-        v = RNG.normal(size=7)
-        assert ad.neg_cosine(ad.Var(v), ad.Var(-v)).value == pytest.approx(1.0)
+        v = RNG.normal(size=(3, 7))
+        assert ad.neg_cosine_rows(ad.Var(v), ad.Var(-v)).value == pytest.approx(1.0)
 
-    def test_strict_zero_norm_raises(self):
-        with pytest.raises(DegenerateInputError):
-            ad.neg_cosine(ad.Var(np.zeros(4)), ad.Var(np.ones(4)), strict=True)
+    def test_zero_norm_row_is_floored(self):
+        """A zero row gives similarity 0 and finite gradients, not NaN."""
+        p = ad.parameter(np.vstack([np.zeros(4), RNG.normal(size=4)]))
+        z = ad.parameter(RNG.normal(size=(2, 4)))
+        out = ad.neg_cosine_rows(p, z)
+        assert out.value[0] == 0.0
+        g = ad.grad(ad.sum_all(out), {"p": p, "z": z})
+        assert np.all(np.isfinite(g["p"])) and np.all(np.isfinite(g["z"]))
 
     @settings(max_examples=50, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), s=st.floats(0.01, 100.0))
@@ -134,14 +139,14 @@ class TestChannelNorm:
 class TestStopGradient:
     def test_forward_identity_zero_grad(self):
         p = ad.parameter(np.arange(3.0))
-        loss = ad.sum_all(ad.mul(ad.stop_gradient(p), p))
+        loss = ad.sum_all(mul(ad.stop_gradient(p), p))
         assert loss.value == pytest.approx(np.sum(np.arange(3.0) ** 2))
         g = ad.grad(loss, {"p": p})["p"]
         np.testing.assert_allclose(g, np.arange(3.0))  # only the live branch
 
     def test_fully_stopped_loss_has_zero_grad(self):
         p = ad.parameter(np.ones(4))
-        loss = ad.sum_all(ad.stop_gradient(ad.mul(p, p)))
+        loss = ad.sum_all(ad.stop_gradient(mul(p, p)))
         g = ad.grad(loss, {"p": p})["p"]
         np.testing.assert_array_equal(g, 0.0)
 
@@ -149,11 +154,11 @@ class TestStopGradient:
         freeze = ad.SGFreeze()
         p = ad.parameter(np.array([2.0]))
         with freeze.recording():
-            base = ad.sum_all(ad.mul(ad.stop_gradient(p), p)).value
+            base = ad.sum_all(mul(ad.stop_gradient(p), p)).value
         assert base == pytest.approx(4.0)
         q = ad.parameter(np.array([3.0]))
         with freeze.replaying():
-            out = ad.sum_all(ad.mul(ad.stop_gradient(q), q)).value
+            out = ad.sum_all(mul(ad.stop_gradient(q), q)).value
         assert out == pytest.approx(6.0)  # frozen branch kept at 2.0
 
     def test_replay_past_recording_raises(self):
@@ -170,18 +175,18 @@ class TestBackward:
     def test_requires_scalar(self):
         p = ad.parameter(np.ones(3))
         with pytest.raises(ValueError):
-            ad.backward(ad.mul(p, p))
+            ad.backward(mul(p, p))
 
     def test_shared_subexpression_accumulates(self):
         p = ad.parameter(np.array(3.0))
-        sq = ad.mul(p, p)
+        sq = mul(p, p)
         loss = ad.sum_all(ad.vsum([sq, sq]))
         assert ad.grad(loss, {"p": p})["p"] == pytest.approx(12.0)
 
     def test_disconnected_parameter_gets_zeros(self):
         p = ad.parameter(np.ones((2, 2)))
         other = ad.parameter(np.array(1.0))
-        g = ad.grad(ad.sum_all(ad.mul(other, other)), {"p": p})["p"]
+        g = ad.grad(ad.sum_all(mul(other, other)), {"p": p})["p"]
         np.testing.assert_array_equal(g, np.zeros((2, 2)))
 
     def test_deterministic_accumulation(self):

@@ -57,6 +57,15 @@ class TestExitCodes:
         bad.write_bytes(b"garbage data that is not a sequence")
         assert run("inspect", "--seq", str(bad)) == EXIT_DATA
 
+    @pytest.mark.parametrize("setting,named", [("dtype=float16", "dtype"), ("learning_rate=0", "learning rate")])
+    def test_bad_config_value_is_3(self, setting, named, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--set", setting)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and named in err[-1]
+        assert not (tmp_path / "x").exists()
+
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
         code = run(

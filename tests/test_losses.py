@@ -13,7 +13,7 @@ from seqcontrast.losses import (
     loss_3d4d,
     loss_4d,
     loss_total,
-    simsiam_pair,
+    _sym_rows,
 )
 
 
@@ -54,28 +54,31 @@ def oracle_pair_loss(p, z, pair_maps, normalize):
 
 def oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize):
     terms = []
-    for i, idx in enumerate(per_frame):
-        if len(idx) == 0:
+    for i, (i3, i4) in enumerate(per_frame):
+        if len(i3) == 0:
             continue
         vals = []
-        for a in idx:
-            vals.append(0.5 * neg_cos(p3[i].value[a], z4[i].value[a])
-                        + 0.5 * neg_cos(p4[i].value[a], z3[i].value[a]))
+        for a, b in zip(i3, i4):
+            vals.append(0.5 * neg_cos(p3[i].value[a], z4[i].value[b])
+                        + 0.5 * neg_cos(p4[i].value[b], z3[i].value[a]))
         terms.append(np.mean(vals) if normalize else np.sum(vals))
     return np.mean(terms) if normalize else np.sum(terms)
 
 
 class TestSimsiamPair:
+    """The symmetrized pair loss every term is built from, on one pair."""
+
     def test_identical_views_hit_minimum(self):
-        v = np.random.default_rng(0).normal(size=8)
-        out = simsiam_pair(Var(v), Var(v), Var(v), Var(v))
+        v = np.random.default_rng(0).normal(size=(1, 8))
+        out = _sym_rows(Var(v), Var(v), Var(v), Var(v), sg_on_p=False, normalize=True)
         assert out.value == pytest.approx(-1.0)
 
     def test_z_side_receives_no_gradient(self):
         rng = np.random.default_rng(1)
-        p1, z2 = ad.parameter(rng.normal(size=6)), ad.parameter(rng.normal(size=6))
-        p2, z1 = ad.parameter(rng.normal(size=6)), ad.parameter(rng.normal(size=6))
-        g = ad.grad(simsiam_pair(p1, z2, p2, z1), {"p1": p1, "z2": z2, "p2": p2, "z1": z1})
+        p1, z2 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
+        p2, z1 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
+        out = _sym_rows(p1, z2, p2, z1, sg_on_p=False, normalize=True)
+        g = ad.grad(out, {"p1": p1, "z2": z2, "p2": p2, "z1": z1})
         np.testing.assert_array_equal(g["z1"], 0.0)
         np.testing.assert_array_equal(g["z2"], 0.0)
         assert np.any(g["p1"] != 0.0) and np.any(g["p2"] != 0.0)
@@ -142,7 +145,7 @@ class TestLoss3D4D:
         t, n, c = 3, 6, 4
         p3, z3 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         p4, z4 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
-        per_frame = [rng.integers(0, n, size=5) for _ in range(t)]
+        per_frame = [(rng.integers(0, n, size=5), rng.integers(0, n, size=5)) for _ in range(t)]
         got, used = loss_3d4d(p3, z3, p4, z4, per_frame, normalize=normalize)
         assert used == 5 * t
         assert abs(float(got.value) - oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize)) <= 1e-12
@@ -154,7 +157,7 @@ class TestLoss3D4D:
         z3 = make_feats(rng, t, n, c, as_param=True)
         p4 = make_feats(rng, t, n, c, as_param=True)
         z4 = make_feats(rng, t, n, c, as_param=True)
-        per_frame = [rng.integers(0, n, size=4) for _ in range(t)]
+        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
         val, _ = loss_3d4d(p3, z3, p4, z4, per_frame)
         g = ad.grad(val, {"p3": p3[0], "z3": z3[0], "p4": p4[0], "z4": z4[0]})
         np.testing.assert_array_equal(g["p3"], 0.0)
@@ -168,7 +171,7 @@ class TestLoss3D4D:
         z3 = make_feats(rng, t, n, c, as_param=True)
         p4 = make_feats(rng, t, n, c, as_param=True)
         z4 = make_feats(rng, t, n, c, as_param=True)
-        per_frame = [rng.integers(0, n, size=4) for _ in range(t)]
+        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
         val, _ = loss_3d4d(p3, z3, p4, z4, per_frame, sg_on_predictor=False)
         g = ad.grad(val, {"p3": p3[0], "z3": z3[0], "p4": p4[0], "z4": z4[0]})
         np.testing.assert_array_equal(g["z3"], 0.0)
@@ -179,7 +182,7 @@ class TestLoss3D4D:
         rng = np.random.default_rng(9)
         t, n, c = 2, 5, 4
         feats = [make_feats(rng, t, n, c) for _ in range(4)]
-        per_frame = [rng.integers(0, n, size=4) for _ in range(t)]
+        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
         a, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=True)
         b, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=False)
         assert float(a.value) == pytest.approx(float(b.value), abs=1e-15)
@@ -201,7 +204,7 @@ class TestTotals:
             (i, j): (np.arange(n), np.arange(n))
             for i in range(t) for j in range(i + 1, t)
         }
-        per_frame = [np.arange(n) for _ in range(t)]
+        per_frame = [(np.arange(n), np.arange(n)) for _ in range(t)]
         l3, _ = loss_3d(shared, shared, maps)
         l34, _ = loss_3d4d(shared, shared, shared, shared, per_frame)
         l4, _ = loss_4d(shared, shared, maps)

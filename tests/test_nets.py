@@ -16,7 +16,6 @@ from seqcontrast.nets import (
     encode_4d,
     expected_parameter_count,
     frames_to_tensor,
-    gather_features,
     points_to_tensor,
     sequence_to_4d,
     unet_forward,
@@ -166,30 +165,3 @@ class TestUNetForward:
         z = encode_4d(tensor, params, model)
         assert z.feats.value.shape == (len(tensor), model.unet4d.projection_width)
         np.testing.assert_array_equal(z.coords, tensor.coords)
-
-
-class TestGatherFeatures:
-    def test_matches_bruteforce(self):
-        rng = np.random.default_rng(5)
-        pts = rng.uniform(-1, 1, size=(100, 3))
-        tensor, _ = points_to_tensor(pts, 0.25)
-        queries = rng.uniform(-1.5, 1.5, size=(300, 3))
-        hits, missing = gather_features(tensor, queries, 0.25)
-        table = {tuple(c): i for i, c in enumerate(tensor.coords)}
-        for q, h, m in zip(queries, hits, missing):
-            key = (0, *np.floor(q / 0.25).astype(np.int64))
-            want = table.get(key, -1)
-            assert h == want
-            assert m == (want == -1)
-
-    def test_time_index_selects_slice(self):
-        seq = fake_sequence([np.array([[0.0, 0, 0]]), np.array([[0.0, 0, 0]])])
-        tensor, _ = sequence_to_4d(seq, voxel_size=0.5)
-        q = np.array([[0.0, 0, 0]])
-        h0, m0 = gather_features(tensor, q, 0.5, time_index=0)
-        h1, m1 = gather_features(tensor, q, 0.5, time_index=1)
-        assert not m0[0] and not m1[0]
-        assert tensor.coords[h0[0], 4] == 0
-        assert tensor.coords[h1[0], 4] == 1
-        _, m9 = gather_features(tensor, q, 0.5, time_index=9)
-        assert m9[0]

@@ -60,7 +60,7 @@ class TestValidPositions:
     def test_empty_map_raises(self):
         from seqcontrast.geom import OccupancyMap2D
 
-        empty = OccupancyMap2D(np.zeros(2), 0.1, {}, {}, {}, 0.0)
+        empty = OccupancyMap2D(np.zeros(2), 0.1, {}, {}, 0.0)
         with pytest.raises(EmptyInputError):
             valid_positions(empty, 0.1)
 
@@ -305,6 +305,11 @@ class TestGenerateDataset:
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
             generate_dataset([], [], tmp_path, per_scene=1)
+
+    def test_caller_params_unchanged(self, small_room, small_object, tmp_path):
+        params = GenParams(per_scene=20, t=4, object_sample=200, scene_cell=0.05)
+        generate_dataset([small_room], [small_object], tmp_path, per_scene=1, t=3, seed=9, params=params)
+        assert params == GenParams(per_scene=20, t=4, object_sample=200, scene_cell=0.05)
 
     def test_worker_count_invariance(self, small_room, small_object, tmp_path):
         params = GenParams(t=3, object_sample=200, scene_cell=0.05)

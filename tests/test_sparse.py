@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import mul
 from seqcontrast import autodiff as ad
-from seqcontrast import sparse as sp
 from seqcontrast.autodiff import Var
 from seqcontrast.sparse import (
     SparseTensor,
@@ -70,6 +70,11 @@ class TestCoordPacking:
         coords = np.array([[0, 1 << 13, 0, 0]], dtype=np.int64)
         with pytest.raises(ValueError):
             pack_coords(coords)
+        # 4D keys leave 8 bits for the batch index: 128 and -128 would share a key
+        with pytest.raises(ValueError):
+            pack_coords(np.array([[128, 1, 2, 3, 0], [-128, 1, 2, 3, 0]], dtype=np.int64))
+        keys = pack_coords(np.array([[127, 1, 2, 3, 0], [-128, 1, 2, 3, 0]], dtype=np.int64))
+        assert keys[0] != keys[1]
 
     def test_unique_coords_inverse(self):
         coords = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 0, 0]], dtype=np.int64)
@@ -184,24 +189,6 @@ class TestTransposeConv:
             transpose_conv(x, Var(np.ones((8, 3, 2))), np.empty((0, 4), dtype=np.int64), (1, 1, 1))
 
 
-class TestConvPaths:
-    def test_gemm_and_loop_paths_agree(self):
-        rng = np.random.default_rng(8)
-        x = grid_tensor((8, 8, 8), 3, rng)
-        w = ad.parameter(rng.normal(size=(27, 3, 4)))
-        feats = ad.parameter(x.feats.value.copy())
-        kmap, _, _ = sp._get_kernel_map(x, "sub", 3)
-        assert kmap.density >= sp._DENSE_PATH_DENSITY  # the GEMM path is live here
-        out_gemm = sp._conv_apply(feats, w, kmap)
-        out_loop = sp._conv_apply_loop(feats, w, kmap)
-        np.testing.assert_allclose(out_gemm.value, out_loop.value, atol=1e-10)
-        g = rng.normal(size=out_gemm.value.shape)
-        dx_g, dw_g = out_gemm._backward(g)
-        dx_l, dw_l = out_loop._backward(g)
-        np.testing.assert_allclose(dx_g, dx_l, atol=1e-10)
-        np.testing.assert_allclose(dw_g, dw_l, atol=1e-10)
-
-
 class TestConvGradients:
     def _fd(self, f, x, h=1e-6):
         g = np.zeros_like(x)
@@ -226,12 +213,12 @@ class TestConvGradients:
         def loss(xv, wv):
             t = SparseTensor(coords, ad.parameter(xv), (1, 1, 1))
             out = sparse_conv(t, ad.parameter(wv), stride=1)
-            return out, ad.sum_all(ad.mul(out.feats, Var(mixer)))
+            return out, ad.sum_all(mul(out.feats, Var(mixer)))
 
         t = SparseTensor(coords, ad.parameter(x0), (1, 1, 1))
         wp = ad.parameter(w0)
         out = sparse_conv(t, wp, stride=1)
-        l = ad.sum_all(ad.mul(out.feats, Var(mixer)))
+        l = ad.sum_all(mul(out.feats, Var(mixer)))
         grads = ad.grad(l, {"x": t.feats, "w": wp})
         np.testing.assert_allclose(
             grads["x"], self._fd(lambda v: loss(v, w0)[1].value, x0), atol=1e-7
@@ -255,12 +242,12 @@ class TestConvGradients:
         def loss(xv, wv):
             t = SparseTensor(coarse.coords, ad.parameter(xv), coarse.stride)
             out = transpose_conv(t, ad.parameter(wv), fine, (1, 1, 1))
-            return out, ad.sum_all(ad.mul(out.feats, Var(mixer)))
+            return out, ad.sum_all(mul(out.feats, Var(mixer)))
 
         t = SparseTensor(coarse.coords, ad.parameter(x0), coarse.stride)
         wp = ad.parameter(w0)
         out = transpose_conv(t, wp, fine, (1, 1, 1))
-        l = ad.sum_all(ad.mul(out.feats, Var(mixer)))
+        l = ad.sum_all(mul(out.feats, Var(mixer)))
         grads = ad.grad(l, {"x": t.feats, "w": wp})
         np.testing.assert_allclose(
             grads["x"], self._fd(lambda v: loss(v, w0)[1].value, x0), atol=1e-7

@@ -1,12 +1,16 @@
 import numpy as np
 import pytest
 
-from seqcontrast.errors import EmptyInputError
+from seqcontrast import autodiff as ad
+from seqcontrast import nets
+from seqcontrast.errors import ConfigError, EmptyInputError
+from seqcontrast.losses import loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
 from seqcontrast.trainer import (
     Checkpoint,
     ContrastivePretrainer,
     TrainConfig,
+    _SequenceState,
     backbone_features,
     balance_batch,
     export_backbone,
@@ -16,6 +20,7 @@ from seqcontrast.trainer import (
     pretrain,
     probe,
     save_checkpoint,
+    sequence_loss,
 )
 
 pytestmark = pytest.mark.filterwarnings("ignore::RuntimeWarning")
@@ -82,6 +87,56 @@ class TestConfigValidation:
             TrainConfig(batch_size=0)
         with pytest.raises(ValueError):
             TrainConfig(decay_factor=1.5)
+        for bad in (dict(dtype="float16"), dict(momentum=-0.5), dict(momentum=1.0), dict(learning_rate=0.0)):
+            with pytest.raises(ConfigError):
+                TrainConfig(**bad)
+        assert TrainConfig(dtype="float64", momentum=0.9).np_dtype is np.float64
+        assert TrainConfig().np_dtype is np.float32
+
+
+def gather_of_gather_loss(state, params, model, cfg):
+    """Reference joint loss: per-point features are gathered from the voxel
+    features frame by frame, and the losses gather from those."""
+    dtype = cfg.np_dtype
+    z3v, rows3 = nets.encode_3d_frames(state.static_views, params, model, dtype=dtype)
+    p3v = nets.predict_3d(z3v, params)
+    x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
+    z4v = nets.encode_4d(x4, params, model)
+    p4v = nets.predict_4d(z4v, params)
+    z3 = [ad.rows(z3v.feats, r) for r in rows3]
+    p3 = [ad.rows(p3v.feats, r) for r in rows3]
+    z4 = [ad.rows(z4v.feats, r) for r in rows4]
+    p4 = [ad.rows(p4v.feats, r) for r in rows4]
+    l3, _ = loss_3d(p3, z3, state.pair_maps)
+    l34, _ = loss_3d4d(p3, z3, p4, z4, [(idx, idx) for idx in state.per_frame])
+    l4, _ = loss_4d(p4, z4, state.pair_maps)
+    return loss_total(l3, l34, l4, cfg.weights)
+
+
+class TestSequenceLoss:
+    def test_matches_gather_of_gather_reference(self, dataset):
+        """Gathering straight from the voxel features through composed index
+        maps gives the per-point reference loss and gradient in float64."""
+        cfg = tiny_cfg(dtype="float64")
+        model = tiny_model()
+        params = build_parameters(model, seed=4, dtype=np.float64)
+        state = _SequenceState(dataset[0], cfg, 0)
+        loss, report = sequence_loss(state, params, model, cfg)
+        want = gather_of_gather_loss(state, params, model, cfg)
+        assert abs(float(loss.value) - float(want.value)) <= 1e-12 * abs(float(want.value))
+        assert report.total == float(loss.value)
+        got_g, want_g = ad.grad(loss, params), ad.grad(want, params)
+        scale = np.sqrt(sum(np.sum(g**2) for g in want_g.values()))
+        # The stems feed constant columns into the first channel_norm, whose
+        # backward amplifies rounding by 1/sqrt(eps); their gradients differ
+        # by ~1e-12 of the gradient norm with the summation order, so they
+        # get a looser bound.
+        for name in params:
+            bound = 1e-8 if ".stem." in name else 1e-12
+            assert np.linalg.norm(got_g[name] - want_g[name]) <= bound * scale, name
+        # the second call reuses the cached views and gives the same loss
+        again, _ = sequence_loss(state, params, model, cfg)
+        assert float(again.value) == float(loss.value)
 
 
 class TestPretrain:
