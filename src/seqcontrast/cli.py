@@ -63,22 +63,20 @@ def cmd_synth(args) -> int:
 
 def cmd_gen(args) -> int:
     cfg = _load_run_config(args)
+    if args.per_scene is not None:
+        cfg.per_scene = args.per_scene
+    if args.frames is not None:
+        cfg.t = args.frames
     scene_paths = sorted(Path(args.scenes).glob("*.xyz")) + sorted(Path(args.scenes).glob("*.ply"))
     object_paths = sorted(Path(args.objects).glob("*.xyz")) + sorted(Path(args.objects).glob("*.ply"))
     if not scene_paths or not object_paths:
         raise EmptyInputError("no scene or object files found")
     scenes = [read_point_cloud(p) for p in scene_paths]
     objects = [read_point_cloud(p) for p in object_paths]
-    params = GenParams(
-        per_scene=args.per_scene,
-        t=args.frames,
-        object_sample=cfg.object_points,
-        scene_cell=cfg.scene_cell,
-        map_cell=cfg.map_cell,
-    )
+    params = GenParams(object_sample=cfg.object_points, scene_cell=cfg.scene_cell, map_cell=cfg.map_cell)
     stats = generate_dataset(
         scenes, objects, args.out,
-        per_scene=args.per_scene, t=args.frames, seed=args.seed,
+        per_scene=cfg.per_scene, t=cfg.t, seed=args.seed,
         workers=args.workers, params=params,
     )
     dump_config(cfg, Path(args.out) / "effective_config.txt")
@@ -195,8 +193,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--scenes", required=True)
     p.add_argument("--objects", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--per-scene", type=int, default=20)
-    p.add_argument("--frames", type=int, default=4)
+    p.add_argument("--per-scene", type=int, default=None, help="default: the per_scene key")
+    p.add_argument("--frames", type=int, default=None, help="default: the t key")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)

@@ -2,8 +2,9 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .losses import LossWeights
@@ -39,7 +40,6 @@ class RunConfig:
     per_scene: int = 20
     object_points: int = 1000
     map_cell: float = 0.10
-    floor_band: float = 0.20
     scene_cell: float = 0.02
     # architecture
     unet3d_channels: tuple[int, ...] = (16, 32, 64)
@@ -62,7 +62,6 @@ class RunConfig:
             weights=LossWeights(self.w_3d, self.w_3d4d, self.w_4d),
             voxel3d=self.voxel3d,
             voxel4d=self.voxel4d,
-            t=self.t,
             momentum=self.momentum,
             dtype=self.dtype,
             normalize_losses=self.normalize_losses,
@@ -83,40 +82,23 @@ class RunConfig:
 
 
 def _parse_value(raw: str, kind):
-    if kind is bool or kind == "bool":
+    if kind is bool:
         if raw.lower() in ("1", "true", "yes", "on"):
             return True
         if raw.lower() in ("0", "false", "no", "off"):
             return False
         raise ConfigError(f"expected a boolean, got {raw!r}")
-    if kind is int:
-        return int(raw)
-    if kind is float:
-        return float(raw)
-    if kind is str:
-        return raw
+    if kind in (int, float, str):
+        return kind(raw)
     # tuple[int, ...]
     return tuple(int(x) for x in raw.replace(",", " ").split())
-
-
-_FIELD_TYPES = {
-    "dtype": str,
-    "unet3d_channels": tuple,
-    "unet4d_channels": tuple,
-}
-
-
-def _field_kind(f):
-    if f.name in _FIELD_TYPES:
-        return _FIELD_TYPES[f.name]
-    return type(getattr(RunConfig(), f.name))
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file (or start from the defaults when ``path`` is None),
     rejecting unknown keys; apply flag overrides last."""
     cfg = RunConfig()
-    known = {f.name: f for f in fields(RunConfig)}
+    kinds = get_type_hints(RunConfig)
     entries: dict[str, str] = {}
     if path is not None:
         with open(path) as f:
@@ -131,10 +113,10 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
     if overrides:
         entries.update(overrides)
     for key, raw in entries.items():
-        if key not in known:
+        if key not in kinds:
             raise ConfigError(f"unknown configuration key {key!r}")
         try:
-            setattr(cfg, key, _parse_value(raw, _field_kind(known[key])))
+            setattr(cfg, key, _parse_value(raw, kinds[key]))
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
     return cfg

@@ -16,7 +16,8 @@ from .errors import DataFormatError
 from .geom import PointCloud
 
 CHECKPOINT_MAGIC = b"4DCW"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+CHECKPOINT_DTYPES = ("<f4", "<f8", "|u1")
 
 
 # ---------------------------------------------------------------------------
@@ -128,14 +129,22 @@ def read_point_cloud(path: str | Path) -> PointCloud:
 
 
 def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Serialize named float tensors; payloads stored float32 row-major."""
+    """Serialize named tensors row-major, each in its own dtype.
+
+    Per tensor: the UTF-8 name, a 3-byte numpy dtype tag (one of
+    `CHECKPOINT_DTYPES`), the rank, the dimensions and the payload.
+    """
     buf = bytearray()
     buf += CHECKPOINT_MAGIC
     buf += struct.pack("<II", CHECKPOINT_VERSION, len(tensors))
     for name, arr in tensors.items():
         nb = name.encode("utf-8")
-        a = np.ascontiguousarray(arr, dtype=np.float32)
-        buf += struct.pack("<I", len(nb)) + nb
+        a = np.asarray(arr)
+        tag = a.dtype.newbyteorder("<").str
+        if tag not in CHECKPOINT_DTYPES:
+            raise ValueError(f"tensor {name!r}: unsupported dtype {a.dtype}")
+        a = np.ascontiguousarray(a, dtype=tag)
+        buf += struct.pack("<I", len(nb)) + nb + tag.encode("ascii")
         buf += struct.pack("<I", a.ndim)
         buf += struct.pack(f"<{a.ndim}I", *a.shape)
         buf += a.tobytes()
@@ -160,13 +169,17 @@ def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
         off += 4
         name = data[off : off + nlen].decode("utf-8")
         off += nlen
+        tag = data[off : off + 3].decode("ascii", errors="replace")
+        if tag not in CHECKPOINT_DTYPES:
+            raise DataFormatError(f"{path}: tensor {name!r} has unknown dtype tag {tag!r}", off)
+        off += 3
         (rank,) = struct.unpack_from("<I", data, off)
         off += 4
         dims = struct.unpack_from(f"<{rank}I", data, off)
         off += 4 * rank
         n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype="<f4", count=n, offset=off).reshape(dims).copy()
-        off += 4 * n
+        arr = np.frombuffer(data, dtype=tag, count=n, offset=off).reshape(dims).copy()
+        off += arr.nbytes
         out[name] = arr
     if off != len(data) - 4:
         raise DataFormatError(f"{path}: trailing bytes in checkpoint", off)

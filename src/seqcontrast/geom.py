@@ -143,7 +143,6 @@ class OccupancyMap2D:
     with the lowest minima (robust against furniture).
     """
 
-    origin: np.ndarray
     cell_size: float
     accumulation: dict[tuple[int, int], int]
     max_height: dict[tuple[int, int], float]
@@ -179,7 +178,6 @@ def height_accumulate(
     floor = float(np.mean(minima[:k]))
 
     return OccupancyMap2D(
-        origin=np.zeros(2),
         cell_size=cell_size,
         accumulation=accumulation,
         max_height=max_h,

@@ -7,8 +7,6 @@ subset of parameter components.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from . import autodiff as ad

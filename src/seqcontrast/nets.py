@@ -23,6 +23,7 @@ from .sparse import SparseTensor
 VOXEL_3D = 0.02  # m
 VOXEL_4D = 0.05  # m
 IN_CHANNELS = 3  # occupancy repeated to three channels
+KERNEL_SIZE = 3  # per axis, of the stride-1 convolutions in the residual blocks
 
 
 @dataclass(frozen=True)
@@ -31,8 +32,6 @@ class UNetConfig:
     channels: tuple[int, ...]          # one entry per resolution level
     block_depth: int = 1               # residual blocks per level
     projection_width: int = 32
-    kernel_size: int = 3
-    in_channels: int = IN_CHANNELS
     normalize: bool = True
 
     def __post_init__(self):
@@ -72,11 +71,11 @@ def _init_weight(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.
 
 def _head_shapes(cfg: UNetConfig, prefix: str) -> dict[str, tuple[int, ...]]:
     """Shapes of all tensors of one branch (U-Net + projection + predictor)."""
-    k = cfg.kernel_size ** cfg.dim
+    k = KERNEL_SIZE ** cfg.dim
     up_k = 2 ** cfg.dim
     ch = cfg.channels
     shapes: dict[str, tuple[int, ...]] = {}
-    shapes[f"unet{prefix}.stem.w"] = (cfg.in_channels, ch[0])
+    shapes[f"unet{prefix}.stem.w"] = (IN_CHANNELS, ch[0])
     shapes[f"unet{prefix}.stem.b"] = (ch[0],)
     for lvl, c in enumerate(ch):
         for b in range(cfg.block_depth):

@@ -150,7 +150,6 @@ def sample_trajectory(
     t: int,
     rng: np.random.Generator,
     cell_size: float = 0.10,
-    origin: np.ndarray | None = None,
     retries: int = STEP_RETRIES,
 ) -> Trajectory:
     """Random walk over candidate cells with bounded step length and turn.
@@ -164,10 +163,9 @@ def sample_trajectory(
         raise ValueError("candidates must be nonempty")
     if t < 1:
         raise ValueError("t must be >= 1")
-    origin = np.zeros(2) if origin is None else np.asarray(origin, dtype=np.float64)
 
     cells = sorted(candidates)
-    centers = origin + (np.array(cells, dtype=np.float64) + 0.5) * cell_size
+    centers = (np.array(cells, dtype=np.float64) + 0.5) * cell_size
 
     start = int(rng.integers(0, len(cells)))
     positions = [centers[start]]
@@ -211,13 +209,11 @@ def trajectory_violations(
     traj: Trajectory,
     candidates: set[tuple[int, int]],
     cell_size: float = 0.10,
-    origin: np.ndarray | None = None,
 ) -> list[str]:
     """Independent validator; returns a description of each violated constraint."""
-    origin = np.zeros(2) if origin is None else np.asarray(origin, dtype=np.float64)
     problems = []
     for k, pos in enumerate(traj.positions):
-        cell = tuple(np.floor((pos - origin) / cell_size).astype(int))
+        cell = tuple(np.floor(pos / cell_size).astype(int))
         if cell not in candidates:
             problems.append(f"waypoint {k} at invalid cell {cell}")
     steps = np.diff(traj.positions, axis=0)

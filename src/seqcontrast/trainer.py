@@ -7,8 +7,9 @@ desk-scale stand-in for downstream evaluation.
 
 from __future__ import annotations
 
+import json
 import logging
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -16,12 +17,12 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Var
-from .errors import ConfigError, EmptyInputError
+from .errors import ConfigError, DataFormatError, EmptyInputError
 from .formats import read_checkpoint, write_checkpoint
 from .geom import PointCloud
 from .losses import LossReport, LossWeights, loss_3d, loss_3d4d, loss_4d, loss_total
 from .nets import ModelConfig, UNetConfig, build_parameters
-from .seqgen import CorrespondenceSet, Sequence, build_correspondences, read_sequence
+from .seqgen import Sequence, build_correspondences, read_sequence
 
 log = logging.getLogger(__name__)
 
@@ -40,7 +41,6 @@ class TrainConfig:
     weights: LossWeights = field(default_factory=LossWeights)
     voxel3d: float = 0.02
     voxel4d: float = 0.05
-    t: int = 4
     momentum: float = 0.0
     dtype: str = "float32"
     normalize_losses: bool = True
@@ -173,51 +173,34 @@ class Checkpoint:
     step: int
     model: ModelConfig
     train: TrainConfig
+    velocity: dict[str, np.ndarray] = field(default_factory=dict)  # momentum buffers
 
 
-def _config_tensors(ckpt: Checkpoint) -> dict[str, np.ndarray]:
-    out = {"meta.step": np.array([ckpt.step], dtype=np.float32)}
-    for tag, u in (("unet3d", ckpt.model.unet3d), ("unet4d", ckpt.model.unet4d)):
-        out[f"config.{tag}.channels"] = np.array(u.channels, dtype=np.float32)
-        out[f"config.{tag}.scalars"] = np.array(
-            [u.dim, u.block_depth, u.projection_width, u.kernel_size, u.in_channels, int(u.normalize)],
-            dtype=np.float32,
-        )
-    out["config.voxels"] = np.array([ckpt.model.voxel3d, ckpt.model.voxel4d], dtype=np.float32)
-    tc = ckpt.train
-    out["config.train"] = np.array(
-        [tc.learning_rate, tc.batch_size, tc.steps, tc.decay_factor, tc.decay_interval,
-         tc.seed, tc.weights.w_3d, tc.weights.w_3d4d, tc.weights.w_4d, tc.t,
-         tc.momentum, 1.0 if tc.dtype == "float64" else 0.0],
-        dtype=np.float32,
-    )
-    return out
+_CONFIG = "config"           # tensor holding the UTF-8 JSON of step, model and train
+_VELOCITY = "velocity."      # prefix of the momentum buffers' tensor names
 
 
 def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
-    write_checkpoint(path, ckpt.tensors | _config_tensors(ckpt))
+    meta = {"step": ckpt.step, "model": asdict(ckpt.model), "train": asdict(ckpt.train)}
+    blob = np.frombuffer(json.dumps(meta).encode("utf-8"), dtype=np.uint8)
+    velocity = {_VELOCITY + k: v for k, v in ckpt.velocity.items()}
+    write_checkpoint(path, ckpt.tensors | velocity | {_CONFIG: blob})
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     raw = read_checkpoint(path)
-    tensors = {k: v for k, v in raw.items() if not k.startswith(("config.", "meta."))}
-
-    def unet(tag: str) -> UNetConfig:
-        ch = tuple(int(c) for c in raw[f"config.{tag}.channels"])
-        dim, depth, proj, ksize, cin, norm = raw[f"config.{tag}.scalars"]
-        return UNetConfig(int(dim), ch, int(depth), int(proj), int(ksize), int(cin), bool(norm))
-
-    v3, v4 = raw["config.voxels"]
-    model = ModelConfig(unet("unet3d"), unet("unet4d"), float(v3), float(v4))
-    tr = raw["config.train"]
-    train = TrainConfig(
-        learning_rate=float(tr[0]), batch_size=int(tr[1]), steps=int(tr[2]),
-        decay_factor=float(tr[3]), decay_interval=int(tr[4]), seed=int(tr[5]),
-        weights=LossWeights(float(tr[6]), float(tr[7]), float(tr[8])),
-        voxel3d=float(v3), voxel4d=float(v4), t=int(tr[9]),
-        momentum=float(tr[10]), dtype="float64" if tr[11] > 0.5 else "float32",
-    )
-    return Checkpoint(tensors, int(raw["meta.step"][0]), model, train)
+    try:
+        meta = json.loads(raw.pop(_CONFIG).tobytes())
+        m, tr = meta["model"], meta["train"]
+        u3, u4 = (UNetConfig(**u | {"channels": tuple(u["channels"])}) for u in (m["unet3d"], m["unet4d"]))
+        model = ModelConfig(u3, u4, m["voxel3d"], m["voxel4d"])
+        train = TrainConfig(**tr | {"weights": LossWeights(**tr["weights"])})
+        step = meta["step"]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise DataFormatError(f"{path}: bad checkpoint config: {exc!r}") from None
+    velocity = {k[len(_VELOCITY):]: v for k, v in raw.items() if k.startswith(_VELOCITY)}
+    tensors = {k: v for k, v in raw.items() if not k.startswith(_VELOCITY)}
+    return Checkpoint(tensors, step, model, train, velocity)
 
 
 def export_backbone(ckpt: Checkpoint) -> Checkpoint:
@@ -254,29 +237,38 @@ def pretrain(
     cfg: TrainConfig,
     model: ModelConfig | None = None,
     log_path: str | Path | None = None,
-    initial: dict[str, np.ndarray] | None = None,
+    resume: Checkpoint | None = None,
 ) -> tuple[Checkpoint, list[LossReport]]:
     """SGD over the joint loss with the step-decay schedule.
 
     Deterministic given (sequence bytes, config): batch assembly and all RNG
     use positional seeds. Aborts with a diagnostic if the loss goes
-    non-finite.
+    non-finite. With ``resume``, the run continues after ``resume.step`` from
+    its weights and momentum buffers, so a run saved and resumed matches an
+    uninterrupted one bit for bit.
     """
     if not sequences:
         raise EmptyInputError("dataset is empty")
     model = model or ModelConfig(voxel3d=cfg.voxel3d, voxel4d=cfg.voxel4d)
     dtype = cfg.np_dtype
     params = build_parameters(model, seed=cfg.seed, dtype=dtype)
-    if initial is not None:
-        for k, p in params.items():
-            p.value = initial[k].astype(dtype)
     velocity = {k: np.zeros_like(p.value) for k, p in params.items()}
+    first = 1
+    if resume is not None:
+        if resume.model != model or resume.train.dtype != cfg.dtype:
+            raise ConfigError("cannot resume: the checkpoint's model or dtype differs from this run's")
+        if resume.step > cfg.steps:
+            raise ConfigError(f"cannot resume: the checkpoint is at step {resume.step}, past steps={cfg.steps}")
+        for k, p in params.items():
+            p.value = resume.tensors[k]
+        velocity |= resume.velocity
+        first = resume.step + 1
     states: dict[int, _SequenceState] = {}
     reports: list[LossReport] = []
 
     log_file = open(log_path, "w") if log_path else None
     try:
-        for step in range(1, cfg.steps + 1):
+        for step in range(first, cfg.steps + 1):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
             if len(sequences) >= cfg.batch_size:
                 batch = rng.choice(len(sequences), size=cfg.batch_size, replace=False)
@@ -327,7 +319,7 @@ def pretrain(
             log_file.close()
 
     tensors = {k: p.value.copy() for k, p in params.items()}
-    return Checkpoint(tensors, cfg.steps, model, cfg), reports
+    return Checkpoint(tensors, cfg.steps, model, cfg, velocity if cfg.momentum else {}), reports
 
 
 # ---------------------------------------------------------------------------
@@ -452,7 +444,6 @@ class ContrastivePretrainer:
             batch_size=self.batch_size or balance_batch(self.t),
             steps=self.steps,
             seed=self.seed,
-            t=self.t,
             dtype=self.dtype,
         )
         self.checkpoint_, self.reports_ = pretrain(X, cfg, self.model)

@@ -17,7 +17,7 @@ from seqcontrast import sparse as sp
 from seqcontrast import synth
 from seqcontrast.autodiff import Var
 from seqcontrast.config import RunConfig
-from seqcontrast.geom import OBJECT_ID_OFFSET, height_accumulate
+from seqcontrast.geom import FLOOR_BAND, OBJECT_ID_OFFSET, height_accumulate
 from seqcontrast.gradcheck import run_gradcheck, tiny_model, tiny_sequence
 from seqcontrast.losses import LossWeights, loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
@@ -491,7 +491,7 @@ class TestP8Determinism:
         model = tiny_model()
         cfg = TrainConfig(
             learning_rate=0.1, batch_size=2, steps=3, seed=0, dtype="float64",
-            voxel3d=0.1, voxel4d=0.2, max_corr_per_pair=64, max_points_3d4d=96, t=3,
+            voxel3d=0.1, voxel4d=0.2, max_corr_per_pair=64, max_points_3d4d=96,
         )
         a, ra = pretrain(sequences, cfg, model)
         b, rb = pretrain(sequences, cfg, model)
@@ -513,7 +513,7 @@ class TestP9PaperParityConfiguration:
         cfg = RunConfig()
         snapshot = {
             "map_cell": (cfg.map_cell, 0.10),
-            "floor_band": (cfg.floor_band, 0.20),
+            "floor_band": (FLOOR_BAND, 0.20),
             "voxel3d": (cfg.voxel3d, 0.02),
             "voxel4d": (cfg.voxel4d, 0.05),
             "object_points": (cfg.object_points, 1000),

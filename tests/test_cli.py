@@ -1,3 +1,5 @@
+import zlib
+
 import numpy as np
 import pytest
 
@@ -66,6 +68,14 @@ class TestExitCodes:
         assert err[-1].startswith("error:") and named in err[-1]
         assert not (tmp_path / "x").exists()
 
+    def test_version_1_checkpoint_is_3(self, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        ck = tmp_path / "v1.4dcw"
+        header = b"4DCW" + (1).to_bytes(4, "little") + (0).to_bytes(4, "little")
+        ck.write_bytes(header + zlib.crc32(header).to_bytes(4, "little"))
+        assert run("probe", "--ckpt", str(ck), "--data", str(data)) == EXIT_DATA
+        assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
         code = run(
@@ -109,6 +119,22 @@ class TestGen:
         ) == EXIT_OK
         for p in seqs:
             assert (redo / p.name).read_bytes() == p.read_bytes()
+
+    def test_config_keys_stand_in_for_flags(self, assets, tmp_path):
+        """Without --per-scene/--frames, the per_scene and t keys set them."""
+        _, rooms, objs, data, seqs = assets
+        redo = tmp_path / "redo"
+        assert run(
+            "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(redo),
+            "--seed", "5", "--set", "per_scene=2", "--set", "t=3",
+            "--set", "object_points=300", "--set", "scene_cell=0.05",
+        ) == EXIT_OK
+        assert sorted(p.name for p in redo.glob("*.4dc")) == [p.name for p in seqs]
+        for p in seqs:
+            assert (redo / p.name).read_bytes() == p.read_bytes()
+        effective = (data / "effective_config.txt").read_text().splitlines()
+        assert "per_scene = 2" in effective and "t = 3" in effective
+        assert (redo / "effective_config.txt").read_text().splitlines() == effective
 
     def test_inspect_reports_counts(self, assets, capsys):
         *_, seqs = assets

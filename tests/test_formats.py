@@ -1,8 +1,12 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from seqcontrast.errors import DataFormatError
 from seqcontrast.formats import (
+    CHECKPOINT_MAGIC,
     read_checkpoint,
     read_ply,
     read_sidecar,
@@ -83,14 +87,27 @@ class TestCheckpoint:
             "a.w": rng.normal(size=(3, 4)).astype(np.float32),
             "b.bias": rng.normal(size=(7,)).astype(np.float32),
             "deep.block.k": rng.normal(size=(2, 3, 5)).astype(np.float32),
+            "double": rng.normal(size=(4, 2)),
+            "blob": np.frombuffer(b"{}", dtype=np.uint8),
         }
         path = tmp_path / "w.4dcw"
         write_checkpoint(path, tensors)
         back = read_checkpoint(path)
         assert set(back) == set(tensors)
         for k in tensors:
-            assert back[k].dtype == np.float32
+            assert back[k].dtype == tensors[k].dtype
             np.testing.assert_array_equal(back[k], tensors[k])
+
+    def test_unsupported_dtype_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="int64"):
+            write_checkpoint(tmp_path / "w", {"x": np.arange(3)})
+
+    def test_version_1_rejected(self, tmp_path):
+        path = tmp_path / "v1.4dcw"
+        header = CHECKPOINT_MAGIC + struct.pack("<II", 1, 0)
+        path.write_bytes(header + struct.pack("<I", zlib.crc32(header)))
+        with pytest.raises(DataFormatError, match="version 1"):
+            read_checkpoint(path)
 
     def test_write_is_deterministic(self, tmp_path):
         tensors = {"x": np.arange(6, dtype=np.float32).reshape(2, 3)}

@@ -60,7 +60,7 @@ class TestValidPositions:
     def test_empty_map_raises(self):
         from seqcontrast.geom import OccupancyMap2D
 
-        empty = OccupancyMap2D(np.zeros(2), 0.1, {}, {}, 0.0)
+        empty = OccupancyMap2D(0.1, {}, {}, 0.0)
         with pytest.raises(EmptyInputError):
             valid_positions(empty, 0.1)
 

@@ -1,8 +1,11 @@
+from dataclasses import fields, replace
+
 import numpy as np
 import pytest
 
 from seqcontrast import autodiff as ad
 from seqcontrast import nets
+from seqcontrast.config import RunConfig
 from seqcontrast.errors import ConfigError, EmptyInputError
 from seqcontrast.losses import loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
@@ -41,7 +44,6 @@ def tiny_cfg(**overrides):
         batch_size=2,
         steps=3,
         seed=0,
-        t=4,
         voxel3d=0.08,
         voxel4d=0.16,
         max_corr_per_pair=64,
@@ -92,6 +94,10 @@ class TestConfigValidation:
                 TrainConfig(**bad)
         assert TrainConfig(dtype="float64", momentum=0.9).np_dtype is np.float64
         assert TrainConfig().np_dtype is np.float32
+
+    def test_run_config_defaults_match_runtime_defaults(self):
+        assert RunConfig().train_config() == TrainConfig()
+        assert RunConfig().model_config() == ModelConfig()
 
 
 def gather_of_gather_loss(state, params, model, cfg):
@@ -177,12 +183,28 @@ class TestPretrain:
         b = pretrain(dataset, cfg, tiny_model())[1]
         np.testing.assert_allclose([r.total for r in a], [r.total for r in b], atol=1e-6)
 
-    def test_initial_weights_resume(self, dataset):
+    def test_initial_weights_resume(self, dataset, tmp_path):
+        """Two float64 steps with momentum, saved, loaded and resumed to step
+        four, match four uninterrupted steps bit for bit."""
         model = tiny_model()
-        first, _ = pretrain(dataset, tiny_cfg(steps=1), model)
-        resumed, _ = pretrain(dataset, tiny_cfg(steps=0), model, initial=first.tensors)
-        for k in first.tensors:
-            np.testing.assert_array_equal(resumed.tensors[k], first.tensors[k])
+        cfg = tiny_cfg(steps=4, dtype="float64", momentum=0.9)
+        whole, whole_reports = pretrain(dataset, cfg, model)
+        half, half_reports = pretrain(dataset, tiny_cfg(steps=2, dtype="float64", momentum=0.9), model)
+        assert set(half.velocity) == set(half.tensors)
+        save_checkpoint(tmp_path / "half.4dcw", half)
+        resumed, resumed_reports = pretrain(dataset, cfg, model, resume=load_checkpoint(tmp_path / "half.4dcw"))
+        assert resumed.step == 4
+        assert [r.total for r in half_reports + resumed_reports] == [r.total for r in whole_reports]
+        for k in whole.tensors:
+            assert resumed.tensors[k].dtype == np.float64
+            np.testing.assert_array_equal(resumed.tensors[k], whole.tensors[k])
+            np.testing.assert_array_equal(resumed.velocity[k], whole.velocity[k])
+        with pytest.raises(ConfigError):
+            pretrain(dataset, tiny_cfg(steps=4, momentum=0.9), model, resume=half)
+        with pytest.raises(ConfigError):
+            pretrain(dataset, cfg, replace(model, voxel3d=0.1), resume=half)
+        with pytest.raises(ConfigError):
+            pretrain(dataset, tiny_cfg(steps=1, dtype="float64", momentum=0.9), model, resume=half)
 
     def test_log_file_format(self, dataset, tmp_path):
         log = tmp_path / "train.log"
@@ -228,6 +250,41 @@ class TestCheckpointIO:
         for k in ckpt.tensors:
             np.testing.assert_array_equal(back.tensors[k], ckpt.tensors[k])
 
+    def test_roundtrip_is_exact_for_every_field(self, tmp_path):
+        """Every config field differs from its default, including values that
+        float32 cannot hold, and the tensors are float64."""
+        from seqcontrast.losses import LossWeights
+
+        model = ModelConfig(
+            UNetConfig(3, (5, 7, 9), block_depth=2, projection_width=6, normalize=False),
+            UNetConfig(4, (3,), block_depth=3, projection_width=10, normalize=False),
+            voxel3d=0.06, voxel4d=0.13,
+        )
+        train = TrainConfig(
+            learning_rate=0.1, batch_size=5, steps=17, decay_factor=0.97, decay_interval=33,
+            seed=16777217, weights=LossWeights(0.3, 0.7, 1.1), voxel3d=0.06, voxel4d=0.13,
+            momentum=0.9, dtype="float64", normalize_losses=False, sg_on_predictor_3d4d=False,
+            max_corr_per_pair=7, max_points_3d4d=9,
+        )
+        for f in fields(TrainConfig):
+            assert getattr(train, f.name) != getattr(TrainConfig(), f.name), f.name
+        for f in fields(ModelConfig):
+            assert getattr(model, f.name) != getattr(ModelConfig(), f.name), f.name
+        rng = np.random.default_rng(3)
+        tensors = {"a.w": rng.normal(size=(3, 4)) * 1e-3, "b.b": rng.normal(size=(5,))}
+        velocity = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
+        ckpt = Checkpoint(tensors, 17, model, train, velocity)
+        save_checkpoint(tmp_path / "ck.4dcw", ckpt)
+        back = load_checkpoint(tmp_path / "ck.4dcw")
+        assert back.train == ckpt.train
+        assert back.model == ckpt.model
+        assert back.step == ckpt.step
+        for saved, loaded in ((ckpt.tensors, back.tensors), (ckpt.velocity, back.velocity)):
+            assert set(loaded) == set(saved)
+            for k in saved:
+                assert loaded[k].dtype == saved[k].dtype == np.float64
+                assert loaded[k].tobytes() == saved[k].tobytes()
+
     def test_export_backbone_drops_heads(self, dataset):
         ckpt, _ = pretrain(dataset, tiny_cfg(steps=1), tiny_model())
         bb = export_backbone(ckpt)
@@ -270,8 +327,6 @@ class TestProbe:
     def test_identical_features_probe_to_one(self, dataset):
         """Corresponding scene points land in the same voxel when the static
         augmentation is the identity, so their features coincide."""
-        from dataclasses import replace
-
         from seqcontrast.geom import SimilarityTransform
         from seqcontrast.seqgen import Sequence
 
