@@ -17,7 +17,7 @@ from .config import RunConfig, dump_config, load_config
 from .errors import ConfigError, DataFormatError, EmptyInputError, SeqContrastError
 from .formats import read_point_cloud, write_ply, write_xyz
 from .gradcheck import run_gradcheck
-from .seqgen import GenParams, build_correspondences, generate_dataset, read_sequence
+from .seqgen import build_correspondences, generate_dataset, read_sequence
 from .trainer import (
     Checkpoint,
     export_backbone,
@@ -36,13 +36,15 @@ EXIT_NUMERIC = 4
 log = logging.getLogger("seqcontrast")
 
 
-def _load_run_config(args) -> RunConfig:
+def _load_run_config(args, **flags) -> RunConfig:
+    """--config, then the --set overrides, then the given flags that are set."""
     overrides = {}
     for item in getattr(args, "set", None) or []:
         if "=" not in item:
             raise ConfigError(f"--set expects key=value, got {item!r}")
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
+    overrides |= {key: str(value) for key, value in flags.items() if value is not None}
     return load_config(getattr(args, "config", None), overrides)
 
 
@@ -62,23 +64,14 @@ def cmd_synth(args) -> int:
 
 
 def cmd_gen(args) -> int:
-    cfg = _load_run_config(args)
-    if args.per_scene is not None:
-        cfg.per_scene = args.per_scene
-    if args.frames is not None:
-        cfg.t = args.frames
+    cfg = _load_run_config(args, per_scene=args.per_scene, t=args.frames, seed=args.seed)
     scene_paths = sorted(Path(args.scenes).glob("*.xyz")) + sorted(Path(args.scenes).glob("*.ply"))
     object_paths = sorted(Path(args.objects).glob("*.xyz")) + sorted(Path(args.objects).glob("*.ply"))
     if not scene_paths or not object_paths:
         raise EmptyInputError("no scene or object files found")
     scenes = [read_point_cloud(p) for p in scene_paths]
     objects = [read_point_cloud(p) for p in object_paths]
-    params = GenParams(object_sample=cfg.object_points, scene_cell=cfg.scene_cell, map_cell=cfg.map_cell)
-    stats = generate_dataset(
-        scenes, objects, args.out,
-        per_scene=cfg.per_scene, t=cfg.t, seed=args.seed,
-        workers=args.workers, params=params,
-    )
+    stats = generate_dataset(scenes, objects, args.out, seed=cfg.train.seed, workers=args.workers, params=cfg.gen)
     dump_config(cfg, Path(args.out) / "effective_config.txt")
     print(f"gen: wrote {stats['written']} sequences, rejected {stats['rejected']}")
     return EXIT_OK
@@ -86,11 +79,9 @@ def cmd_gen(args) -> int:
 
 def cmd_pretrain(args) -> int:
     cfg = _load_run_config(args)
-    train_cfg = cfg.train_config()
-    model_cfg = cfg.model_config()
     sequences = load_dataset(args.data)
     log_path = args.log or (str(args.out) + ".log")
-    ckpt, reports = pretrain(sequences, train_cfg, model_cfg, log_path=log_path)
+    ckpt, reports = pretrain(sequences, cfg.train, cfg.model, log_path=log_path)
     save_checkpoint(args.out, ckpt)
     dump_config(cfg, str(args.out) + ".config.txt")
     print(f"pretrain: {len(reports)} steps, final total loss {reports[-1].total:.6f}, checkpoint {args.out}")
@@ -195,7 +186,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.add_argument("--per-scene", type=int, default=None, help="default: the per_scene key")
     p.add_argument("--frames", type=int, default=None, help="default: the t key")
-    p.add_argument("--seed", type=int, default=0)
+    p.add_argument("--seed", type=int, default=None, help="default: the seed key")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--config", default=None)
     p.add_argument("--set", action="append", metavar="KEY=VALUE")

@@ -1,84 +1,56 @@
-"""Line-oriented "key = value" run configuration with strict key checking."""
+"""Line-oriented "key = value" view of the run configuration, with strict key checking.
+
+The keys are not declared here: they are the fields of `TrainConfig`,
+`ModelConfig` and `GenParams`. `TrainConfig` and `GenParams` fields keep
+their names, `weights` contributes ``w_3d``/``w_3d4d``/``w_4d``, and the two
+U-Net branches contribute ``unet3d_<field>``/``unet4d_<field>`` (``dim`` is
+fixed by the branch). A key naming a field of two schemas (``voxel3d``,
+``voxel4d``) sets both.
+"""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigError
-from .losses import LossWeights
-from .nets import ModelConfig, UNetConfig
+from .nets import ModelConfig
+from .seqgen import GenParams
 from .trainer import TrainConfig
 
 
 @dataclass
 class RunConfig:
-    """Every tunable of the pipeline, with the reference defaults."""
+    """The pipeline's runtime configurations, as one run of the CLI uses them."""
 
-    # optimization
-    learning_rate: float = 0.25
-    batch_size: int = 12
-    steps: int = 1000
-    decay_factor: float = 0.99
-    decay_interval: int = 1000
-    seed: int = 0
-    momentum: float = 0.0
-    dtype: str = "float32"
-    w_3d: float = 1.0
-    w_3d4d: float = 1.0
-    w_4d: float = 1.0
-    normalize_losses: bool = True
-    sg_on_predictor_3d4d: bool = True
-    max_corr_per_pair: int = 256
-    max_points_3d4d: int = 512
-    # voxel grids
-    voxel3d: float = 0.02
-    voxel4d: float = 0.05
-    # generation
-    t: int = 4
-    per_scene: int = 20
-    object_points: int = 1000
-    map_cell: float = 0.10
-    scene_cell: float = 0.02
-    # architecture
-    unet3d_channels: tuple[int, ...] = (16, 32, 64)
-    unet3d_block_depth: int = 1
-    unet3d_projection_width: int = 32
-    unet3d_normalize: bool = True
-    unet4d_channels: tuple[int, ...] = (8, 16)
-    unet4d_block_depth: int = 1
-    unet4d_projection_width: int = 32
-    unet4d_normalize: bool = True
+    train: TrainConfig = field(default_factory=TrainConfig)
+    model: ModelConfig = field(default_factory=ModelConfig)
+    gen: GenParams = field(default_factory=GenParams)
 
-    def train_config(self) -> TrainConfig:
-        return TrainConfig(
-            learning_rate=self.learning_rate,
-            batch_size=self.batch_size,
-            steps=self.steps,
-            decay_factor=self.decay_factor,
-            decay_interval=self.decay_interval,
-            seed=self.seed,
-            weights=LossWeights(self.w_3d, self.w_3d4d, self.w_4d),
-            voxel3d=self.voxel3d,
-            voxel4d=self.voxel4d,
-            momentum=self.momentum,
-            dtype=self.dtype,
-            normalize_losses=self.normalize_losses,
-            sg_on_predictor_3d4d=self.sg_on_predictor_3d4d,
-            max_corr_per_pair=self.max_corr_per_pair,
-            max_points_3d4d=self.max_points_3d4d,
-        )
 
-    def model_config(self) -> ModelConfig:
-        return ModelConfig(
-            UNetConfig(3, self.unet3d_channels, self.unet3d_block_depth,
-                       self.unet3d_projection_width, normalize=self.unet3d_normalize),
-            UNetConfig(4, self.unet4d_channels, self.unet4d_block_depth,
-                       self.unet4d_projection_width, normalize=self.unet4d_normalize),
-            self.voxel3d,
-            self.voxel4d,
-        )
+# nested dataclass fields whose keys carry a prefix; `dim` is fixed by the branch
+_PREFIX = {"unet3d": "unet3d_", "unet4d": "unet4d_"}
+_FIXED = {"dim"}
+
+
+def _key_table(cls=RunConfig, path: tuple[str, ...] = (), prefix: str = "") -> dict:
+    """Map each key to its type and the attribute paths (from a RunConfig) it sets."""
+    table: dict[str, tuple[type, list[tuple[str, ...]]]] = {}
+    hints = get_type_hints(cls)
+    for fld in fields(cls):
+        if fld.name in _FIXED:
+            continue
+        kind = hints[fld.name]
+        if is_dataclass(kind):
+            for key, (sub_kind, paths) in _key_table(kind, path + (fld.name,), _PREFIX.get(fld.name, "")).items():
+                table.setdefault(key, (sub_kind, []))[1].extend(paths)
+        else:
+            table.setdefault(prefix + fld.name, (kind, []))[1].append(path + (fld.name,))
+    return table
+
+
+KEYS = _key_table()
 
 
 def _parse_value(raw: str, kind):
@@ -94,11 +66,18 @@ def _parse_value(raw: str, kind):
     return tuple(int(x) for x in raw.replace(",", " ").split())
 
 
+def _apply(obj, changes: dict):
+    """``obj`` with ``changes`` (field name -> value, or -> nested changes) applied
+    through `dataclasses.replace`, so every touched dataclass validates itself."""
+    return replace(obj, **{
+        name: _apply(getattr(obj, name), value) if isinstance(value, dict) else value
+        for name, value in changes.items()
+    })
+
+
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
     """Parse a config file (or start from the defaults when ``path`` is None),
-    rejecting unknown keys; apply flag overrides last."""
-    cfg = RunConfig()
-    kinds = get_type_hints(RunConfig)
+    rejecting unknown keys and invalid values; apply flag overrides last."""
     entries: dict[str, str] = {}
     if path is not None:
         with open(path) as f:
@@ -112,22 +91,34 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
                 entries[key.strip()] = value.strip()
     if overrides:
         entries.update(overrides)
+    changes: dict = {}
     for key, raw in entries.items():
-        if key not in kinds:
+        if key not in KEYS:
             raise ConfigError(f"unknown configuration key {key!r}")
+        kind, paths = KEYS[key]
         try:
-            setattr(cfg, key, _parse_value(raw, kinds[key]))
+            value = _parse_value(raw, kind)
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
-    return cfg
+        for *parents, name in paths:
+            node = changes
+            for parent in parents:
+                node = node.setdefault(parent, {})
+            node[name] = value
+    try:
+        return _apply(RunConfig(), changes)
+    except ConfigError as exc:
+        raise ConfigError(f"invalid configuration: {exc}") from None
 
 
 def dump_config(cfg: RunConfig, path: str | Path) -> None:
     """Write the effective configuration; re-running from it reproduces a run."""
     with open(path, "w") as f:
         f.write("# effective configuration\n")
-        for fld in fields(RunConfig):
-            value = getattr(cfg, fld.name)
+        for key, (_, paths) in KEYS.items():
+            value = cfg
+            for name in paths[0]:
+                value = getattr(value, name)
             if isinstance(value, tuple):
                 value = ",".join(str(v) for v in value)
-            f.write(f"{fld.name} = {value}\n")
+            f.write(f"{key} = {value}\n")

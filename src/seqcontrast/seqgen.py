@@ -39,6 +39,8 @@ STEP_MIN = 0.30            # m
 STEP_MAX = 0.90            # m
 TURN_LIMIT = np.deg2rad(150.0)
 STEP_RETRIES = 64
+SEQUENCE_ATTEMPTS = 40     # full-sequence rejection budget
+START_ATTEMPTS = 32        # trajectory restarts per attempt
 
 OBJECT_SAMPLE_POINTS = 1000
 SCENE_SAMPLE_CELL = 0.02   # m, canonical scene sampling resolution
@@ -449,8 +451,6 @@ class GenParams:
     object_sample: int = OBJECT_SAMPLE_POINTS
     scene_cell: float = SCENE_SAMPLE_CELL
     map_cell: float = 0.10
-    sequence_attempts: int = 40   # full-sequence rejection budget
-    start_attempts: int = 32      # trajectory restarts per attempt
 
 
 def make_sequence(
@@ -468,9 +468,9 @@ def make_sequence(
     canonical = sample_scene_canonical(scene, rng, params.scene_cell)
     object_ref = min(params.object_sample, len(obj))
 
-    for _ in range(params.sequence_attempts):
+    for _ in range(SEQUENCE_ATTEMPTS):
         traj = None
-        for _ in range(params.start_attempts):
+        for _ in range(START_ATTEMPTS):
             try:
                 traj = sample_trajectory(candidates, params.t, rng, cell_size=params.map_cell)
                 break
@@ -494,7 +494,7 @@ def make_sequence(
         )
         if validate_sequence(seq):
             return seq
-    raise TrajectoryFailure(f"no valid sequence after {params.sequence_attempts} attempts")
+    raise TrajectoryFailure(f"no valid sequence after {SEQUENCE_ATTEMPTS} attempts")
 
 
 def _generate_one(args):
@@ -528,8 +528,8 @@ def generate_dataset(
     scenes: list[PointCloud],
     objects: list[PointCloud],
     out_dir: str | Path,
-    per_scene: int = 20,
-    t: int = 4,
+    per_scene: int | None = None,
+    t: int | None = None,
     seed: int = 0,
     workers: int = 1,
     params: GenParams | None = None,
@@ -539,10 +539,13 @@ def generate_dataset(
 
     Output is a pure function of (inputs, seed): per-sequence RNG seeds are
     positional, so neither worker count nor completion order matters.
+    ``per_scene`` and ``t``, when given, override those of ``params``.
     """
     if not scenes or not objects:
         raise EmptyInputError("need at least one scene and one object")
-    params = replace(params or GenParams(), per_scene=per_scene, t=t)
+    params = params or GenParams()
+    params = replace(params, per_scene=params.per_scene if per_scene is None else per_scene,
+                     t=params.t if t is None else t)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
@@ -556,7 +559,7 @@ def generate_dataset(
         if not any(candidates_by_radius):
             log.warning("scene %d has no valid positions; skipped", scene_idx)
             continue
-        for traj_idx in range(per_scene):
+        for traj_idx in range(params.per_scene):
             tasks.append((scene, objects, scene_idx, traj_idx, seed, params,
                           object_radii, occ.floor_height, candidates_by_radius))
 

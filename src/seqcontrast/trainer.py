@@ -250,6 +250,11 @@ def pretrain(
     if not sequences:
         raise EmptyInputError("dataset is empty")
     model = model or ModelConfig(voxel3d=cfg.voxel3d, voxel4d=cfg.voxel4d)
+    if (model.voxel3d, model.voxel4d) != (cfg.voxel3d, cfg.voxel4d):
+        raise ConfigError(
+            f"voxel sizes differ: TrainConfig has {cfg.voxel3d}/{cfg.voxel4d}, "
+            f"ModelConfig {model.voxel3d}/{model.voxel4d}"
+        )
     dtype = cfg.np_dtype
     params = build_parameters(model, seed=cfg.seed, dtype=dtype)
     velocity = {k: np.zeros_like(p.value) for k, p in params.items()}
@@ -439,14 +444,17 @@ class ContrastivePretrainer:
             X = load_dataset(X)
         if not X:
             raise EmptyInputError("no training sequences")
+        model = self.model or ModelConfig()
         cfg = TrainConfig(
             learning_rate=self.learning_rate,
             batch_size=self.batch_size or balance_batch(self.t),
             steps=self.steps,
             seed=self.seed,
+            voxel3d=model.voxel3d,
+            voxel4d=model.voxel4d,
             dtype=self.dtype,
         )
-        self.checkpoint_, self.reports_ = pretrain(X, cfg, self.model)
+        self.checkpoint_, self.reports_ = pretrain(X, cfg, model)
         return self
 
     def transform(self, X) -> np.ndarray:

@@ -491,7 +491,7 @@ class TestP8Determinism:
         model = tiny_model()
         cfg = TrainConfig(
             learning_rate=0.1, batch_size=2, steps=3, seed=0, dtype="float64",
-            voxel3d=0.1, voxel4d=0.2, max_corr_per_pair=64, max_points_3d4d=96,
+            voxel3d=model.voxel3d, voxel4d=model.voxel4d, max_corr_per_pair=64, max_points_3d4d=96,
         )
         a, ra = pretrain(sequences, cfg, model)
         b, rb = pretrain(sequences, cfg, model)
@@ -512,16 +512,16 @@ class TestP9PaperParityConfiguration:
     def test_p9(self):
         cfg = RunConfig()
         snapshot = {
-            "map_cell": (cfg.map_cell, 0.10),
+            "map_cell": (cfg.gen.map_cell, 0.10),
             "floor_band": (FLOOR_BAND, 0.20),
-            "voxel3d": (cfg.voxel3d, 0.02),
-            "voxel4d": (cfg.voxel4d, 0.05),
-            "object_points": (cfg.object_points, 1000),
-            "per_scene": (cfg.per_scene, 20),
-            "t": (cfg.t, 4),
-            "learning_rate": (cfg.learning_rate, 0.25),
-            "decay_factor": (cfg.decay_factor, 0.99),
-            "decay_interval": (cfg.decay_interval, 1000),
+            "voxel3d": (cfg.model.voxel3d, 0.02),
+            "voxel4d": (cfg.model.voxel4d, 0.05),
+            "object_sample": (cfg.gen.object_sample, 1000),
+            "per_scene": (cfg.gen.per_scene, 20),
+            "t": (cfg.gen.t, 4),
+            "learning_rate": (cfg.train.learning_rate, 0.25),
+            "decay_factor": (cfg.train.decay_factor, 0.99),
+            "decay_interval": (cfg.train.decay_interval, 1000),
             "batch(t=3)": (balance_batch(3), 16),
             "batch(t=4)": (balance_batch(4), 12),
             "batch(t=5)": (balance_batch(5), 10),

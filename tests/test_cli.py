@@ -1,9 +1,13 @@
+import re
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from seqcontrast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
+from seqcontrast.config import KEYS, RunConfig, dump_config, load_config
+from seqcontrast.errors import ConfigError
 from seqcontrast.formats import read_ply, read_xyz
 
 
@@ -33,7 +37,7 @@ def assets(tmp_path_factory):
     assert run(
         "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(data),
         "--per-scene", "2", "--frames", "3", "--seed", "5",
-        "--set", "object_points=300", "--set", "scene_cell=0.05",
+        "--set", "object_sample=300", "--set", "scene_cell=0.05",
     ) == EXIT_OK
     seqs = sorted(data.glob("*.4dc"))
     assert seqs
@@ -115,7 +119,7 @@ class TestGen:
         assert run(
             "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(redo),
             "--per-scene", "2", "--frames", "3", "--seed", "5", "--workers", "2",
-            "--set", "object_points=300", "--set", "scene_cell=0.05",
+            "--set", "object_sample=300", "--set", "scene_cell=0.05",
         ) == EXIT_OK
         for p in seqs:
             assert (redo / p.name).read_bytes() == p.read_bytes()
@@ -127,7 +131,7 @@ class TestGen:
         assert run(
             "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(redo),
             "--seed", "5", "--set", "per_scene=2", "--set", "t=3",
-            "--set", "object_points=300", "--set", "scene_cell=0.05",
+            "--set", "object_sample=300", "--set", "scene_cell=0.05",
         ) == EXIT_OK
         assert sorted(p.name for p in redo.glob("*.4dc")) == [p.name for p in seqs]
         for p in seqs:
@@ -135,6 +139,20 @@ class TestGen:
         effective = (data / "effective_config.txt").read_text().splitlines()
         assert "per_scene = 2" in effective and "t = 3" in effective
         assert (redo / "effective_config.txt").read_text().splitlines() == effective
+
+    def test_rerun_from_effective_config_is_byte_identical(self, assets, tmp_path):
+        """--seed is recorded as the seed key, so the effective config reproduces the run."""
+        _, rooms, objs, data, seqs = assets
+        assert "seed = 5" in (data / "effective_config.txt").read_text().splitlines()
+        redo = tmp_path / "redo"
+        assert run(
+            "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(redo),
+            "--config", str(data / "effective_config.txt"),
+        ) == EXIT_OK
+        assert sorted(p.name for p in redo.glob("*.4dc")) == [p.name for p in seqs]
+        for p in seqs:
+            assert (redo / p.name).read_bytes() == p.read_bytes()
+        assert (redo / "effective_config.txt").read_bytes() == (data / "effective_config.txt").read_bytes()
 
     def test_inspect_reports_counts(self, assets, capsys):
         *_, seqs = assets
@@ -210,21 +228,95 @@ class TestGradcheckCommand:
         assert "FAIL" in capsys.readouterr().out
 
 
+PARENT_KEYS = {
+    "learning_rate", "batch_size", "steps", "decay_factor", "decay_interval", "seed",
+    "momentum", "dtype", "w_3d", "w_3d4d", "w_4d", "normalize_losses",
+    "sg_on_predictor_3d4d", "max_corr_per_pair", "max_points_3d4d", "voxel3d", "voxel4d",
+    "t", "per_scene", "object_points", "map_cell", "scene_cell",
+    "unet3d_channels", "unet3d_block_depth", "unet3d_projection_width", "unet3d_normalize",
+    "unet4d_channels", "unet4d_block_depth", "unet4d_projection_width", "unet4d_normalize",
+}
+
+# every key at a valid value off its default, written as dump_config writes it
+OFF_DEFAULT = {
+    "learning_rate": "0.1", "batch_size": "3", "steps": "42", "decay_factor": "0.97",
+    "decay_interval": "50", "seed": "16777217", "w_3d": "0.3", "w_3d4d": "0.7", "w_4d": "1.1",
+    "voxel3d": "0.06", "voxel4d": "0.13", "momentum": "0.9", "dtype": "float64",
+    "normalize_losses": "False", "sg_on_predictor_3d4d": "False", "max_corr_per_pair": "7",
+    "max_points_3d4d": "9",
+    "unet3d_channels": "4,8", "unet3d_block_depth": "2", "unet3d_projection_width": "8",
+    "unet3d_normalize": "False",
+    "unet4d_channels": "3,6,12", "unet4d_block_depth": "3", "unet4d_projection_width": "16",
+    "unet4d_normalize": "False",
+    "per_scene": "2", "t": "5", "object_sample": "300", "scene_cell": "0.05", "map_cell": "0.15",
+}
+
+
+def read_dump(path):
+    lines = [ln for ln in path.read_text().splitlines() if not ln.startswith("#")]
+    return dict(ln.split(" = ", 1) for ln in lines)
+
+
 class TestConfigRoundtrip:
     def test_dump_and_reload(self, tmp_path):
-        from seqcontrast.config import RunConfig, dump_config, load_config
+        from seqcontrast.nets import ModelConfig, UNetConfig
+        from seqcontrast.trainer import TrainConfig
 
-        cfg = RunConfig(steps=42, learning_rate=0.125, unet3d_channels=(4, 8))
+        cfg = RunConfig(
+            train=TrainConfig(steps=42, learning_rate=0.125),
+            model=ModelConfig(unet3d=UNetConfig(3, (4, 8))),
+        )
         path = tmp_path / "run.cfg"
         dump_config(cfg, path)
         back = load_config(path)
         assert back == cfg
 
     def test_unknown_key_rejected(self, tmp_path):
-        from seqcontrast.config import load_config
-        from seqcontrast.errors import ConfigError
 
         path = tmp_path / "bad.cfg"
         path.write_text("nonsense = 1\n")
         with pytest.raises(ConfigError):
             load_config(path)
+
+    def test_key_set_is_the_parent_set_with_object_sample(self):
+
+        assert set(KEYS) == PARENT_KEYS - {"object_points"} | {"object_sample"}
+
+    def test_every_key_roundtrips_off_default(self, tmp_path):
+
+        assert set(OFF_DEFAULT) == set(KEYS)
+        dump_config(RunConfig(), tmp_path / "default.cfg")
+        defaults = read_dump(tmp_path / "default.cfg")
+        assert all(defaults[key] != value for key, value in OFF_DEFAULT.items())
+        cfg = load_config(None, OFF_DEFAULT)
+        dump_config(cfg, tmp_path / "off.cfg")
+        assert read_dump(tmp_path / "off.cfg") == OFF_DEFAULT
+        assert load_config(tmp_path / "off.cfg") == cfg
+        assert cfg.train.voxel3d == cfg.model.voxel3d == 0.06
+        assert cfg.train.voxel4d == cfg.model.voxel4d == 0.13
+        assert cfg.train.weights.w_3d4d == 0.7 and cfg.model.unet4d.channels == (3, 6, 12)
+        assert (cfg.model.unet3d.dim, cfg.model.unet4d.dim) == (3, 4)
+        assert cfg.gen.object_sample == 300 and cfg.train.seed == 16777217
+
+    @pytest.mark.parametrize("key,value", [
+        ("unet3d_channels", "0"), ("learning_rate", "0"), ("w_4d", "-1"), ("dtype", "float16"),
+    ])
+    def test_invalid_value_rejected_at_load(self, key, value):
+
+        with pytest.raises(ConfigError):
+            load_config(None, {key: value})
+
+    @pytest.mark.parametrize("setting", ["learning_rate=0", "unet3d_channels=0", "object_points=300"])
+    def test_gen_with_invalid_or_old_key_is_3(self, assets, tmp_path, setting):
+        _, rooms, objs, *_ = assets
+        assert run(
+            "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(tmp_path / "x"),
+            "--set", setting,
+        ) == EXIT_DATA
+
+    def test_readme_set_keys_are_valid(self):
+
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        keys = re.findall(r"--set\s+(\w+)=", readme)
+        assert keys
+        assert set(keys) <= set(KEYS)

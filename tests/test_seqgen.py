@@ -311,6 +311,13 @@ class TestGenerateDataset:
         generate_dataset([small_room], [small_object], tmp_path, per_scene=1, t=3, seed=9, params=params)
         assert params == GenParams(per_scene=20, t=4, object_sample=200, scene_cell=0.05)
 
+    def test_params_per_scene_and_t_drive_generation(self, small_room, small_object, tmp_path):
+        params = GenParams(per_scene=1, t=2, object_sample=200, scene_cell=0.05)
+        stats = generate_dataset([small_room], [small_object], tmp_path, seed=9, params=params)
+        assert stats["written"] + stats["rejected"] == 1
+        for path in tmp_path.glob("*.4dc"):
+            assert len(read_sequence(path).frames) == 2
+
     def test_worker_count_invariance(self, small_room, small_object, tmp_path):
         params = GenParams(t=3, object_sample=200, scene_cell=0.05)
         a, b = tmp_path / "w1", tmp_path / "w2"

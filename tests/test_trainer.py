@@ -5,7 +5,6 @@ import pytest
 
 from seqcontrast import autodiff as ad
 from seqcontrast import nets
-from seqcontrast.config import RunConfig
 from seqcontrast.errors import ConfigError, EmptyInputError
 from seqcontrast.losses import loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
@@ -94,10 +93,6 @@ class TestConfigValidation:
                 TrainConfig(**bad)
         assert TrainConfig(dtype="float64", momentum=0.9).np_dtype is np.float64
         assert TrainConfig().np_dtype is np.float32
-
-    def test_run_config_defaults_match_runtime_defaults(self):
-        assert RunConfig().train_config() == TrainConfig()
-        assert RunConfig().model_config() == ModelConfig()
 
 
 def gather_of_gather_loss(state, params, model, cfg):
@@ -202,9 +197,14 @@ class TestPretrain:
         with pytest.raises(ConfigError):
             pretrain(dataset, tiny_cfg(steps=4, momentum=0.9), model, resume=half)
         with pytest.raises(ConfigError):
-            pretrain(dataset, cfg, replace(model, voxel3d=0.1), resume=half)
+            pretrain(dataset, replace(cfg, voxel3d=0.1), replace(model, voxel3d=0.1), resume=half)
         with pytest.raises(ConfigError):
             pretrain(dataset, tiny_cfg(steps=1, dtype="float64", momentum=0.9), model, resume=half)
+
+    def test_voxel_sizes_must_agree_with_model(self, dataset):
+        for bad in (dict(voxel3d=0.1), dict(voxel4d=0.2)):
+            with pytest.raises(ConfigError, match="voxel sizes differ"):
+                pretrain(dataset, tiny_cfg(**bad), tiny_model())
 
     def test_log_file_format(self, dataset, tmp_path):
         log = tmp_path / "train.log"
