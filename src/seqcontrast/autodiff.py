@@ -21,13 +21,12 @@ _ids = itertools.count()
 class Var:
     """A node in the autodiff graph."""
 
-    __slots__ = ("value", "parents", "_backward", "stop_grad", "requires_grad", "name", "uid")
+    __slots__ = ("value", "parents", "_backward", "stop_grad", "name", "uid")
 
-    def __init__(self, value, parents=(), backward=None, requires_grad=False, stop_grad=False, name=None):
+    def __init__(self, value, parents=(), backward=None, stop_grad=False, name=None):
         self.value = np.asarray(value)
         self.parents = tuple(parents)
         self._backward = backward
-        self.requires_grad = requires_grad
         self.stop_grad = stop_grad
         self.name = name
         self.uid = next(_ids)
@@ -45,7 +44,7 @@ def as_var(x) -> Var:
 
 
 def parameter(value, name=None) -> Var:
-    return Var(np.asarray(value), requires_grad=True, name=name)
+    return Var(np.asarray(value), name=name)
 
 
 class SGFreeze:
@@ -164,15 +163,11 @@ def concat_cols(a: Var, b: Var) -> Var:
     )
 
 
-def sum_all(x: Var) -> Var:
+def weighted_sum(x: Var, w: np.ndarray) -> Var:
+    """Scalar ``sum_r w[r] * x[r]`` of a vector; ``w`` is a constant."""
     x = as_var(x)
-    return Var(np.asarray(x.value.sum()), (x,), lambda g: (np.broadcast_to(g, x.value.shape).copy(),))
-
-
-def mean_all(x: Var) -> Var:
-    x = as_var(x)
-    n = x.value.size
-    return Var(np.asarray(x.value.mean()), (x,), lambda g: (np.broadcast_to(g / n, x.value.shape).copy(),))
+    w = np.asarray(w, dtype=x.value.dtype)
+    return Var(np.asarray(x.value @ w), (x,), lambda g: (g * w,))
 
 
 def vsum(terms: list[Var]) -> Var:
@@ -250,8 +245,8 @@ def topo_order(root: Var) -> list[Var]:
 def backward(loss: Var) -> dict[int, np.ndarray]:
     """Reverse-mode gradients of a scalar loss, keyed by Var.uid.
 
-    Every reachable node is visited exactly once; leaves created with
-    ``requires_grad`` (and any intermediate node) can be looked up afterwards.
+    Every reachable node is visited exactly once; the gradient of any node,
+    leaf or intermediate, can be looked up afterwards.
     """
     if loss.value.shape != ():
         raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")

@@ -97,21 +97,6 @@ class SimilarityTransform:
         Rinv = self.rotation.T
         return SimilarityTransform(Rinv, -(Rinv @ self.translation) / self.scale, 1.0 / self.scale)
 
-    def compose(self, other: "SimilarityTransform") -> "SimilarityTransform":
-        """Transform equivalent to applying ``other`` first, then ``self``."""
-        return SimilarityTransform(
-            self.rotation @ other.rotation,
-            self.scale * self.rotation @ other.translation + self.translation,
-            self.scale * other.scale,
-        )
-
-    def is_identity(self, tol: float = 0.0) -> bool:
-        return (
-            np.all(np.abs(self.rotation - np.eye(3)) <= tol)
-            and np.all(np.abs(self.translation) <= tol)
-            and abs(self.scale - 1.0) <= tol
-        )
-
 
 def apply_transform(cloud: PointCloud, transform: SimilarityTransform) -> PointCloud:
     """Apply a similarity transform to every point; provenance is preserved."""
@@ -120,17 +105,11 @@ def apply_transform(cloud: PointCloud, transform: SimilarityTransform) -> PointC
 
 def voxel_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
     """Integer cell index floor(p / cell_size) per point, shape (N, d)."""
-    return np.floor(np.asarray(points, dtype=np.float64) / cell_size).astype(np.int64)
-
-
-def voxelize(cloud: PointCloud, cell_size: float) -> set[tuple[int, int, int]]:
-    """Set of unique occupied integer cells at ``cell_size`` resolution."""
     if cell_size <= 0:
         raise ValueError("cell_size must be positive")
-    if len(cloud) == 0:
+    if len(points) == 0:
         raise EmptyInputError("cannot voxelize an empty cloud")
-    idx = voxel_indices(cloud.points, cell_size)
-    return {tuple(int(v) for v in row) for row in np.unique(idx, axis=0)}
+    return np.floor(np.asarray(points, dtype=np.float64) / cell_size).astype(np.int64)
 
 
 @dataclass
@@ -155,8 +134,6 @@ def height_accumulate(
     floor_quantile: float = FLOOR_QUANTILE,
 ) -> OccupancyMap2D:
     """Accumulate occupied surface voxels along the height axis into a 2D map."""
-    if len(scene) == 0:
-        raise EmptyInputError("cannot build an occupancy map from an empty scene")
     vox = voxel_indices(scene.points, cell_size)
     vox = np.unique(vox, axis=0)  # binary occupancy per 3D voxel
 

@@ -7,10 +7,14 @@ stop-gradient placement as follows: the 3D-3D and 4D-4D terms stop gradients
 on the ``z`` side; the 3D-4D term stops them on the predictor outputs, so
 predictor parameters receive no gradient from it.
 
-With ``normalize=True`` (default) each term is a mean over correspondences
-and then over frame pairs (or frames), keeping magnitudes in [-1, 1]
-regardless of correspondence counts; ``normalize=False`` reproduces the raw
-sums.
+Each term takes one feature matrix per view, shared by all frames; the
+index maps pick its rows. A term gathers the rows of all its groups (frame
+pairs, or frames for the 3D-4D term) at once and reduces them with one
+weighted sum. With ``normalize=True`` (default) a row of a group of ``n``
+rows, out of ``G`` non-empty groups, weighs ``0.5 / (n * G)``: the mean over
+correspondences and then over groups, which keeps magnitudes in [-1, 1]
+regardless of correspondence counts. With ``normalize=False`` every row
+weighs 0.5, the raw sum of sums. The 0.5 averages the two symmetric halves.
 """
 
 from __future__ import annotations
@@ -58,90 +62,81 @@ class LossReport:
         return abs(self.total - expect) <= tol
 
 
-def _reduce(terms: list[Var], normalize: bool) -> Var:
-    stacked = ad.vsum([ad.scale(t, 1.0 / len(terms)) for t in terms]) if normalize else ad.vsum(terms)
-    return stacked
+def _sym_rows(
+    p_a: Var,
+    z_b: Var,
+    p_b: Var,
+    z_a: Var,
+    groups: list[tuple[np.ndarray, np.ndarray]],
+    sg_on_p: bool,
+    normalize: bool,
+    term: str,
+) -> tuple[Var, int]:
+    """Symmetrized row-wise negative cosine over every group's row pairs.
 
-
-def _sym_rows(p_a: Var, z_b: Var, p_b: Var, z_a: Var, sg_on_p: bool, normalize: bool) -> Var:
-    """Mean (or sum) of the symmetrized row-wise negative cosine loss."""
-    if sg_on_p:
-        v1 = ad.neg_cosine_rows(stop_gradient(p_a), z_b)
-        v2 = ad.neg_cosine_rows(stop_gradient(p_b), z_a)
+    Group ``(ia, ib)`` pairs row ``ia[k]`` of ``p_a``/``z_a`` with row
+    ``ib[k]`` of ``p_b``/``z_b``. Empty groups are skipped; the rest are
+    gathered and reduced at once with the per-row weights of the module
+    docstring. Returns the loss and the number of row pairs.
+    """
+    groups = [(ia, ib) for ia, ib in groups if len(ia)]
+    if not groups:
+        raise LossUndefinedError(f"no usable correspondences for the {term} loss")
+    ia = np.concatenate([g[0] for g in groups])
+    ib = np.concatenate([g[1] for g in groups])
+    if normalize:
+        w = np.concatenate([np.full(len(g[0]), 0.5 / (len(g[0]) * len(groups))) for g in groups])
     else:
-        v1 = ad.neg_cosine_rows(p_a, stop_gradient(z_b))
-        v2 = ad.neg_cosine_rows(p_b, stop_gradient(z_a))
-    red = ad.mean_all if normalize else ad.sum_all
-    return ad.vsum([ad.scale(red(v1), 0.5), ad.scale(red(v2), 0.5)])
+        w = np.full(len(ia), 0.5)
+    pa, zb, pb, za = ad.rows(p_a, ia), ad.rows(z_b, ib), ad.rows(p_b, ib), ad.rows(z_a, ia)
+    if sg_on_p:
+        pa, pb = stop_gradient(pa), stop_gradient(pb)
+    else:
+        zb, za = stop_gradient(zb), stop_gradient(za)
+    v = ad.add(ad.neg_cosine_rows(pa, zb), ad.neg_cosine_rows(pb, za))
+    return ad.weighted_sum(v, w), len(ia)
 
 
 def loss_3d(
-    p: list[Var],
-    z: list[Var],
+    p: Var,
+    z: Var,
     pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
     normalize: bool = True,
 ) -> tuple[Var, int]:
     """Inter-frame spatial loss over every frame pair of the sequence.
 
-    ``p[i]``/``z[i]`` are the predictor/projection feature rows of frame i
-    (frames may share one matrix); ``pair_maps[(i, j)]`` gives corresponding
-    rows of frame i and frame j. Returns the loss and the number of
+    ``p``/``z`` are the predictor/projection feature matrices of all frames;
+    ``pair_maps[(i, j)]`` gives the rows of frame i's points and of their
+    corresponding points in frame j. Returns the loss and the number of
     correspondences used.
     """
-    terms = []
-    used = 0
-    for (i, j), (ia, ib) in sorted(pair_maps.items()):
-        if len(ia) == 0:
-            continue
-        term = _sym_rows(
-            ad.rows(p[i], ia), ad.rows(z[j], ib),
-            ad.rows(p[j], ib), ad.rows(z[i], ia),
-            sg_on_p=False, normalize=normalize,
-        )
-        terms.append(term)
-        used += len(ia)
-    if not terms:
-        raise LossUndefinedError("no usable correspondences for the 3D loss")
-    return _reduce(terms, normalize), used
+    groups = [pair_maps[key] for key in sorted(pair_maps)]
+    return _sym_rows(p, z, p, z, groups, sg_on_p=False, normalize=normalize, term="3D")
 
 
 def loss_3d4d(
-    p3: list[Var],
-    z3: list[Var],
-    p4: list[Var],
-    z4: list[Var],
+    p3: Var,
+    z3: Var,
+    p4: Var,
+    z4: Var,
     per_frame: list[tuple[np.ndarray, np.ndarray]],
     normalize: bool = True,
     sg_on_predictor: bool = True,
 ) -> tuple[Var, int]:
     """Spatio-temporal loss tying each frame's 3D features to its 4D features.
 
-    ``per_frame[i]`` is a (3D rows, 4D rows) pair: the rows of ``p3[i]``/
-    ``z3[i]`` and of ``p4[i]``/``z4[i]`` that hold the same points of frame i.
-    The stop-gradient sits on the predictor outputs (``sg_on_predictor=True``),
+    ``per_frame[i]`` is a (3D rows, 4D rows) pair: the rows of ``p3``/``z3``
+    and of ``p4``/``z4`` that hold the same points of frame i. The
+    stop-gradient sits on the predictor outputs (``sg_on_predictor=True``),
     so this term trains the encoders only; the flag exposes the conventional
     placement (on z) for comparison.
     """
-    terms = []
-    used = 0
-    for i, (i3, i4) in enumerate(per_frame):
-        if len(i3) == 0:
-            continue
-        term = _sym_rows(
-            ad.rows(p3[i], i3), ad.rows(z4[i], i4),
-            ad.rows(p4[i], i4), ad.rows(z3[i], i3),
-            sg_on_p=sg_on_predictor, normalize=normalize,
-        )
-        terms.append(term)
-        used += len(i3)
-    if not terms:
-        raise LossUndefinedError("no usable correspondences for the 3D-4D loss")
-    return _reduce(terms, normalize), used
+    return _sym_rows(p3, z4, p4, z3, per_frame, sg_on_p=sg_on_predictor, normalize=normalize, term="3D-4D")
 
 
 def loss_4d(
-    p: list[Var],
-    z: list[Var],
+    p: Var,
+    z: Var,
     pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
     normalize: bool = True,
 ) -> tuple[Var, int]:

@@ -101,11 +101,6 @@ def _head_shapes(cfg: UNetConfig, prefix: str) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-def expected_parameter_count(cfg: UNetConfig) -> int:
-    """Closed-form parameter count of one branch."""
-    return sum(int(np.prod(s)) for s in _head_shapes(cfg, "x").values())
-
-
 def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Var]:
     """Initialize all parameters: fan-in-scaled uniform weights, zero biases.
 
@@ -122,10 +117,6 @@ def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dic
             arr = _init_weight(rng, shape, dtype)
         params[name] = ad.parameter(arr, name=name)
     return params
-
-
-def count_parameters(params: dict[str, Var], prefix: str = "") -> int:
-    return sum(p.value.size for name, p in params.items() if name.startswith(prefix))
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, EmptyInputError, TrajectoryFailure
+from .errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFailure
 from .formats import write_sidecar
 from .geom import (
     FLOOR_BAND,
@@ -29,6 +29,7 @@ from .geom import (
     height_accumulate,
     voxel_indices,
 )
+from .synth import object_footprint_radius
 
 log = logging.getLogger(__name__)
 
@@ -452,6 +453,14 @@ class GenParams:
     scene_cell: float = SCENE_SAMPLE_CELL
     map_cell: float = 0.10
 
+    def __post_init__(self):
+        for name in ("per_scene", "t", "object_sample"):
+            if getattr(self, name) < 1:
+                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+        for name in ("scene_cell", "map_cell"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 def make_sequence(
     scene: PointCloud,
@@ -498,7 +507,7 @@ def make_sequence(
 
 
 def _generate_one(args):
-    scene, objects, scene_idx, traj_idx, seed, params, object_radii, floor_height, candidates_by_radius = args
+    scene, objects, scene_idx, traj_idx, seed, params, floor_height, candidates_by_radius = args
     rng = np.random.default_rng(np.random.SeedSequence((seed, scene_idx, traj_idx)))
     obj_idx = int(rng.integers(0, len(objects)))
     candidates = candidates_by_radius[obj_idx]
@@ -550,7 +559,7 @@ def generate_dataset(
     out_dir.mkdir(parents=True, exist_ok=True)
 
     if object_radii is None:
-        object_radii = [float(np.max(np.linalg.norm(o.points[:, :2], axis=1))) for o in objects]
+        object_radii = [object_footprint_radius(o) for o in objects]
 
     tasks = []
     for scene_idx, scene in enumerate(scenes):
@@ -560,8 +569,7 @@ def generate_dataset(
             log.warning("scene %d has no valid positions; skipped", scene_idx)
             continue
         for traj_idx in range(params.per_scene):
-            tasks.append((scene, objects, scene_idx, traj_idx, seed, params,
-                          object_radii, occ.floor_height, candidates_by_radius))
+            tasks.append((scene, objects, scene_idx, traj_idx, seed, params, occ.floor_height, candidates_by_radius))
 
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:

@@ -8,9 +8,10 @@ occupied downsampled cells and compose strides multiplicatively.
 Kernel maps pair input and output rows per kernel offset. Every convolution
 runs one gather -> GEMM -> scatter round per offset that has pairs, as in
 MinkowskiEngine; there is no dense fallback, since the maps seen in practice
-are sparse (5-35 % of the (row, offset) slots hold a pair). For both the
-forward and the transposed convolution the index lists are unique on both
-sides within one offset, so plain fancy-indexed accumulation is exact.
+are sparse (5-35 % of the (row, offset) slots hold a pair). The transposed
+convolution runs the same rounds on the stride-2 map with each offset's
+pairs swapped and its weight matrix transposed. Within one offset the index
+lists are unique on both sides, so plain fancy-indexed accumulation is exact.
 """
 
 from __future__ import annotations
@@ -164,11 +165,11 @@ def _get_kernel_map(x: SparseTensor, kind: str, ksize: int, target=None, cache=N
         kmap = build_kernel_map(x.coords, out_coords, offsets, x.stride)
         out_stride = tuple(2 * s for s in x.stride)
     elif kind == "up":
-        # adjoint of "down": pairs of the fine->coarse map, roles swapped
+        # adjoint of "down": the fine->coarse map with each offset's pairs swapped
         assert target is not None
         fine_coords, fine_stride = target
-        offsets = kernel_offsets(dim, 2)
-        kmap = build_kernel_map(fine_coords, x.coords, offsets, fine_stride)
+        down = build_kernel_map(fine_coords, x.coords, kernel_offsets(dim, 2), fine_stride)
+        kmap = KernelMap([(oi, ii) for ii, oi in down.pairs], down.n_out, down.n_in)
         out_coords, out_stride = fine_coords, fine_stride
     else:
         raise ValueError(kind)
@@ -212,30 +213,9 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     return Var(out, (feats, weight), bw)
 
 
-def _conv_apply_adjoint(feats: Var, weight: Var, kmap: KernelMap) -> Var:
-    """Adjoint map: out[i] += x[o] @ W[k].T over the same pairs.
-
-    Every fine cell has exactly one coarse parent, so each fine row appears
-    under exactly one offset.
-    """
-    xv, wv = feats.value, weight.value
-    c_in = wv.shape[1]
-    out = np.zeros((kmap.n_in, c_in), dtype=xv.dtype)
-    for k, (ii, oi) in enumerate(kmap.pairs):
-        if len(ii):
-            out[ii] += xv[oi] @ wv[k].T
-
-    def bw(g):
-        dx = np.zeros_like(xv)
-        dw = np.zeros_like(wv)
-        for k, (ii, oi) in enumerate(kmap.pairs):
-            if len(ii):
-                gi = g[ii]
-                dx[oi] += gi @ wv[k]
-                dw[k] = gi.T @ xv[oi]
-        return (dx, dw)
-
-    return Var(out, (feats, weight), bw)
+def _transpose_offsets(weight: Var) -> Var:
+    """(K, A, B) -> (K, B, A): each offset's weight matrix transposed."""
+    return Var(weight.value.transpose(0, 2, 1), (weight,), lambda g: (g.transpose(0, 2, 1),))
 
 
 def sparse_conv(x: SparseTensor, weight: Var, stride: int = 1, cache: dict | None = None) -> SparseTensor:
@@ -284,7 +264,7 @@ def transpose_conv(
     kmap, out_coords, out_stride = _get_kernel_map(
         x, "up", 2, target=(target_coords, target_stride), cache=cache
     )
-    return SparseTensor(out_coords, _conv_apply_adjoint(x.feats, weight, kmap), out_stride)
+    return SparseTensor(out_coords, _conv_apply(x.feats, _transpose_offsets(weight), kmap), out_stride)
 
 
 # ---------------------------------------------------------------------------

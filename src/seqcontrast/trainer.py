@@ -132,17 +132,16 @@ def sequence_loss(
     """Joint weighted loss of one sequence through both branches."""
     w = cfg.weights
     dtype = cfg.np_dtype
-    t = len(state.seq.frames)
     x3, x4, pairs3, pairs4, frames34 = _voxel_views(state, model, dtype)
 
     # every frame of a view shares one feature matrix; the index maps pick rows
-    p3 = z3 = p4 = z4 = []
+    p3 = z3 = p4 = z4 = None
     if w.w_3d > 0 or w.w_3d4d > 0:
         z_t = nets.encode(x3, params, model.unet3d, "3d", state.cache)
-        z3, p3 = [z_t.feats] * t, [nets.predict_3d(z_t, params).feats] * t
+        z3, p3 = z_t.feats, nets.predict_3d(z_t, params).feats
     if w.w_4d > 0 or w.w_3d4d > 0:
         z_t = nets.encode_4d(x4, params, model, state.cache)
-        z4, p4 = [z_t.feats] * t, [nets.predict_4d(z_t, params).feats] * t
+        z4, p4 = z_t.feats, nets.predict_4d(z_t, params).feats
 
     zero = Var(np.asarray(0.0, dtype=dtype))
     report = LossReport(weights=w)

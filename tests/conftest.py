@@ -25,6 +25,12 @@ def mul(a, b):
     return ad.Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
+def sum_all(x):
+    """Sum of every entry, with its gradient."""
+    x = ad.as_var(x)
+    return ad.Var(np.asarray(x.value.sum()), (x,), lambda g: (np.broadcast_to(g, x.value.shape).copy(),))
+
+
 @pytest.fixture(scope="session")
 def small_room():
     rng = np.random.default_rng(11)

@@ -184,18 +184,16 @@ class TestP3StopGradientContract:
         # exact zeros through every stop-gradient branch
         rng = np.random.default_rng(1)
         t, n, c = 2, 6, 4
-        mk = lambda: [ad.parameter(rng.normal(size=(n, c))) for _ in range(t)]
+        # one stacked matrix per view; frame i owns rows i*n to i*n+n-1
+        mk = lambda: ad.parameter(np.concatenate([rng.normal(size=(n, c)) for _ in range(t)]))
         p3, z3, p4, z4 = mk(), mk(), mk(), mk()
-        maps = {(0, 1): (np.arange(n), np.arange(n))}
-        per_frame = [(np.arange(n), np.arange(n))] * t
+        maps = {(0, 1): (np.arange(n), np.arange(n) + n)}
+        per_frame = [(np.arange(n) + i * n, np.arange(n) + i * n) for i in range(t)]
         l3, _ = loss_3d(p3, z3, maps)
         l34, _ = loss_3d4d(p3, z3, p4, z4, per_frame)
         l4, _ = loss_4d(p4, z4, maps)
-        g = ad.grad(
-            loss_total(l3, l34, l4),
-            {f"{k}{i}": v for k, lst in (("p3", p3), ("z3", z3), ("p4", p4), ("z4", z4)) for i, v in enumerate(lst)},
-        )
-        g34 = ad.grad(l34, {"p3": p3[0], "p4": p4[0]})
+        g = ad.grad(loss_total(l3, l34, l4), {"p3": p3, "z3": z3, "p4": p4, "z4": z4})
+        g34 = ad.grad(l34, {"p3": p3, "p4": p4})
         sg_zero = np.all(g34["p3"] == 0.0) and np.all(g34["p4"] == 0.0)
 
         # 100 steps with only the 3D-4D term: predictors never move
@@ -239,14 +237,17 @@ class TestP4LossAlgebra:
             t = int(rng.integers(2, 4))
             n = int(rng.integers(4, 10))
             c = 5
-            p = [Var(rng.normal(size=(n, c))) for _ in range(t)]
-            z = [Var(rng.normal(size=(n, c))) for _ in range(t)]
+            # per-frame features, stacked into one matrix per view
+            p = [rng.normal(size=(n, c)) for _ in range(t)]
+            z = [rng.normal(size=(n, c)) for _ in range(t)]
+            p_all, z_all = Var(np.concatenate(p)), Var(np.concatenate(z))
             maps = {
                 (i, j): (rng.integers(0, n, size=int(rng.integers(1, 7))),) * 2
                 for i in range(t) for j in range(i + 1, t)
             }
             maps = {k: (v[0], rng.integers(0, n, size=len(v[0]))) for k, v in maps.items()}
-            val, _ = loss_3d(p, z, maps)
+            rows = {(i, j): (ia + i * n, ib + j * n) for (i, j), (ia, ib) in maps.items()}
+            val, _ = loss_3d(p_all, z_all, rows)
             in_bounds &= -1 - 1e-12 <= float(val.value) <= 1 + 1e-12
             # nested-loop oracle
             terms = []
@@ -254,8 +255,8 @@ class TestP4LossAlgebra:
                 ia, ib = maps[(i, j)]
                 vals = []
                 for a, b in zip(ia, ib):
-                    pa, zb = p[i].value[a], z[j].value[b]
-                    pb, za = p[j].value[b], z[i].value[a]
+                    pa, zb = p[i][a], z[j][b]
+                    pb, za = p[j][b], z[i][a]
                     vals.append(
                         -0.5 * pa @ zb / (np.linalg.norm(pa) * np.linalg.norm(zb))
                         - 0.5 * pb @ za / (np.linalg.norm(pb) * np.linalg.norm(za))
@@ -264,15 +265,15 @@ class TestP4LossAlgebra:
             worst_oracle = max(worst_oracle, abs(float(val.value) - np.mean(terms)))
             # per-vector positive rescaling
             s = float(rng.uniform(0.01, 100.0))
-            val2, _ = loss_3d([Var(x.value * s) for x in p], z, maps)
+            val2, _ = loss_3d(Var(p_all.value * s), z_all, rows)
             worst_scale = max(worst_scale, abs(float(val.value) - float(val2.value)))
 
         # all-identical unit features
         base = rng.normal(size=(6, 5))
-        shared = [Var(base.copy()) for _ in range(3)]
-        full = {(i, j): (np.arange(6), np.arange(6)) for i in range(3) for j in range(i + 1, 3)}
+        shared = Var(np.tile(base, (3, 1)))
+        full = {(i, j): (np.arange(6) + 6 * i, np.arange(6) + 6 * j) for i in range(3) for j in range(i + 1, 3)}
         l3, _ = loss_3d(shared, shared, full)
-        l34, _ = loss_3d4d(shared, shared, shared, shared, [(np.arange(6), np.arange(6))] * 3)
+        l34, _ = loss_3d4d(shared, shared, shared, shared, [(np.arange(6) + 6 * i,) * 2 for i in range(3)])
         l4, _ = loss_4d(shared, shared, full)
         total = float(loss_total(l3, l34, l4).value)
         identical_ok = (

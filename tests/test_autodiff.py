@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul
+from conftest import mul, sum_all
 from seqcontrast import autodiff as ad
 
 
@@ -35,51 +35,52 @@ RNG = np.random.default_rng(42)
 class TestOpGradients:
     def test_matmul(self):
         w = RNG.normal(size=(4, 3))
-        check_against_fd(lambda p: ad.sum_all(ad.matmul(p, ad.Var(w))), RNG.normal(size=(5, 4)))
+        check_against_fd(lambda p: sum_all(ad.matmul(p, ad.Var(w))), RNG.normal(size=(5, 4)))
 
     def test_matmul_weight_side(self):
         x = RNG.normal(size=(5, 4))
-        check_against_fd(lambda p: ad.sum_all(ad.matmul(ad.Var(x), p)), RNG.normal(size=(4, 3)))
+        check_against_fd(lambda p: sum_all(ad.matmul(ad.Var(x), p)), RNG.normal(size=(4, 3)))
 
     def test_add_bias(self):
         x = RNG.normal(size=(6, 3))
-        check_against_fd(lambda p: ad.sum_all(mul(ad.add_bias(ad.Var(x), p), ad.Var(x))), RNG.normal(size=3))
+        check_against_fd(lambda p: sum_all(mul(ad.add_bias(ad.Var(x), p), ad.Var(x))), RNG.normal(size=3))
 
     def test_relu(self):
         check_against_fd(
-            lambda p: ad.sum_all(mul(ad.relu(p), ad.Var(np.arange(12.0).reshape(4, 3)))),
+            lambda p: sum_all(mul(ad.relu(p), ad.Var(np.arange(12.0).reshape(4, 3)))),
             RNG.normal(size=(4, 3)) + 0.01,
         )
 
     def test_rows_scatter_adds(self):
         idx = np.array([0, 2, 2, 1])
         w = RNG.normal(size=(4, 3))
-        check_against_fd(lambda p: ad.sum_all(mul(ad.rows(p, idx), ad.Var(w))), RNG.normal(size=(3, 3)))
+        check_against_fd(lambda p: sum_all(mul(ad.rows(p, idx), ad.Var(w))), RNG.normal(size=(3, 3)))
 
     def test_concat_cols(self):
         b = RNG.normal(size=(4, 2))
         w = RNG.normal(size=(4, 5))
         check_against_fd(
-            lambda p: ad.sum_all(mul(ad.concat_cols(p, ad.Var(b)), ad.Var(w))),
+            lambda p: sum_all(mul(ad.concat_cols(p, ad.Var(b)), ad.Var(w))),
             RNG.normal(size=(4, 3)),
         )
 
-    def test_mean_all(self):
-        check_against_fd(ad.mean_all, RNG.normal(size=(3, 5)))
+    def test_weighted_sum(self):
+        w = RNG.normal(size=15)
+        check_against_fd(lambda p: ad.weighted_sum(p, w), RNG.normal(size=15))
 
     def test_channel_norm(self):
         w = RNG.normal(size=(8, 4))
         check_against_fd(
-            lambda p: ad.sum_all(mul(ad.channel_norm(p), ad.Var(w))),
+            lambda p: sum_all(mul(ad.channel_norm(p), ad.Var(w))),
             RNG.normal(size=(8, 4)),
             atol=1e-6,
         )
 
     def test_neg_cosine_rows_both_sides(self):
         z = RNG.normal(size=(5, 4))
-        check_against_fd(lambda p: ad.sum_all(ad.neg_cosine_rows(p, ad.Var(z))), RNG.normal(size=(5, 4)))
+        check_against_fd(lambda p: sum_all(ad.neg_cosine_rows(p, ad.Var(z))), RNG.normal(size=(5, 4)))
         p0 = RNG.normal(size=(5, 4))
-        check_against_fd(lambda v: ad.sum_all(ad.neg_cosine_rows(ad.Var(p0), v)), RNG.normal(size=(5, 4)))
+        check_against_fd(lambda v: sum_all(ad.neg_cosine_rows(ad.Var(p0), v)), RNG.normal(size=(5, 4)))
 
 
 class TestNegCosine:
@@ -97,7 +98,7 @@ class TestNegCosine:
         z = ad.parameter(RNG.normal(size=(2, 4)))
         out = ad.neg_cosine_rows(p, z)
         assert out.value[0] == 0.0
-        g = ad.grad(ad.sum_all(out), {"p": p, "z": z})
+        g = ad.grad(sum_all(out), {"p": p, "z": z})
         assert np.all(np.isfinite(g["p"])) and np.all(np.isfinite(g["z"]))
 
     @settings(max_examples=50, deadline=None)
@@ -139,14 +140,14 @@ class TestChannelNorm:
 class TestStopGradient:
     def test_forward_identity_zero_grad(self):
         p = ad.parameter(np.arange(3.0))
-        loss = ad.sum_all(mul(ad.stop_gradient(p), p))
+        loss = sum_all(mul(ad.stop_gradient(p), p))
         assert loss.value == pytest.approx(np.sum(np.arange(3.0) ** 2))
         g = ad.grad(loss, {"p": p})["p"]
         np.testing.assert_allclose(g, np.arange(3.0))  # only the live branch
 
     def test_fully_stopped_loss_has_zero_grad(self):
         p = ad.parameter(np.ones(4))
-        loss = ad.sum_all(ad.stop_gradient(mul(p, p)))
+        loss = sum_all(ad.stop_gradient(mul(p, p)))
         g = ad.grad(loss, {"p": p})["p"]
         np.testing.assert_array_equal(g, 0.0)
 
@@ -154,11 +155,11 @@ class TestStopGradient:
         freeze = ad.SGFreeze()
         p = ad.parameter(np.array([2.0]))
         with freeze.recording():
-            base = ad.sum_all(mul(ad.stop_gradient(p), p)).value
+            base = sum_all(mul(ad.stop_gradient(p), p)).value
         assert base == pytest.approx(4.0)
         q = ad.parameter(np.array([3.0]))
         with freeze.replaying():
-            out = ad.sum_all(mul(ad.stop_gradient(q), q)).value
+            out = sum_all(mul(ad.stop_gradient(q), q)).value
         assert out == pytest.approx(6.0)  # frozen branch kept at 2.0
 
     def test_replay_past_recording_raises(self):
@@ -180,13 +181,13 @@ class TestBackward:
     def test_shared_subexpression_accumulates(self):
         p = ad.parameter(np.array(3.0))
         sq = mul(p, p)
-        loss = ad.sum_all(ad.vsum([sq, sq]))
+        loss = sum_all(ad.vsum([sq, sq]))
         assert ad.grad(loss, {"p": p})["p"] == pytest.approx(12.0)
 
     def test_disconnected_parameter_gets_zeros(self):
         p = ad.parameter(np.ones((2, 2)))
         other = ad.parameter(np.array(1.0))
-        g = ad.grad(ad.sum_all(mul(other, other)), {"p": p})["p"]
+        g = ad.grad(sum_all(mul(other, other)), {"p": p})["p"]
         np.testing.assert_array_equal(g, np.zeros((2, 2)))
 
     def test_deterministic_accumulation(self):
@@ -194,7 +195,7 @@ class TestBackward:
             rng = np.random.default_rng(9)
             p = ad.parameter(rng.normal(size=(6, 4)))
             h = ad.relu(ad.matmul(p, ad.Var(rng.normal(size=(4, 4)))))
-            loss = ad.sum_all(ad.neg_cosine_rows(h, ad.channel_norm(p)))
+            loss = sum_all(ad.neg_cosine_rows(h, ad.channel_norm(p)))
             return ad.grad(loss, {"p": p})["p"]
 
         a, b = run(), run()

@@ -306,7 +306,10 @@ class TestConfigRoundtrip:
         with pytest.raises(ConfigError):
             load_config(None, {key: value})
 
-    @pytest.mark.parametrize("setting", ["learning_rate=0", "unet3d_channels=0", "object_points=300"])
+    @pytest.mark.parametrize("setting", [
+        "learning_rate=0", "unet3d_channels=0", "object_points=300",
+        "per_scene=-3", "t=0", "object_sample=0", "scene_cell=0", "map_cell=0",
+    ])
     def test_gen_with_invalid_or_old_key_is_3(self, assets, tmp_path, setting):
         _, rooms, objs, *_ = assets
         assert run(

@@ -11,7 +11,6 @@ from seqcontrast.geom import (
     height_accumulate,
     rotation_about_up,
     voxel_indices,
-    voxelize,
 )
 
 
@@ -19,30 +18,35 @@ def cloud(*pts):
     return PointCloud(np.array(pts, dtype=np.float64))
 
 
+def cells(points, cell_size):
+    """Set of occupied integer cells, from the per-point cell indices."""
+    return {tuple(int(v) for v in row) for row in voxel_indices(points, cell_size)}
+
+
 class TestVoxelize:
     def test_single_point_single_cell(self):
-        assert voxelize(cloud((0, 0, 0)), 0.1) == {(0, 0, 0)}
+        assert cells(cloud((0, 0, 0)).points, 0.1) == {(0, 0, 0)}
 
     def test_two_points_one_cell(self):
-        assert voxelize(cloud((0.05, 0.05, 0.01), (0.05, 0.05, 0.09)), 0.1) == {(0, 0, 0)}
+        assert cells(cloud((0.05, 0.05, 0.01), (0.05, 0.05, 0.09)).points, 0.1) == {(0, 0, 0)}
 
     def test_two_points_two_cells(self):
-        assert voxelize(cloud((0.05, 0.05, 0.0), (0.05, 0.05, 0.5)), 0.1) == {(0, 0, 0), (0, 0, 5)}
+        assert cells(cloud((0.05, 0.05, 0.0), (0.05, 0.05, 0.5)).points, 0.1) == {(0, 0, 0), (0, 0, 5)}
 
     def test_empty_cloud_raises(self):
         with pytest.raises(EmptyInputError):
-            voxelize(PointCloud(np.empty((0, 3))), 0.1)
+            voxel_indices(np.empty((0, 3)), 0.1)
 
     def test_nonpositive_cell_rejected(self):
         with pytest.raises(ValueError):
-            voxelize(cloud((0, 0, 0)), 0.0)
+            voxel_indices(cloud((0, 0, 0)).points, 0.0)
 
     def test_idempotent_on_voxel_centers(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(200, 3))
-        cells = voxelize(PointCloud(pts), 0.1)
-        centers = np.array([(np.array(c) + 0.5) * 0.1 for c in cells])
-        assert voxelize(PointCloud(centers), 0.1) == cells
+        occupied = cells(pts, 0.1)
+        centers = np.array([(np.array(c) + 0.5) * 0.1 for c in occupied])
+        assert cells(centers, 0.1) == occupied
 
 
 class TestSimilarityTransform:
@@ -71,13 +75,6 @@ class TestSimilarityTransform:
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
             SimilarityTransform(scale=0.0)
-
-    def test_compose_matches_sequential_application(self):
-        rng = np.random.default_rng(1)
-        a = SimilarityTransform.from_yaw(0.7, rng.normal(size=3), 1.3)
-        b = SimilarityTransform.from_yaw(-1.1, rng.normal(size=3), 0.6)
-        pts = rng.normal(size=(50, 3))
-        np.testing.assert_allclose(a.compose(b).apply(pts), a.apply(b.apply(pts)), atol=1e-12)
 
     @settings(max_examples=50, deadline=None)
     @given(

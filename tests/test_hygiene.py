@@ -1,11 +1,18 @@
 """Static checks on the package source that no linter here makes."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "seqcontrast"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "seqcontrast"
+
+# Kept although only tests use them: the scikit-learn estimator convention,
+# the independent trajectory validator the generation tests compare against,
+# and the documented usage exit code.
+TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -38,3 +45,52 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def defined_names(source: str) -> set[str]:
+    """Module-level functions, classes and assigned names, and the methods of
+    module-level classes; dunder names are left out."""
+    names = set()
+    for node in ast.parse(source).body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        if isinstance(node, ast.ClassDef):
+            names.update(sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return {n for n in names if not n.startswith("__")}
+
+
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads or looks up: loaded names, attributes, and string
+    constants that are one identifier (names patched or fetched by string)."""
+    used = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
+            used.add(node.value)
+    return used
+
+
+def test_detects_a_name_nothing_references():
+    source = "X = 1\ndef f():\n    return g()\ndef g():\n    pass\nclass C:\n    def m(self):\n        pass\n"
+    assert defined_names(source) == {"X", "f", "g", "C", "m"}
+    assert defined_names(source) - referenced_names(source) == {"X", "f", "C", "m"}
+    assert referenced_names("patch(mod, 'f')\n'not a name'\n") >= {"patch", "mod", "f"}
+
+
+def test_no_src_names_only_tests_use():
+    """Every function, method, class and constant of the package is used by
+    the package, the benchmark or the README, not by tests alone."""
+    used = set(re.findall(r"\w+", (ROOT / "README.md").read_text()))
+    for path in sorted((ROOT / "src").rglob("*.py")) + sorted((ROOT / "seqbench").rglob("*.py")):
+        used |= referenced_names(path.read_text())
+    unused = [
+        f"{path.name}: {name}"
+        for path in sorted(SRC.glob("*.py"))
+        for name in sorted(defined_names(path.read_text()) - used - TEST_ONLY_ALLOWED)
+    ]
+    assert unused == []

@@ -22,8 +22,24 @@ def neg_cos(a, b):
 
 
 def make_feats(rng, t, n, c, as_param=False):
+    """One stacked (t * n, c) feature matrix; frame i owns rows i*n to i*n+n-1."""
     mk = ad.parameter if as_param else Var
-    return [mk(rng.normal(size=(n, c))) for _ in range(t)]
+    return mk(np.concatenate([rng.normal(size=(n, c)) for _ in range(t)]))
+
+
+def frames(x, t):
+    """The per-frame (n, c) blocks of a stacked feature matrix."""
+    return list(x.value.reshape(t, -1, x.value.shape[1]))
+
+
+def stacked(maps, n):
+    """Frame-local row indices shifted to rows of the stacked matrix."""
+    return {(i, j): (ia + i * n, ib + j * n) for (i, j), (ia, ib) in maps.items()}
+
+
+def stacked_frames(per_frame, n):
+    """Frame-local (3D rows, 4D rows) pairs shifted to rows of the stacked matrices."""
+    return [(i3 + i * n, i4 + i * n) for i, (i3, i4) in enumerate(per_frame)]
 
 
 def pairwise_maps(rng, t, n, m):
@@ -38,7 +54,8 @@ def pairwise_maps(rng, t, n, m):
 
 
 def oracle_pair_loss(p, z, pair_maps, normalize):
-    """Nested-loop reference for the inter-frame losses."""
+    """Nested-loop reference for the inter-frame losses over per-frame
+    feature arrays and frame-local row indices."""
     terms = []
     for (i, j) in sorted(pair_maps):
         ia, ib = pair_maps[(i, j)]
@@ -46,8 +63,8 @@ def oracle_pair_loss(p, z, pair_maps, normalize):
             continue
         vals = []
         for a, b in zip(ia, ib):
-            vals.append(0.5 * neg_cos(p[i].value[a], z[j].value[b])
-                        + 0.5 * neg_cos(p[j].value[b], z[i].value[a]))
+            vals.append(0.5 * neg_cos(p[i][a], z[j][b])
+                        + 0.5 * neg_cos(p[j][b], z[i][a]))
         terms.append(np.mean(vals) if normalize else np.sum(vals))
     return np.mean(terms) if normalize else np.sum(terms)
 
@@ -59,8 +76,8 @@ def oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize):
             continue
         vals = []
         for a, b in zip(i3, i4):
-            vals.append(0.5 * neg_cos(p3[i].value[a], z4[i].value[b])
-                        + 0.5 * neg_cos(p4[i].value[b], z3[i].value[a]))
+            vals.append(0.5 * neg_cos(p3[i][a], z4[i][b])
+                        + 0.5 * neg_cos(p4[i][b], z3[i][a]))
         terms.append(np.mean(vals) if normalize else np.sum(vals))
     return np.mean(terms) if normalize else np.sum(terms)
 
@@ -70,14 +87,17 @@ class TestSimsiamPair:
 
     def test_identical_views_hit_minimum(self):
         v = np.random.default_rng(0).normal(size=(1, 8))
-        out = _sym_rows(Var(v), Var(v), Var(v), Var(v), sg_on_p=False, normalize=True)
+        one = [(np.arange(1), np.arange(1))]
+        out, used = _sym_rows(Var(v), Var(v), Var(v), Var(v), one, sg_on_p=False, normalize=True, term="pair")
+        assert used == 1
         assert out.value == pytest.approx(-1.0)
 
     def test_z_side_receives_no_gradient(self):
         rng = np.random.default_rng(1)
         p1, z2 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
         p2, z1 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
-        out = _sym_rows(p1, z2, p2, z1, sg_on_p=False, normalize=True)
+        one = [(np.arange(1), np.arange(1))]
+        out, _ = _sym_rows(p1, z2, p2, z1, one, sg_on_p=False, normalize=True, term="pair")
         g = ad.grad(out, {"p1": p1, "z2": z2, "p2": p2, "z1": z1})
         np.testing.assert_array_equal(g["z1"], 0.0)
         np.testing.assert_array_equal(g["z2"], 0.0)
@@ -92,22 +112,22 @@ class TestLoss3D:
         t, n, c = 3, 7, 5
         p, z = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         maps = pairwise_maps(rng, t, n, 4)
-        got, used = loss_3d(p, z, maps, normalize=normalize)
+        got, used = loss_3d(p, z, stacked(maps, n), normalize=normalize)
         assert used == 4 * len(maps)
-        assert abs(float(got.value) - oracle_pair_loss(p, z, maps, normalize)) <= 1e-12
+        assert abs(float(got.value) - oracle_pair_loss(frames(p, t), frames(z, t), maps, normalize)) <= 1e-12
 
     def test_bounds_when_normalized(self):
         rng = np.random.default_rng(2)
         p, z = make_feats(rng, 2, 5, 4), make_feats(rng, 2, 5, 4)
-        val, _ = loss_3d(p, z, pairwise_maps(rng, 2, 5, 3))
+        val, _ = loss_3d(p, z, stacked(pairwise_maps(rng, 2, 5, 3), 5))
         assert -1.0 - 1e-12 <= float(val.value) <= 1.0 + 1e-12
 
     def test_scale_invariance(self):
         rng = np.random.default_rng(3)
         p, z = make_feats(rng, 2, 5, 4), make_feats(rng, 2, 5, 4)
-        maps = pairwise_maps(rng, 2, 5, 3)
+        maps = stacked(pairwise_maps(rng, 2, 5, 3), 5)
         a, _ = loss_3d(p, z, maps)
-        b, _ = loss_3d([Var(x.value * 37.0) for x in p], [Var(x.value * 0.01) for x in z], maps)
+        b, _ = loss_3d(Var(p.value * 37.0), Var(z.value * 0.01), maps)
         assert abs(float(a.value) - float(b.value)) <= 1e-12
 
     def test_empty_pairs_skipped_all_empty_raises(self):
@@ -123,15 +143,15 @@ class TestLoss3D:
         rng = np.random.default_rng(5)
         p = make_feats(rng, 2, 5, 4, as_param=True)
         z = make_feats(rng, 2, 5, 4, as_param=True)
-        val, _ = loss_3d(p, z, pairwise_maps(rng, 2, 5, 3))
-        g = ad.grad(val, {"p0": p[0], "z0": z[0]})
-        np.testing.assert_array_equal(g["z0"], 0.0)
-        assert np.any(g["p0"] != 0.0)
+        val, _ = loss_3d(p, z, stacked(pairwise_maps(rng, 2, 5, 3), 5))
+        g = ad.grad(val, {"p": p, "z": z})
+        np.testing.assert_array_equal(g["z"], 0.0)
+        assert np.any(g["p"][:5] != 0.0) and np.any(g["p"][5:] != 0.0)
 
     def test_loss_4d_shares_semantics(self):
         rng = np.random.default_rng(6)
         p, z = make_feats(rng, 3, 6, 4), make_feats(rng, 3, 6, 4)
-        maps = pairwise_maps(rng, 3, 6, 2)
+        maps = stacked(pairwise_maps(rng, 3, 6, 2), 6)
         a, ua = loss_3d(p, z, maps)
         b, ub = loss_4d(p, z, maps)
         assert float(a.value) == float(b.value) and ua == ub
@@ -146,9 +166,10 @@ class TestLoss3D4D:
         p3, z3 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         p4, z4 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         per_frame = [(rng.integers(0, n, size=5), rng.integers(0, n, size=5)) for _ in range(t)]
-        got, used = loss_3d4d(p3, z3, p4, z4, per_frame, normalize=normalize)
+        got, used = loss_3d4d(p3, z3, p4, z4, stacked_frames(per_frame, n), normalize=normalize)
         assert used == 5 * t
-        assert abs(float(got.value) - oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize)) <= 1e-12
+        want = oracle_frame_loss(*(frames(x, t) for x in (p3, z3, p4, z4)), per_frame, normalize)
+        assert abs(float(got.value) - want) <= 1e-12
 
     def test_predictors_get_no_gradient_by_default(self):
         rng = np.random.default_rng(7)
@@ -157,9 +178,9 @@ class TestLoss3D4D:
         z3 = make_feats(rng, t, n, c, as_param=True)
         p4 = make_feats(rng, t, n, c, as_param=True)
         z4 = make_feats(rng, t, n, c, as_param=True)
-        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
+        per_frame = stacked_frames([(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)], n)
         val, _ = loss_3d4d(p3, z3, p4, z4, per_frame)
-        g = ad.grad(val, {"p3": p3[0], "z3": z3[0], "p4": p4[0], "z4": z4[0]})
+        g = ad.grad(val, {"p3": p3, "z3": z3, "p4": p4, "z4": z4})
         np.testing.assert_array_equal(g["p3"], 0.0)
         np.testing.assert_array_equal(g["p4"], 0.0)
         assert np.any(g["z3"] != 0.0) and np.any(g["z4"] != 0.0)
@@ -171,9 +192,9 @@ class TestLoss3D4D:
         z3 = make_feats(rng, t, n, c, as_param=True)
         p4 = make_feats(rng, t, n, c, as_param=True)
         z4 = make_feats(rng, t, n, c, as_param=True)
-        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
+        per_frame = stacked_frames([(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)], n)
         val, _ = loss_3d4d(p3, z3, p4, z4, per_frame, sg_on_predictor=False)
-        g = ad.grad(val, {"p3": p3[0], "z3": z3[0], "p4": p4[0], "z4": z4[0]})
+        g = ad.grad(val, {"p3": p3, "z3": z3, "p4": p4, "z4": z4})
         np.testing.assert_array_equal(g["z3"], 0.0)
         np.testing.assert_array_equal(g["z4"], 0.0)
         assert np.any(g["p3"] != 0.0) and np.any(g["p4"] != 0.0)
@@ -182,7 +203,7 @@ class TestLoss3D4D:
         rng = np.random.default_rng(9)
         t, n, c = 2, 5, 4
         feats = [make_feats(rng, t, n, c) for _ in range(4)]
-        per_frame = [(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)]
+        per_frame = stacked_frames([(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)], n)
         a, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=True)
         b, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=False)
         assert float(a.value) == pytest.approx(float(b.value), abs=1e-15)
@@ -198,13 +219,13 @@ class TestTotals:
         """Perfectly aligned features drive every normalized term to -1."""
         rng = np.random.default_rng(10)
         t, n, c = 3, 6, 5
-        base = [Var(rng.normal(size=(n, c))) for _ in range(t)]
-        shared = [Var(base[0].value.copy()) for _ in range(t)]
+        base = [rng.normal(size=(n, c)) for _ in range(t)]
+        shared = Var(np.tile(base[0], (t, 1)))
         maps = {
-            (i, j): (np.arange(n), np.arange(n))
+            (i, j): (np.arange(n) + i * n, np.arange(n) + j * n)
             for i in range(t) for j in range(i + 1, t)
         }
-        per_frame = [(np.arange(n), np.arange(n)) for _ in range(t)]
+        per_frame = [(np.arange(n) + i * n, np.arange(n) + i * n) for i in range(t)]
         l3, _ = loss_3d(shared, shared, maps)
         l34, _ = loss_3d4d(shared, shared, shared, shared, per_frame)
         l4, _ = loss_4d(shared, shared, maps)

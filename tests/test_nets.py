@@ -10,16 +10,28 @@ from seqcontrast.nets import (
     ModelConfig,
     UNetConfig,
     build_parameters,
-    count_parameters,
     encode_3d,
     encode_3d_frames,
     encode_4d,
-    expected_parameter_count,
     frames_to_tensor,
     points_to_tensor,
     sequence_to_4d,
     unet_forward,
 )
+
+
+def expected_parameter_count(cfg: UNetConfig) -> int:
+    """Closed-form parameter count of one branch: stem, residual blocks,
+    down and up convs, decoder reductions, projection and predictor."""
+    k, up_k, ch, d, w = 3**cfg.dim, 2**cfg.dim, cfg.channels, cfg.block_depth, cfg.projection_width
+    blocks = sum(2 * d * k * c * c for c in ch) + sum(2 * d * k * c * c for c in ch[:-1])
+    resample = 2 * sum(up_k * a * b for a, b in zip(ch, ch[1:]))
+    reduce = sum(2 * c * c + c for c in ch[:-1])
+    return 3 * ch[0] + ch[0] + blocks + resample + reduce + ch[0] * w + w + 2 * (w * w + w)
+
+
+def count_parameters(params) -> int:
+    return sum(p.value.size for p in params.values())
 
 
 def tiny_model(normalize=True):

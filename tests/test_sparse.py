@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import mul
+from conftest import mul, sum_all
 from seqcontrast import autodiff as ad
 from seqcontrast.autodiff import Var
 from seqcontrast.sparse import (
@@ -213,12 +213,12 @@ class TestConvGradients:
         def loss(xv, wv):
             t = SparseTensor(coords, ad.parameter(xv), (1, 1, 1))
             out = sparse_conv(t, ad.parameter(wv), stride=1)
-            return out, ad.sum_all(mul(out.feats, Var(mixer)))
+            return out, sum_all(mul(out.feats, Var(mixer)))
 
         t = SparseTensor(coords, ad.parameter(x0), (1, 1, 1))
         wp = ad.parameter(w0)
         out = sparse_conv(t, wp, stride=1)
-        l = ad.sum_all(mul(out.feats, Var(mixer)))
+        l = sum_all(mul(out.feats, Var(mixer)))
         grads = ad.grad(l, {"x": t.feats, "w": wp})
         np.testing.assert_allclose(
             grads["x"], self._fd(lambda v: loss(v, w0)[1].value, x0), atol=1e-7
@@ -242,12 +242,12 @@ class TestConvGradients:
         def loss(xv, wv):
             t = SparseTensor(coarse.coords, ad.parameter(xv), coarse.stride)
             out = transpose_conv(t, ad.parameter(wv), fine, (1, 1, 1))
-            return out, ad.sum_all(mul(out.feats, Var(mixer)))
+            return out, sum_all(mul(out.feats, Var(mixer)))
 
         t = SparseTensor(coarse.coords, ad.parameter(x0), coarse.stride)
         wp = ad.parameter(w0)
         out = transpose_conv(t, wp, fine, (1, 1, 1))
-        l = ad.sum_all(mul(out.feats, Var(mixer)))
+        l = sum_all(mul(out.feats, Var(mixer)))
         grads = ad.grad(l, {"x": t.feats, "w": wp})
         np.testing.assert_allclose(
             grads["x"], self._fd(lambda v: loss(v, w0)[1].value, x0), atol=1e-7

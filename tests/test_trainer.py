@@ -104,13 +104,16 @@ def gather_of_gather_loss(state, params, model, cfg):
     x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
     z4v = nets.encode_4d(x4, params, model)
     p4v = nets.predict_4d(z4v, params)
-    z3 = [ad.rows(z3v.feats, r) for r in rows3]
-    p3 = [ad.rows(p3v.feats, r) for r in rows3]
-    z4 = [ad.rows(z4v.feats, r) for r in rows4]
-    p4 = [ad.rows(p4v.feats, r) for r in rows4]
-    l3, _ = loss_3d(p3, z3, state.pair_maps)
-    l34, _ = loss_3d4d(p3, z3, p4, z4, [(idx, idx) for idx in state.per_frame])
-    l4, _ = loss_4d(p4, z4, state.pair_maps)
+    # per-point features of all frames, stacked: frame i starts at row off[i]
+    z3, p3 = ad.rows(z3v.feats, np.concatenate(rows3)), ad.rows(p3v.feats, np.concatenate(rows3))
+    z4, p4 = ad.rows(z4v.feats, np.concatenate(rows4)), ad.rows(p4v.feats, np.concatenate(rows4))
+    off3 = np.cumsum([0] + [len(r) for r in rows3[:-1]])
+    off4 = np.cumsum([0] + [len(r) for r in rows4[:-1]])
+    pairs3 = {(i, j): (ia + off3[i], ib + off3[j]) for (i, j), (ia, ib) in state.pair_maps.items()}
+    pairs4 = {(i, j): (ia + off4[i], ib + off4[j]) for (i, j), (ia, ib) in state.pair_maps.items()}
+    l3, _ = loss_3d(p3, z3, pairs3)
+    l34, _ = loss_3d4d(p3, z3, p4, z4, [(idx + off3[i], idx + off4[i]) for i, idx in enumerate(state.per_frame)])
+    l4, _ = loss_4d(p4, z4, pairs4)
     return loss_total(l3, l34, l4, cfg.weights)
 
 
