@@ -1,6 +1,7 @@
 """Command-line surface: synth, gen, pretrain, gradcheck, probe, export, inspect.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numerical-check failure.
+Exit codes: 0 success, 2 usage error, 3 data error (also `gen` writing fewer
+sequences than requested), 4 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -74,6 +75,10 @@ def cmd_gen(args) -> int:
     stats = generate_dataset(scenes, objects, args.out, seed=cfg.train.seed, workers=args.workers, params=cfg.gen)
     dump_config(cfg, Path(args.out) / "effective_config.txt")
     print(f"gen: wrote {stats['written']} sequences, rejected {stats['rejected']}")
+    requested = len(scenes) * cfg.gen.per_scene
+    if stats["written"] < requested:
+        print(f"gen: wrote {stats['written']} of {requested} requested; {stats['rejected']} trajectories gave up", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 

@@ -58,6 +58,11 @@ class ModelConfig:
     voxel3d: float = VOXEL_3D
     voxel4d: float = VOXEL_4D
 
+    def __post_init__(self):
+        for name in ("voxel3d", "voxel4d"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+
 
 # ---------------------------------------------------------------------------
 # Parameter construction

@@ -5,13 +5,24 @@ stride records the resolution level. Stride-1 convolutions are submanifold
 (output coordinates equal input coordinates); stride-2 convolutions emit the
 occupied downsampled cells and compose strides multiplicatively.
 
-Kernel maps pair input and output rows per kernel offset. Every convolution
-runs one gather -> GEMM -> scatter round per offset that has pairs, as in
-MinkowskiEngine; there is no dense fallback, since the maps seen in practice
-are sparse (5-35 % of the (row, offset) slots hold a pair). The transposed
-convolution runs the same rounds on the stride-2 map with each offset's
-pairs swapped and its weight matrix transposed. Within one offset the index
-lists are unique on both sides, so plain fancy-indexed accumulation is exact.
+Kernel maps pair input and output rows per kernel offset, ordered by output
+row. They are built in key space: each coordinate row packs into one int64
+key (14 bits per spatial field), the output keys are packed once, and an
+offset's queries are those keys plus one key delta, looked up by binary
+search in the sorted input keys. One min/max check per axis keeps every
+query inside the packing range, so no sum carries into the next field. A
+submanifold map over rows in key order (every one the U-Nets build) looks up
+only the centre offset and one offset of each +-k pair: offset -k's pairs
+are offset k's two index arrays, swapped and shared, not copied, as in
+TorchSparse's symmetric maps.
+
+Every convolution runs one gather -> GEMM -> scatter round per offset that
+has pairs, as in MinkowskiEngine; there is no dense fallback, since the maps
+seen in practice are sparse (5-35 % of the (row, offset) slots hold a pair).
+The transposed convolution runs the same rounds on the stride-2 map with each
+offset's pairs swapped and its weight matrix transposed. Within one offset
+the index lists are unique on both sides, so plain fancy-indexed accumulation
+is exact.
 """
 
 from __future__ import annotations
@@ -90,15 +101,16 @@ def kernel_offsets(dim: int, kernel_size: int) -> np.ndarray:
     return np.array(list(itertools.product(r, repeat=dim)), dtype=np.int64)
 
 
-def _lookup(sorted_keys: np.ndarray, order: np.ndarray, query: np.ndarray) -> np.ndarray:
-    """Indices of query keys in the keyed rows, or -1 when absent."""
+def _lookup(sorted_keys: np.ndarray, order: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(keyed row, query index) of each query key present among the keyed
+    rows, in query order."""
     if len(sorted_keys) == 0:
-        return np.full(len(query), -1, dtype=np.int64)
+        empty = np.empty(0, dtype=np.int64)
+        return empty, empty
     pos = np.searchsorted(sorted_keys, query)
-    pos_c = np.minimum(pos, len(sorted_keys) - 1)
-    hit = sorted_keys[pos_c] == query
-    out = np.where(hit, order[pos_c], -1)
-    return out
+    np.minimum(pos, len(sorted_keys) - 1, out=pos)
+    qi = np.flatnonzero(sorted_keys[pos] == query)
+    return order[pos[qi]], qi
 
 
 class KernelMap:
@@ -119,25 +131,58 @@ def downsample_coords(coords: np.ndarray, stride: tuple[int, ...]) -> np.ndarray
     return uniq
 
 
+def _key_deltas(out_coords: np.ndarray, offsets: np.ndarray, offset_stride: tuple[int, ...]) -> np.ndarray:
+    """Packed-key change of each offset * offset_stride.
+
+    A query key is an output key plus its offset's delta. That equals the
+    packed query coordinates only while every spatial field stays inside the
+    packing range; past it the sum carries into the next field and would
+    match a wrong row, so a query outside the range raises, as
+    `pack_coords` does.
+    """
+    shifts = offsets * np.array(offset_stride, dtype=np.int64)
+    if len(out_coords) and len(shifts):
+        # one column at a time: a column reduction of the (N, d) block is ~10x slower
+        for c in range(shifts.shape[1]):
+            axis = out_coords[:, 1 + c]
+            if axis.min() + shifts[:, c].min() <= -_COORD_BIAS or axis.max() + shifts[:, c].max() >= _COORD_BIAS:
+                raise ValueError("kernel query coordinate exceeds packing range")
+    field_weights = np.array([1 << (_COORD_BITS * c) for c in range(shifts.shape[1] - 1, -1, -1)], dtype=np.int64)
+    return shifts @ field_weights
+
+
 def build_kernel_map(
     in_coords: np.ndarray,
     out_coords: np.ndarray,
     offsets: np.ndarray,
     offset_stride: tuple[int, ...],
 ) -> KernelMap:
-    """For each offset k: input rows at out + k * offset_stride."""
+    """For each offset k: input rows at out + k * offset_stride.
+
+    Pairs are ordered by output row. A submanifold map (``out_coords is
+    in_coords``) over rows in ascending key order, with an offset list that
+    reads as its own negation backwards, looks up the first half and the
+    centre only: offset -k's pairs are offset k's two arrays, swapped.
+    """
     in_keys = pack_coords(in_coords)
+    out_keys = in_keys if out_coords is in_coords else pack_coords(out_coords)
+    deltas = _key_deltas(out_coords, offsets, offset_stride)
     order = np.argsort(in_keys, kind="stable")
     sorted_keys = in_keys[order]
-    s = np.array(offset_stride, dtype=np.int64)
-    pairs = []
-    base = out_coords.copy()
-    for off in offsets:
-        q = base.copy()
-        q[:, 1:] += off * s
-        hits = _lookup(sorted_keys, order, pack_coords(q))
-        mask = hits >= 0
-        pairs.append((hits[mask], np.nonzero(mask)[0]))
+    n = len(offsets)
+    # over rows in strictly ascending key order, ii ascends with oi, so the
+    # swapped pairs of offset -k are again ordered by output row
+    mirrored = (
+        out_coords is in_coords
+        and bool(np.all(in_keys[1:] > in_keys[:-1]))
+        and np.array_equal(offsets[::-1], -offsets)
+    )
+    pairs: list = [None] * n
+    for k in range((n + 1) // 2 if mirrored else n):
+        ii, oi = _lookup(sorted_keys, order, out_keys + deltas[k])
+        pairs[k] = (ii, oi)
+        if mirrored and k != n - 1 - k:
+            pairs[n - 1 - k] = (oi, ii)
     return KernelMap(pairs, len(in_coords), len(out_coords))
 
 

@@ -5,9 +5,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from seqcontrast import seqgen
 from seqcontrast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqcontrast.config import KEYS, RunConfig, dump_config, load_config
-from seqcontrast.errors import ConfigError
+from seqcontrast.errors import ConfigError, TrajectoryFailure
 from seqcontrast.formats import read_ply, read_xyz
 
 
@@ -63,7 +64,9 @@ class TestExitCodes:
         bad.write_bytes(b"garbage data that is not a sequence")
         assert run("inspect", "--seq", str(bad)) == EXIT_DATA
 
-    @pytest.mark.parametrize("setting,named", [("dtype=float16", "dtype"), ("learning_rate=0", "learning rate")])
+    @pytest.mark.parametrize("setting,named", [
+        ("dtype=float16", "dtype"), ("learning_rate=0", "learning rate"), ("voxel3d=0", "voxel3d"),
+    ])
     def test_bad_config_value_is_3(self, setting, named, tmp_path, assets, capsys):
         *_, data, _ = assets
         code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--set", setting)
@@ -153,6 +156,28 @@ class TestGen:
         for p in seqs:
             assert (redo / p.name).read_bytes() == p.read_bytes()
         assert (redo / "effective_config.txt").read_bytes() == (data / "effective_config.txt").read_bytes()
+
+    def test_shortfall_is_3(self, assets, tmp_path, monkeypatch, capsys):
+        """A trajectory that gives up leaves the dataset short of scenes x per_scene."""
+        _, rooms, objs, *_ = assets
+        calls = []
+
+        def give_up_once(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                raise TrajectoryFailure("forced")
+            return make_sequence(*args, **kwargs)
+
+        make_sequence = seqgen.make_sequence
+        monkeypatch.setattr(seqgen, "make_sequence", give_up_once)
+        code = run(
+            "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(tmp_path / "d"),
+            "--per-scene", "2", "--frames", "3", "--seed", "5",
+            "--set", "object_sample=300", "--set", "scene_cell=0.05",
+        )
+        assert code == EXIT_DATA
+        assert "wrote 1 of 2 requested; 1 trajectories gave up" in capsys.readouterr().err
+        assert len(list((tmp_path / "d").glob("*.4dc"))) == 1
 
     def test_inspect_reports_counts(self, assets, capsys):
         *_, seqs = assets
@@ -300,6 +325,7 @@ class TestConfigRoundtrip:
 
     @pytest.mark.parametrize("key,value", [
         ("unet3d_channels", "0"), ("learning_rate", "0"), ("w_4d", "-1"), ("dtype", "float16"),
+        ("voxel3d", "0"), ("voxel4d", "-1"),
     ])
     def test_invalid_value_rejected_at_load(self, key, value):
 

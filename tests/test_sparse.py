@@ -95,7 +95,75 @@ class TestKernelOffsets:
         assert offs.min() == 0 and offs.max() == 1
 
 
+def kernel_map_oracle(in_coords, out_coords, offsets, offset_stride):
+    """Per offset, (input rows, output rows) by dict lookup, in output-row order."""
+    index = {}
+    for i, c in enumerate(in_coords):
+        index.setdefault(tuple(c), i)
+    stride = np.array(offset_stride)
+    pairs = []
+    for off in offsets:
+        found = [(index[q], o) for o, c in enumerate(out_coords)
+                 if (q := (c[0], *(c[1:] + off * stride))) in index]
+        ii, oi = zip(*found) if found else ((), ())
+        pairs.append((np.array(ii, dtype=np.int64), np.array(oi, dtype=np.int64)))
+    return pairs
+
+
+def assert_same_pairs(got, want):
+    assert len(got) == len(want)
+    for (ii, oi), (wi, wo) in zip(got, want):
+        np.testing.assert_array_equal(ii, wi)
+        np.testing.assert_array_equal(oi, wo)
+
+
 class TestKernelMapInvariants:
+    @settings(max_examples=10, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 4]))
+    def test_matches_dict_lookup_oracle(self, seed, dim):
+        """Sub maps at offset strides 1 and 2, down maps, and a sub map over
+        rows out of key order, pair for pair and in order."""
+        rng = np.random.default_rng(seed)
+        raw = rng.integers(-5, 5, size=(150, 1 + dim))
+        raw[:, 0] = rng.integers(0, 4, size=len(raw))
+        fine, _ = unique_coords(raw)
+        unit = (1,) * dim
+        coarse = downsample_coords(fine, unit)
+        shuffled = fine[rng.permutation(len(fine))]
+        cases = [
+            (fine, fine, kernel_offsets(dim, 3), unit),
+            (coarse, coarse, kernel_offsets(dim, 3), (2,) * dim),
+            (shuffled, shuffled, kernel_offsets(dim, 3), unit),
+            (fine, coarse, kernel_offsets(dim, 2), unit),
+            (coarse, downsample_coords(coarse, (2,) * dim), kernel_offsets(dim, 2), (2,) * dim),
+        ]
+        for in_coords, out_coords, offs, stride in cases:
+            kmap = build_kernel_map(in_coords, out_coords, offs, stride)
+            assert (kmap.n_in, kmap.n_out) == (len(in_coords), len(out_coords))
+            assert_same_pairs(kmap.pairs, kernel_map_oracle(in_coords, out_coords, offs, stride))
+        # rows in key order share each mirrored offset's arrays, swapped;
+        # rows out of key order look every offset up
+        offs = kernel_offsets(dim, 3)
+        sub = build_kernel_map(fine, fine, offs, unit).pairs
+        assert sub[-1][0] is sub[0][1] and sub[-1][1] is sub[0][0]
+        sub = build_kernel_map(shuffled, shuffled, offs, unit).pairs
+        assert sub[-1][0] is not sub[0][1]
+
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("edge", [(1 << 13) - 1, -((1 << 13) - 1)])
+    def test_query_past_packing_range_raises(self, dim, edge):
+        """A row at the edge of the packing range packs, but its outward
+        neighbour query would carry into the next field, so building raises."""
+        coords = np.zeros((2, 1 + dim), dtype=np.int64)
+        coords[1, 1] = edge
+        pack_coords(coords)
+        with pytest.raises(ValueError):
+            build_kernel_map(coords, coords, kernel_offsets(dim, 3), (1,) * dim)
+        inner = coords.copy()
+        inner[1, 1] -= np.sign(edge)
+        kmap = build_kernel_map(inner, inner, kernel_offsets(dim, 3), (1,) * dim)
+        assert_same_pairs(kmap.pairs, kernel_map_oracle(inner, inner, kernel_offsets(dim, 3), (1,) * dim))
+
     @settings(max_examples=20, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), dim=st.sampled_from([3, 4]))
     def test_pairs_unique_both_sides(self, seed, dim):

@@ -2,12 +2,14 @@
 
 `seqbench/tracing.py` rebinds public functions of the program by name; a
 renamed or deleted one makes `Tracer.install` fail. This runs the install and
-uninstall alone, so that shows up here instead of in a traced benchmark run.
+uninstall alone, so that shows up here instead of in a traced benchmark run,
+and checks that the wrapped `build_kernel_map` still records its builds.
 """
 
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 BENCH = Path(__file__).resolve().parents[1] / "seqbench"
@@ -37,3 +39,25 @@ def test_install_then_uninstall_restores_every_name(tracing):
     for module, names in zip(modules, before):
         for name, value in names.items():
             assert vars(module)[name] is value, f"{module.__name__}.{name} not restored"
+
+
+def test_kernel_map_builds_are_recorded(tracing):
+    """The tracer wraps `sparse.build_kernel_map` by name and positional
+    signature; a sub, a stride-2 and a transposed conv each build one map."""
+    from seqcontrast import sparse
+    from seqcontrast.autodiff import Var
+
+    rng = np.random.default_rng(0)
+    coords, _ = sparse.unique_coords(np.column_stack([np.zeros(40, dtype=np.int64), rng.integers(0, 4, size=(40, 3))]))
+    x = sparse.SparseTensor(coords, rng.normal(size=(len(coords), 2)), (1, 1, 1))
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        sparse.sparse_conv(x, Var(rng.normal(size=(27, 2, 2))), stride=1)
+        down = sparse.sparse_conv(x, Var(rng.normal(size=(8, 2, 3))), stride=2)
+        sparse.transpose_conv(down, Var(rng.normal(size=(8, 2, 3))), x.coords, x.stride)
+    finally:
+        tracer.uninstall()
+    assert tracer.total("sparse.kmap_builds") == 3
+    assert tracer.total("sparse.kmap_build_ms") > 0
+    assert set(tracer.densities) == {"sub3d", "down3d", "up3d"}
