@@ -150,7 +150,7 @@ def rows(x: Var, idx: np.ndarray) -> Var:
         np.add.at(dx, idx, g)
         return (dx,)
 
-    return Var(x.value[idx], (x,), bw)
+    return Var(x.value.take(idx, axis=0), (x,), bw)
 
 
 def concat_cols(a: Var, b: Var) -> Var:
@@ -180,10 +180,11 @@ def channel_norm(x: Var, eps: float = 1e-5) -> Var:
     """Standardize each column over the rows: zero mean, unit variance."""
     x = as_var(x)
     xv = x.value
-    mu = xv.mean(axis=0)
-    var = xv.var(axis=0)
-    inv = 1.0 / np.sqrt(var + eps)
-    y = (xv - mu) * inv
+    # one deviation serves the variance and the output: the same bits as
+    # xv.var, which subtracts the mean again
+    d = xv - xv.mean(axis=0)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=0) + eps)
+    y = d * inv
 
     def bw(g):
         gm = g.mean(axis=0)

@@ -20,9 +20,15 @@ Every convolution runs one gather -> GEMM -> scatter round per offset that
 has pairs, as in MinkowskiEngine; there is no dense fallback, since the maps
 seen in practice are sparse (5-35 % of the (row, offset) slots hold a pair).
 The transposed convolution runs the same rounds on the stride-2 map with each
-offset's pairs swapped and its weight matrix transposed. Within one offset
-the index lists are unique on both sides, so plain fancy-indexed accumulation
-is exact.
+offset's pairs swapped and its weight matrix transposed.
+
+Rows move as whole items. Gathers are `take` along axis 0, which copies the
+same values as fancy indexing. A scatter takes the destination rows, adds
+the GEMM result to them (the same operands in the same order as
+``dst[idx] += rows``) and stores each sum row as one `np.void` item of width
+``itemsize * C``. Within one offset the index lists are unique on both
+sides, so no row is written twice in a round, and each store writes exactly
+the sums the fancy-indexed accumulation would.
 """
 
 from __future__ import annotations
@@ -224,34 +230,59 @@ def _get_kernel_map(x: SparseTensor, kind: str, ksize: int, target=None, cache=N
     return result
 
 
+def _row_items(a: np.ndarray) -> np.ndarray:
+    """A C-contiguous (N, C) array viewed as N items of C values each."""
+    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
+
+
+def _scatter_add_rows(dst: np.ndarray, dst_items: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
+    """``dst[idx] += rows`` for unique ``idx``; ``dst_items`` is
+    ``_row_items(dst)``.
+
+    The sums form in a C-ordered copy of the destination rows, with the same
+    operands, order and output dtype as the fancy-indexed form; each sum row
+    is then stored as one item, which NumPy moves far faster than a row of C
+    scalars.
+    """
+    acc = dst.take(idx, axis=0)
+    acc += rows
+    dst_items.put(idx, acc.view(dst_items.dtype))
+
+
 def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     """out[o] += x[i] @ W[k] over kernel-map pairs; autodiff-aware.
 
     One gather -> GEMM -> scatter round per offset; offsets without pairs are
-    skipped. Within each offset both index lists are unique, so plain
-    fancy-indexed accumulation is exact. The gathered input rows are kept
-    from the forward pass so the backward pass reuses them for the weight
-    gradient instead of gathering again.
+    skipped. Gathers are row `take`s and scatters row-item stores through
+    `_scatter_add_rows`, both exact because each offset's index lists are
+    unique (see the module docstring). `take` copies a non-contiguous source
+    whole on every call, so the input and the output gradient are made
+    C-contiguous once. The gathered input rows are kept from the forward pass
+    so the backward pass reuses them for the weight gradient instead of
+    gathering again.
     """
-    xv, wv = feats.value, weight.value
+    xv, wv = np.ascontiguousarray(feats.value), weight.value
     c_out = wv.shape[2]
     out = np.zeros((kmap.n_out, c_out), dtype=xv.dtype)
+    out_items = _row_items(out)
     gathered: list[np.ndarray | None] = []
     for k, (ii, oi) in enumerate(kmap.pairs):
         if len(ii):
-            xg = xv[ii]
-            out[oi] += xg @ wv[k]
+            xg = xv.take(ii, axis=0)
+            _scatter_add_rows(out, out_items, oi, xg @ wv[k])
             gathered.append(xg)
         else:
             gathered.append(None)
 
     def bw(g):
-        dx = np.zeros_like(xv)
+        g = np.ascontiguousarray(g)
+        dx = np.zeros(xv.shape, xv.dtype)
+        dx_items = _row_items(dx)
         dw = np.zeros_like(wv)
         for k, (ii, oi) in enumerate(kmap.pairs):
             if len(ii):
-                go = g[oi]
-                dx[ii] += go @ wv[k].T
+                go = g.take(oi, axis=0)
+                _scatter_add_rows(dx, dx_items, ii, go @ wv[k].T)
                 dw[k] = gathered[k].T @ go
         return (dx, dw)
 

@@ -136,6 +136,17 @@ class TestChannelNorm:
         y = ad.channel_norm(ad.Var(np.full((10, 3), 7.0))).value
         np.testing.assert_allclose(y, 0.0, atol=1e-12)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_mean_var_bit_for_bit(self, dtype):
+        """The deviation reused for the variance gives numpy's mean/var bits."""
+        eps = 1e-5
+        for shape in [(1000, 8), (257, 32)]:
+            x = (RNG.normal(size=shape) * 3 + 2).astype(dtype)
+            y = ad.channel_norm(ad.Var(x), eps).value
+            want = (x - x.mean(0)) * (1.0 / np.sqrt(x.var(0) + eps))
+            assert y.dtype == dtype
+            assert np.array_equal(y, want)
+
 
 class TestStopGradient:
     def test_forward_identity_zero_grad(self):

@@ -9,7 +9,9 @@ from conftest import mul, sum_all
 from seqcontrast import autodiff as ad
 from seqcontrast.autodiff import Var
 from seqcontrast.sparse import (
+    KernelMap,
     SparseTensor,
+    _conv_apply,
     build_kernel_map,
     downsample_coords,
     kernel_offsets,
@@ -323,6 +325,54 @@ class TestConvGradients:
         np.testing.assert_allclose(
             grads["w"], self._fd(lambda v: loss(x0, v)[1].value, w0), atol=1e-7
         )
+
+
+def conv_apply_reference(xv, wv, pairs, n_out, g):
+    """The fancy-indexed per-offset loop: forward output, dx and dw."""
+    out = np.zeros((n_out, wv.shape[2]), dtype=xv.dtype)
+    dx = np.zeros_like(xv)
+    dw = np.zeros_like(wv)
+    for k, (ii, oi) in enumerate(pairs):
+        if len(ii):
+            out[oi] += xv[ii] @ wv[k]
+            dx[ii] += g[oi] @ wv[k].T
+            dw[k] = xv[ii].T @ g[oi]
+    return out, dx, dw
+
+
+class TestConvApplyExact:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_matches_fancy_indexed_loop_bit_for_bit(self, dtype, dim):
+        """Sub, stride-2 down and swapped up maps, on an F-ordered input, a
+        transposed (non-contiguous) weight for the up map, and an output
+        gradient that is a non-contiguous column slice."""
+        rng = np.random.default_rng(17 + dim)
+        raw = rng.integers(-6, 6, size=(400, 1 + dim))
+        raw[:, 0] = rng.integers(0, 2, size=len(raw))
+        fine, _ = unique_coords(raw)
+        unit = (1,) * dim
+        coarse = downsample_coords(fine, unit)
+        down = build_kernel_map(fine, coarse, kernel_offsets(dim, 2), unit)
+        c_in, c_out = 5, 7
+        cases = [
+            (build_kernel_map(fine, fine, kernel_offsets(dim, 3), unit),
+             rng.normal(size=(3**dim, c_in, c_out))),
+            (down, rng.normal(size=(2**dim, c_in, c_out))),
+            (KernelMap([(oi, ii) for ii, oi in down.pairs], down.n_out, down.n_in),
+             rng.normal(size=(2**dim, c_out, c_in)).transpose(0, 2, 1)),
+        ]
+        for kmap, w in cases:
+            xv = np.asfortranarray(rng.normal(size=(kmap.n_in, c_in)).astype(dtype))
+            wv = w.astype(dtype, order="K")
+            g = rng.normal(size=(kmap.n_out, c_out + 3)).astype(dtype)[:, 2:2 + c_out]
+            out = _conv_apply(Var(xv), Var(wv), kmap)
+            dx, dw = out._backward(g)
+            want_out, want_dx, want_dw = conv_apply_reference(xv, wv, kmap.pairs, kmap.n_out, g)
+            assert out.value.dtype == dx.dtype == dw.dtype == dtype
+            assert np.array_equal(out.value, want_out)
+            assert np.array_equal(dx, want_dx)
+            assert np.array_equal(dw, want_dw)
 
 
 class TestValidation:
