@@ -20,12 +20,12 @@ from .formats import read_point_cloud, write_ply, write_xyz
 from .gradcheck import run_gradcheck
 from .seqgen import build_correspondences, generate_dataset, read_sequence
 from .trainer import (
-    Checkpoint,
     export_backbone,
     load_checkpoint,
     load_dataset,
     pretrain,
     probe,
+    projection_features,
     save_checkpoint,
 )
 
@@ -135,20 +135,15 @@ def cmd_export(args) -> int:
     seq = read_sequence(args.seq)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    ckpt: Checkpoint | None = load_checkpoint(args.ckpt) if args.ckpt else None
+    feats = None
+    if args.ckpt:
+        feats = projection_features([frame.static_view().points for frame in seq.frames], load_checkpoint(args.ckpt))
     for i, frame in enumerate(seq.frames):
         colors = _provenance_colors(frame.cloud.provenance)
         write_ply(out / f"frame_{i:02d}.ply", frame.cloud, colors)
-        if ckpt is not None:
-            from .autodiff import Var
-            from .nets import encode_3d
-
-            # projection-head features, as ContrastivePretrainer.transform gives
-            params = {k: Var(v) for k, v in ckpt.tensors.items()}
-            z, rows = encode_3d(frame.static_view().points, params, ckpt.model, cache={})
-            feats = z.feats.value[rows]
+        if feats is not None:
             with open(out / f"frame_{i:02d}_features.csv", "w") as f:
-                for p, row in zip(frame.cloud.points, feats):
+                for p, row in zip(frame.cloud.points, feats[i]):
                     f.write(",".join(f"{v:.6f}" for v in (*p, *row)) + "\n")
     print(f"export: wrote {len(seq.frames)} frames to {out}")
     return EXIT_OK

@@ -66,10 +66,8 @@ class SimilarityTransform:
 
     def __post_init__(self):
         R = np.asarray(self.rotation, dtype=np.float64)
-        if R.shape == ():  # yaw shorthand
-            R = rotation_about_up(float(self.rotation))
         if R.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix or a yaw scalar")
+            raise ValueError("rotation must be a 3x3 matrix")
         if abs(np.linalg.det(R) - 1.0) > 1e-9 or not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
             raise ValueError("rotation must be orthonormal with determinant +1")
         if not self.scale > 0:
@@ -128,11 +126,7 @@ class OccupancyMap2D:
     floor_height: float
 
 
-def height_accumulate(
-    scene: PointCloud,
-    cell_size: float = DEFAULT_MAP_CELL,
-    floor_quantile: float = FLOOR_QUANTILE,
-) -> OccupancyMap2D:
+def height_accumulate(scene: PointCloud, cell_size: float = DEFAULT_MAP_CELL) -> OccupancyMap2D:
     """Accumulate occupied surface voxels along the height axis into a 2D map."""
     vox = voxel_indices(scene.points, cell_size)
     vox = np.unique(vox, axis=0)  # binary occupancy per 3D voxel
@@ -151,7 +145,7 @@ def height_accumulate(
             min_h[cell] = bottom
 
     minima = np.sort(np.array(list(min_h.values())))
-    k = max(1, int(np.ceil(floor_quantile * len(minima))))
+    k = max(1, int(np.ceil(FLOOR_QUANTILE * len(minima))))
     floor = float(np.mean(minima[:k]))
 
     return OccupancyMap2D(

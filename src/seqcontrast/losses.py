@@ -10,11 +10,10 @@ predictor parameters receive no gradient from it.
 Each term takes one feature matrix per view, shared by all frames; the
 index maps pick its rows. A term gathers the rows of all its groups (frame
 pairs, or frames for the 3D-4D term) at once and reduces them with one
-weighted sum. With ``normalize=True`` (default) a row of a group of ``n``
-rows, out of ``G`` non-empty groups, weighs ``0.5 / (n * G)``: the mean over
-correspondences and then over groups, which keeps magnitudes in [-1, 1]
-regardless of correspondence counts. With ``normalize=False`` every row
-weighs 0.5, the raw sum of sums. The 0.5 averages the two symmetric halves.
+weighted sum. A row of a group of ``n`` rows, out of ``G`` non-empty groups,
+weighs ``0.5 / (n * G)``: the mean over correspondences and then over
+groups, which keeps magnitudes in [-1, 1] regardless of correspondence
+counts. The 0.5 averages the two symmetric halves.
 """
 
 from __future__ import annotations
@@ -69,7 +68,6 @@ def _sym_rows(
     z_a: Var,
     groups: list[tuple[np.ndarray, np.ndarray]],
     sg_on_p: bool,
-    normalize: bool,
     term: str,
 ) -> tuple[Var, int]:
     """Symmetrized row-wise negative cosine over every group's row pairs.
@@ -84,10 +82,7 @@ def _sym_rows(
         raise LossUndefinedError(f"no usable correspondences for the {term} loss")
     ia = np.concatenate([g[0] for g in groups])
     ib = np.concatenate([g[1] for g in groups])
-    if normalize:
-        w = np.concatenate([np.full(len(g[0]), 0.5 / (len(g[0]) * len(groups))) for g in groups])
-    else:
-        w = np.full(len(ia), 0.5)
+    w = np.concatenate([np.full(len(g[0]), 0.5 / (len(g[0]) * len(groups))) for g in groups])
     pa, zb, pb, za = ad.rows(p_a, ia), ad.rows(z_b, ib), ad.rows(p_b, ib), ad.rows(z_a, ia)
     if sg_on_p:
         pa, pb = stop_gradient(pa), stop_gradient(pb)
@@ -101,7 +96,6 @@ def loss_3d(
     p: Var,
     z: Var,
     pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-    normalize: bool = True,
 ) -> tuple[Var, int]:
     """Inter-frame spatial loss over every frame pair of the sequence.
 
@@ -111,7 +105,7 @@ def loss_3d(
     correspondences used.
     """
     groups = [pair_maps[key] for key in sorted(pair_maps)]
-    return _sym_rows(p, z, p, z, groups, sg_on_p=False, normalize=normalize, term="3D")
+    return _sym_rows(p, z, p, z, groups, sg_on_p=False, term="3D")
 
 
 def loss_3d4d(
@@ -120,28 +114,24 @@ def loss_3d4d(
     p4: Var,
     z4: Var,
     per_frame: list[tuple[np.ndarray, np.ndarray]],
-    normalize: bool = True,
-    sg_on_predictor: bool = True,
 ) -> tuple[Var, int]:
     """Spatio-temporal loss tying each frame's 3D features to its 4D features.
 
     ``per_frame[i]`` is a (3D rows, 4D rows) pair: the rows of ``p3``/``z3``
     and of ``p4``/``z4`` that hold the same points of frame i. The
-    stop-gradient sits on the predictor outputs (``sg_on_predictor=True``),
-    so this term trains the encoders only; the flag exposes the conventional
-    placement (on z) for comparison.
+    stop-gradient sits on the predictor outputs, so this term trains the
+    encoders only.
     """
-    return _sym_rows(p3, z4, p4, z3, per_frame, sg_on_p=sg_on_predictor, normalize=normalize, term="3D-4D")
+    return _sym_rows(p3, z4, p4, z3, per_frame, sg_on_p=True, term="3D-4D")
 
 
 def loss_4d(
     p: Var,
     z: Var,
     pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]],
-    normalize: bool = True,
 ) -> tuple[Var, int]:
     """4D-4D loss across time steps; same structure as the inter-frame loss."""
-    return loss_3d(p, z, pair_maps, normalize)
+    return loss_3d(p, z, pair_maps)
 
 
 def loss_total(

@@ -4,6 +4,8 @@ Each branch is a U-Net of pre-activation residual blocks over sparse tensors,
 followed by a 1x..x1 projection (output ``z``) and a two-layer 1x..x1
 predictor (output ``p``). Inputs are binary occupancy repeated to three
 channels. Both heads preserve the coordinate set of their input voxels.
+`sparse.channel_norm` runs before every activation of the residual blocks and
+the predictor, and on the projection output.
 """
 
 from __future__ import annotations
@@ -28,11 +30,12 @@ KERNEL_SIZE = 3  # per axis, of the stride-1 convolutions in the residual blocks
 
 @dataclass(frozen=True)
 class UNetConfig:
+    """Shape of one branch: its U-Net levels and the width of its heads."""
+
     dim: int
     channels: tuple[int, ...]          # one entry per resolution level
     block_depth: int = 1               # residual blocks per level
     projection_width: int = 32
-    normalize: bool = True
 
     def __post_init__(self):
         if len(self.channels) < 1 or any(c < 1 for c in self.channels):
@@ -106,15 +109,19 @@ def _head_shapes(cfg: UNetConfig, prefix: str) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
+def parameter_shapes(model: ModelConfig) -> dict[str, tuple[int, ...]]:
+    """Name and shape of every tensor of the model, both branches."""
+    return _head_shapes(model.unet3d, "3d") | _head_shapes(model.unet4d, "4d")
+
+
 def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Var]:
     """Initialize all parameters: fan-in-scaled uniform weights, zero biases.
 
     Each tensor gets its own seed derived from (seed, tensor name), so the
     initialization is independent of construction order.
     """
-    shapes = _head_shapes(model.unet3d, "3d") | _head_shapes(model.unet4d, "4d")
     params: dict[str, Var] = {}
-    for name, shape in shapes.items():
+    for name, shape in parameter_shapes(model).items():
         if name.endswith(".b"):
             arr = np.zeros(shape, dtype=dtype)
         else:
@@ -128,15 +135,10 @@ def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dic
 # Forward passes
 
 
-def _resblock(x: SparseTensor, params, name: str, normalize: bool, cache) -> SparseTensor:
-    h = x
-    if normalize:
-        h = sp.channel_norm(h)
-    h = sp.relu(h)
+def _resblock(x: SparseTensor, params, name: str, cache) -> SparseTensor:
+    h = sp.relu(sp.channel_norm(x))
     h = sp.sparse_conv(h, params[f"{name}.conv1.w"], stride=1, cache=cache)
-    if normalize:
-        h = sp.channel_norm(h)
-    h = sp.relu(h)
+    h = sp.relu(sp.channel_norm(h))
     h = sp.sparse_conv(h, params[f"{name}.conv2.w"], stride=1, cache=cache)
     return sp.add(x, h)
 
@@ -148,7 +150,7 @@ def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefi
     skips = []
     for lvl in range(cfg.levels):
         for b in range(cfg.block_depth):
-            x = _resblock(x, params, f"{base}.enc{lvl}.block{b}", cfg.normalize, cache)
+            x = _resblock(x, params, f"{base}.enc{lvl}.block{b}", cache)
         skips.append(x)
         if lvl < cfg.levels - 1:
             x = sp.sparse_conv(x, params[f"{base}.down{lvl}.w"], stride=2, cache=cache)
@@ -158,28 +160,23 @@ def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefi
         x = sp.concat(x, skip)
         x = sp.linear_1x1(x, params[f"{base}.dec{lvl - 1}.reduce.w"], params[f"{base}.dec{lvl - 1}.reduce.b"])
         for b in range(cfg.block_depth):
-            x = _resblock(x, params, f"{base}.dec{lvl - 1}.block{b}", cfg.normalize, cache)
+            x = _resblock(x, params, f"{base}.dec{lvl - 1}.block{b}", cache)
     return x
 
 
-def project(x: SparseTensor, params: dict[str, Var], prefix: str, normalize: bool = True) -> SparseTensor:
+def project(x: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTensor:
     """Pointwise projection head.
 
     The output is standardized across the occupied voxels: a constant feature
     field cannot satisfy the normalization, which blocks the trivial collapsed
     solution of the matching losses.
     """
-    out = sp.linear_1x1(x, params[f"proj{prefix}.w"], params[f"proj{prefix}.b"])
-    if normalize:
-        out = sp.channel_norm(out)
-    return out
+    return sp.channel_norm(sp.linear_1x1(x, params[f"proj{prefix}.w"], params[f"proj{prefix}.b"]))
 
 
-def predict(z: SparseTensor, params: dict[str, Var], prefix: str, normalize: bool = True) -> SparseTensor:
+def predict(z: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTensor:
     h = sp.linear_1x1(z, params[f"pred{prefix}.l1.w"], params[f"pred{prefix}.l1.b"])
-    if normalize:
-        h = sp.channel_norm(h)
-    h = sp.relu(h)
+    h = sp.relu(sp.channel_norm(h))
     return sp.linear_1x1(h, params[f"pred{prefix}.l2.w"], params[f"pred{prefix}.l2.b"])
 
 
@@ -238,7 +235,7 @@ def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float, dtype=n
 
 def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
     """Per-voxel projection-head features ``z``: U-Net, then projection."""
-    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix, cfg.normalize)
+    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix)
 
 
 def encode_3d(points: np.ndarray, params: dict[str, Var], model: ModelConfig, cache: dict | None = None, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
@@ -248,14 +245,8 @@ def encode_3d(points: np.ndarray, params: dict[str, Var], model: ModelConfig, ca
     return encode(x, params, model.unet3d, "3d", cache), rows
 
 
-def encode_3d_frames(frames_points: list[np.ndarray], params: dict[str, Var], model: ModelConfig, cache: dict | None = None, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
-    """Projection-head 3D features of several frames from one batched U-Net pass."""
-    x, rows = frames_to_tensor(frames_points, model.voxel3d, dtype=dtype)
-    return encode(x, params, model.unet3d, "3d", cache), rows
-
-
-def predict_3d(z: SparseTensor, params: dict[str, Var], normalize: bool = True) -> SparseTensor:
-    return predict(z, params, "3d", normalize)
+def predict_3d(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
+    return predict(z, params, "3d")
 
 
 def encode_4d(tensor: SparseTensor, params: dict[str, Var], model: ModelConfig, cache: dict | None = None) -> SparseTensor:
@@ -265,5 +256,5 @@ def encode_4d(tensor: SparseTensor, params: dict[str, Var], model: ModelConfig, 
     return encode(tensor, params, model.unet4d, "4d", cache)
 
 
-def predict_4d(z: SparseTensor, params: dict[str, Var], normalize: bool = True) -> SparseTensor:
-    return predict(z, params, "4d", normalize)
+def predict_4d(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
+    return predict(z, params, "4d")

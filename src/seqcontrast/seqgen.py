@@ -113,7 +113,7 @@ class CorrespondenceSet:
 # Placement and trajectories
 
 
-def valid_positions(occ: OccupancyMap2D, object_radius: float, floor_band: float = FLOOR_BAND) -> set[tuple[int, int]]:
+def valid_positions(occ: OccupancyMap2D, object_radius: float) -> set[tuple[int, int]]:
     """Cells where the object's footprint disc fits on traversable floor.
 
     A cell is traversable when its column holds at most one occupied voxel
@@ -124,7 +124,7 @@ def valid_positions(occ: OccupancyMap2D, object_radius: float, floor_band: float
         raise EmptyInputError("occupancy map has no cells")
     if object_radius < 0:
         raise ValueError("object_radius must be non-negative")
-    limit = occ.floor_height + floor_band
+    limit = occ.floor_height + FLOOR_BAND
     traversable = {
         c for c, acc in occ.accumulation.items()
         if acc <= 1 and occ.max_height[c] <= limit
@@ -153,7 +153,6 @@ def sample_trajectory(
     t: int,
     rng: np.random.Generator,
     cell_size: float = 0.10,
-    retries: int = STEP_RETRIES,
 ) -> Trajectory:
     """Random walk over candidate cells with bounded step length and turn.
 
@@ -178,7 +177,7 @@ def sample_trajectory(
         prev = positions[-1]
         prev_heading = headings[-1] if headings else None
         placed = False
-        for _ in range(retries):
+        for _ in range(STEP_RETRIES):
             dist = rng.uniform(STEP_MIN, STEP_MAX)
             if prev_heading is None:
                 direction = rng.uniform(0.0, 2 * np.pi)
@@ -199,7 +198,7 @@ def sample_trajectory(
             placed = True
             break
         if not placed:
-            raise TrajectoryFailure(f"no valid step found at waypoint {step} after {retries} retries")
+            raise TrajectoryFailure(f"no valid step found at waypoint {step} after {STEP_RETRIES} retries")
 
     if not headings:  # t == 1
         headings = [0.0]
@@ -279,29 +278,21 @@ def compose_frame(
     return SequenceFrame(PointCloud(pts, prov), pose, SimilarityTransform.identity())
 
 
-def augment_scene(
-    frame: SequenceFrame,
-    rng: np.random.Generator,
-    n_chunks: int | None = None,
-    keep_prob: float = SCENE_KEEP_PROB,
-) -> SequenceFrame:
+def augment_scene(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
     """Per-frame scene variation: random resampling plus cubic chunk removal.
 
     Only background scene points are candidates for removal; object points
-    always survive. ``n_chunks`` overrides the random chunk count (test hook;
-    0 disables removal entirely).
+    always survive.
     """
     is_obj = frame.is_object()
     keep = np.ones(len(frame.cloud), dtype=bool)
-    keep[~is_obj] &= rng.uniform(0.0, 1.0, size=int((~is_obj).sum())) < keep_prob
+    keep[~is_obj] &= rng.uniform(0.0, 1.0, size=int((~is_obj).sum())) < SCENE_KEEP_PROB
 
     scene_pts = frame.cloud.points[~is_obj]
     if len(scene_pts):
         lo, hi = scene_pts.min(axis=0), scene_pts.max(axis=0)
         extent = float(np.max(hi - lo))
-        if n_chunks is None:
-            n_chunks = int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))
-        for _ in range(n_chunks):
+        for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
             edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * extent
             center = rng.uniform(lo, hi)
             inside = np.all(np.abs(frame.cloud.points - center) <= edge / 2, axis=1)
@@ -311,18 +302,11 @@ def augment_scene(
     return replace(frame, cloud=cloud)
 
 
-def augment_frame_static(
-    frame: SequenceFrame,
-    rng: np.random.Generator,
-    identity: bool = False,
-) -> SequenceFrame:
+def augment_frame_static(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
     """Record a random similarity transform for the 3D-branch view only.
 
-    The stored cloud (the 4D sequence view) is untouched. ``identity`` is a
-    test hook that records the identity transform.
+    The stored cloud (the 4D sequence view) is untouched.
     """
-    if identity:
-        return replace(frame, static_aug=SimilarityTransform.identity())
     yaw = rng.uniform(0.0, 2 * np.pi)
     translation = rng.uniform(-STATIC_AUG_TRANSLATION, STATIC_AUG_TRANSLATION, size=3)
     scale = rng.uniform(*STATIC_AUG_SCALE)
@@ -542,7 +526,6 @@ def generate_dataset(
     seed: int = 0,
     workers: int = 1,
     params: GenParams | None = None,
-    object_radii: list[float] | None = None,
 ) -> dict:
     """Write one "4DC1" file (plus sidecar) per accepted trajectory.
 
@@ -558,8 +541,7 @@ def generate_dataset(
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 
-    if object_radii is None:
-        object_radii = [object_footprint_radius(o) for o in objects]
+    object_radii = [object_footprint_radius(o) for o in objects]
 
     tasks = []
     for scene_idx, scene in enumerate(scenes):

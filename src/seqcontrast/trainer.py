@@ -43,8 +43,6 @@ class TrainConfig:
     voxel4d: float = 0.05
     momentum: float = 0.0
     dtype: str = "float32"
-    normalize_losses: bool = True
-    sg_on_predictor_3d4d: bool = True
     max_corr_per_pair: int = 256
     max_points_3d4d: int = 512
 
@@ -147,13 +145,11 @@ def sequence_loss(
     report = LossReport(weights=w)
     l3 = l34 = l4 = zero
     if w.w_3d > 0:
-        l3, report.correspondences_3d = loss_3d(p3, z3, pairs3, cfg.normalize_losses)
+        l3, report.correspondences_3d = loss_3d(p3, z3, pairs3)
     if w.w_3d4d > 0:
-        l34, report.correspondences_3d4d = loss_3d4d(
-            p3, z3, p4, z4, frames34, cfg.normalize_losses, cfg.sg_on_predictor_3d4d
-        )
+        l34, report.correspondences_3d4d = loss_3d4d(p3, z3, p4, z4, frames34)
     if w.w_4d > 0:
-        l4, report.correspondences_4d = loss_4d(p4, z4, pairs4, cfg.normalize_losses)
+        l4, report.correspondences_4d = loss_4d(p4, z4, pairs4)
     total = loss_total(l3, l34, l4, w)
     report.l_3d = float(l3.value)
     report.l_3d4d = float(l34.value)
@@ -186,7 +182,26 @@ def save_checkpoint(path: str | Path, ckpt: Checkpoint) -> None:
     write_checkpoint(path, ckpt.tensors | velocity | {_CONFIG: blob})
 
 
+def _check_tensors(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]]) -> None:
+    """Raise `DataFormatError` unless ``tensors`` are all of the model's
+    tensors ``shapes``, or all of its 3D U-Net ones (a backbone export), each
+    at its shape."""
+    if all(k.startswith("unet3d.") for k in tensors):
+        shapes = {k: v for k, v in shapes.items() if k.startswith("unet3d.")}
+    missing, extra = sorted(shapes.keys() - tensors.keys()), sorted(tensors.keys() - shapes.keys())
+    if missing:
+        raise DataFormatError(f"{path}: tensor {missing[0]!r} of the stored model is missing")
+    if extra:
+        raise DataFormatError(f"{path}: tensor {extra[0]!r} is not part of the stored model")
+    for name, shape in shapes.items():
+        if tensors[name].shape != shape:
+            raise DataFormatError(f"{path}: tensor {name!r} has shape {tensors[name].shape}, the stored model needs {shape}")
+
+
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read a checkpoint written by `save_checkpoint`. Its tensors, and its
+    momentum buffers if any, must match the stored model: all of them, or
+    only the 3D U-Net ones that `export_backbone` keeps."""
     raw = read_checkpoint(path)
     try:
         meta = json.loads(raw.pop(_CONFIG).tobytes())
@@ -199,6 +214,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         raise DataFormatError(f"{path}: bad checkpoint config: {exc!r}") from None
     velocity = {k[len(_VELOCITY):]: v for k, v in raw.items() if k.startswith(_VELOCITY)}
     tensors = {k: v for k, v in raw.items() if not k.startswith(_VELOCITY)}
+    shapes = nets.parameter_shapes(model)
+    _check_tensors(path, tensors, shapes)
+    if velocity:
+        _check_tensors(path, velocity, shapes)
     return Checkpoint(tensors, step, model, train, velocity)
 
 
@@ -218,6 +237,20 @@ def backbone_features(points: np.ndarray, ckpt: Checkpoint, dtype=np.float32) ->
     x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d, dtype=dtype)
     out = nets.unet_forward(x, params, ckpt.model.unet3d, "3d", cache={})
     return out.feats.value, rows
+
+
+def projection_features(frames: list[np.ndarray], ckpt: Checkpoint) -> list[np.ndarray]:
+    """Per-point projection-head features ``z`` (U-Net, then projection: the
+    features the losses compare) of each (N, 3) frame, one forward pass per
+    frame."""
+    if "proj3d.w" not in ckpt.tensors:
+        raise DataFormatError("the checkpoint has no projection head (a backbone export?)")
+    params = {k: Var(v) for k, v in ckpt.tensors.items()}
+    out = []
+    for points in frames:
+        z, rows = nets.encode_3d(points, params, ckpt.model, cache={})
+        out.append(z.feats.value[rows])
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -341,17 +374,13 @@ def probe(
     sequences: list[Sequence],
     max_pairs_per_sequence: int = 200,
     seed: int = 0,
-    use_projection: bool = False,
 ) -> dict:
     """Mean cosine similarity of 3D features at corresponding point pairs
     versus at random non-corresponding pairs, over held-out sequences.
 
-    By default this probes the backbone (U-Net) features — the representation
-    `export_backbone` ships for downstream use. Set ``use_projection=True``
-    to probe the projection-head outputs the losses operate on; note the
-    head's channel normalization makes even randomly initialized projections
-    mildly geometry-discriminative, so the untrained baseline margin is only
-    near zero for backbone features."""
+    The probe reads the backbone (U-Net) features, the representation
+    `export_backbone` ships for downstream use, so a backbone-only checkpoint
+    suffices. The untrained margin of these features is near zero."""
     dtype = np.float32
     params = {k: Var(v.astype(dtype)) for k, v in ckpt.tensors.items()}
     model = ckpt.model
@@ -361,11 +390,8 @@ def probe(
     for seq in sequences:
         corr = build_correspondences(seq)
         views = [frame.static_view().points for frame in seq.frames]
-        if use_projection:
-            z, rows = nets.encode_3d_frames(views, params, model, cache={}, dtype=dtype)
-        else:
-            x, rows = nets.frames_to_tensor(views, model.voxel3d, dtype=dtype)
-            z = nets.unet_forward(x, params, model.unet3d, "3d", cache={})
+        x, rows = nets.frames_to_tensor(views, model.voxel3d, dtype=dtype)
+        z = nets.unet_forward(x, params, model.unet3d, "3d", cache={})
         feats = [z.feats.value[r] for r in rows]
         t = len(seq.frames)
         for i in range(t):
@@ -461,9 +487,7 @@ class ContrastivePretrainer:
         if not hasattr(self, "checkpoint_"):
             raise RuntimeError("ContrastivePretrainer is not fitted")
         points = X.points if isinstance(X, PointCloud) else np.asarray(X, dtype=np.float64)
-        params = {k: Var(v) for k, v in self.checkpoint_.tensors.items()}
-        z, rows = nets.encode_3d(points, params, self.checkpoint_.model, cache={})
-        return z.feats.value[rows]
+        return projection_features([points], self.checkpoint_)[0]
 
     def fit_transform(self, X, y=None, points=None) -> np.ndarray:
         self.fit(X, y)

@@ -9,7 +9,9 @@ from seqcontrast import seqgen
 from seqcontrast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqcontrast.config import KEYS, RunConfig, dump_config, load_config
 from seqcontrast.errors import ConfigError, TrajectoryFailure
-from seqcontrast.formats import read_ply, read_xyz
+from seqcontrast.formats import read_checkpoint, read_ply, read_xyz, write_checkpoint
+from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
+from seqcontrast.trainer import Checkpoint, TrainConfig, save_checkpoint
 
 
 def run(*argv):
@@ -82,6 +84,26 @@ class TestExitCodes:
         ck.write_bytes(header + zlib.crc32(header).to_bytes(4, "little"))
         assert run("probe", "--ckpt", str(ck), "--data", str(data)) == EXIT_DATA
         assert "unsupported checkpoint version 1" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("change,named", [
+        (lambda t: t.update({"unet3d.enc0.block0.conv1.w": np.zeros((27, 3, 3), np.float32)}),
+         "'unet3d.enc0.block0.conv1.w' has shape (27, 3, 3), the stored model needs (27, 4, 4)"),
+        (lambda t: t.pop("unet3d.down0.w"), "'unet3d.down0.w' of the stored model is missing"),
+        (lambda t: t.update({"config": np.frombuffer(
+            bytes(t["config"]).replace(b'"dtype"', b'"normalize_losses": true, "dtype"'), np.uint8)}),
+         "normalize_losses"),
+    ], ids=["wrong-shape", "missing-tensor", "removed-config-key"])
+    def test_checkpoint_unlike_its_model_is_3(self, change, named, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        model = ModelConfig(UNetConfig(3, (4, 8), projection_width=8), UNetConfig(4, (3, 6), projection_width=8))
+        params = build_parameters(model)
+        ck = tmp_path / "ck.4dcw"
+        save_checkpoint(ck, Checkpoint({k: p.value for k, p in params.items()}, 0, model, TrainConfig()))
+        tensors = read_checkpoint(ck)
+        change(tensors)
+        write_checkpoint(ck, tensors)
+        assert run("probe", "--ckpt", str(ck), "--data", str(data)) == EXIT_DATA
+        assert named in capsys.readouterr().err
 
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
@@ -230,13 +252,18 @@ class TestTrainProbeExport:
         first = csvs[0].read_text().splitlines()[0].split(",")
         assert len(first) > 3  # xyz plus feature channels
 
-    def test_export_backbone(self, checkpoint, tmp_path):
+    def test_export_backbone(self, assets, checkpoint, tmp_path, capsys):
+        *_, data, seqs = assets
         bb = tmp_path / "backbone.4dcw"
         assert run("export", "--ckpt", str(checkpoint), "--backbone", str(bb)) == EXIT_OK
         from seqcontrast.trainer import load_checkpoint
 
         loaded = load_checkpoint(bb)
         assert all(k.startswith("unet3d.") for k in loaded.tensors)
+        assert run("probe", "--ckpt", str(bb), "--data", str(data)) == EXIT_OK
+        # projection-head features need the head the backbone export drops
+        assert run("export", "--seq", str(seqs[0]), "--out", str(tmp_path / "f"), "--ckpt", str(bb)) == EXIT_DATA
+        assert "no projection head" in capsys.readouterr().err
 
     def test_export_without_inputs_is_3(self):
         assert run("export") == EXIT_DATA
@@ -262,17 +289,17 @@ PARENT_KEYS = {
     "unet4d_channels", "unet4d_block_depth", "unet4d_projection_width", "unet4d_normalize",
 }
 
+# options no run set, deleted with the branches behind them
+REMOVED_KEYS = {"normalize_losses", "sg_on_predictor_3d4d", "unet3d_normalize", "unet4d_normalize"}
+
 # every key at a valid value off its default, written as dump_config writes it
 OFF_DEFAULT = {
     "learning_rate": "0.1", "batch_size": "3", "steps": "42", "decay_factor": "0.97",
     "decay_interval": "50", "seed": "16777217", "w_3d": "0.3", "w_3d4d": "0.7", "w_4d": "1.1",
     "voxel3d": "0.06", "voxel4d": "0.13", "momentum": "0.9", "dtype": "float64",
-    "normalize_losses": "False", "sg_on_predictor_3d4d": "False", "max_corr_per_pair": "7",
-    "max_points_3d4d": "9",
+    "max_corr_per_pair": "7", "max_points_3d4d": "9",
     "unet3d_channels": "4,8", "unet3d_block_depth": "2", "unet3d_projection_width": "8",
-    "unet3d_normalize": "False",
     "unet4d_channels": "3,6,12", "unet4d_block_depth": "3", "unet4d_projection_width": "16",
-    "unet4d_normalize": "False",
     "per_scene": "2", "t": "5", "object_sample": "300", "scene_cell": "0.05", "map_cell": "0.15",
 }
 
@@ -305,7 +332,8 @@ class TestConfigRoundtrip:
 
     def test_key_set_is_the_parent_set_with_object_sample(self):
 
-        assert set(KEYS) == PARENT_KEYS - {"object_points"} | {"object_sample"}
+        assert set(KEYS) == PARENT_KEYS - REMOVED_KEYS - {"object_points"} | {"object_sample"}
+        assert len(KEYS) == 26
 
     def test_every_key_roundtrips_off_default(self, tmp_path):
 
@@ -335,6 +363,7 @@ class TestConfigRoundtrip:
     @pytest.mark.parametrize("setting", [
         "learning_rate=0", "unet3d_channels=0", "object_points=300",
         "per_scene=-3", "t=0", "object_sample=0", "scene_cell=0", "map_cell=0",
+        *(f"{key}=False" for key in sorted(REMOVED_KEYS)),
     ])
     def test_gen_with_invalid_or_old_key_is_3(self, assets, tmp_path, setting):
         _, rooms, objs, *_ = assets

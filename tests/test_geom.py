@@ -71,6 +71,8 @@ class TestSimilarityTransform:
     def test_invalid_rotation_rejected(self):
         with pytest.raises(ValueError):
             SimilarityTransform(rotation=np.eye(3) * 2)
+        with pytest.raises(ValueError, match="3x3"):
+            SimilarityTransform(rotation=0.5)  # a yaw goes through from_yaw
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):

@@ -94,3 +94,50 @@ def test_no_src_names_only_tests_use():
         for name in sorted(defined_names(path.read_text()) - used - TEST_ONLY_ALLOWED)
     ]
     assert unused == []
+
+
+def dataclass_fields(source: str) -> dict[str, list[str]]:
+    """The fields of each module-level class decorated with ``dataclass``."""
+    out = {}
+    for node in ast.parse(source).body:
+        decorators = [d.func if isinstance(d, ast.Call) else d for d in getattr(node, "decorator_list", [])]
+        if isinstance(node, ast.ClassDef) and any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+            out[node.name] = [
+                sub.target.id for sub in node.body
+                if isinstance(sub, ast.AnnAssign) and isinstance(sub.target, ast.Name)
+            ]
+    return out
+
+
+def attribute_reads(source: str) -> set[str]:
+    """Attribute names a module reads (``x.name`` in a load context)."""
+    return {
+        node.attr for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+
+
+def test_detects_a_field_nothing_reads():
+    source = (
+        "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
+        "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
+        "def f(a, b):\n    b.z = a.x\n"
+    )
+    assert dataclass_fields(source) == {"A": ["x", "y"], "B": ["z"]}
+    assert attribute_reads(source) == {"x"}
+
+
+def test_no_dataclass_field_src_never_reads():
+    """Every field of the package's dataclasses is read as an attribute
+    somewhere in the package: a field that nothing reads is a setting that
+    changes nothing."""
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    read = set().union(*(attribute_reads(source) for source in sources.values()))
+    unread = [
+        f"{name}: {cls}.{fld}"
+        for name, source in sources.items()
+        for cls, flds in dataclass_fields(source).items()
+        for fld in flds
+        if fld not in read
+    ]
+    assert unread == []

@@ -53,7 +53,7 @@ def pairwise_maps(rng, t, n, m):
     return maps
 
 
-def oracle_pair_loss(p, z, pair_maps, normalize):
+def oracle_pair_loss(p, z, pair_maps):
     """Nested-loop reference for the inter-frame losses over per-frame
     feature arrays and frame-local row indices."""
     terms = []
@@ -65,11 +65,11 @@ def oracle_pair_loss(p, z, pair_maps, normalize):
         for a, b in zip(ia, ib):
             vals.append(0.5 * neg_cos(p[i][a], z[j][b])
                         + 0.5 * neg_cos(p[j][b], z[i][a]))
-        terms.append(np.mean(vals) if normalize else np.sum(vals))
-    return np.mean(terms) if normalize else np.sum(terms)
+        terms.append(np.mean(vals))
+    return np.mean(terms)
 
 
-def oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize):
+def oracle_frame_loss(p3, z3, p4, z4, per_frame):
     terms = []
     for i, (i3, i4) in enumerate(per_frame):
         if len(i3) == 0:
@@ -78,8 +78,8 @@ def oracle_frame_loss(p3, z3, p4, z4, per_frame, normalize):
         for a, b in zip(i3, i4):
             vals.append(0.5 * neg_cos(p3[i][a], z4[i][b])
                         + 0.5 * neg_cos(p4[i][b], z3[i][a]))
-        terms.append(np.mean(vals) if normalize else np.sum(vals))
-    return np.mean(terms) if normalize else np.sum(terms)
+        terms.append(np.mean(vals))
+    return np.mean(terms)
 
 
 class TestSimsiamPair:
@@ -88,7 +88,7 @@ class TestSimsiamPair:
     def test_identical_views_hit_minimum(self):
         v = np.random.default_rng(0).normal(size=(1, 8))
         one = [(np.arange(1), np.arange(1))]
-        out, used = _sym_rows(Var(v), Var(v), Var(v), Var(v), one, sg_on_p=False, normalize=True, term="pair")
+        out, used = _sym_rows(Var(v), Var(v), Var(v), Var(v), one, sg_on_p=False, term="pair")
         assert used == 1
         assert out.value == pytest.approx(-1.0)
 
@@ -97,7 +97,7 @@ class TestSimsiamPair:
         p1, z2 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
         p2, z1 = ad.parameter(rng.normal(size=(1, 6))), ad.parameter(rng.normal(size=(1, 6)))
         one = [(np.arange(1), np.arange(1))]
-        out, _ = _sym_rows(p1, z2, p2, z1, one, sg_on_p=False, normalize=True, term="pair")
+        out, _ = _sym_rows(p1, z2, p2, z1, one, sg_on_p=False, term="pair")
         g = ad.grad(out, {"p1": p1, "z2": z2, "p2": p2, "z1": z1})
         np.testing.assert_array_equal(g["z1"], 0.0)
         np.testing.assert_array_equal(g["z2"], 0.0)
@@ -106,15 +106,15 @@ class TestSimsiamPair:
 
 class TestLoss3D:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), normalize=st.booleans())
-    def test_matches_bruteforce(self, seed, normalize):
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_matches_bruteforce(self, seed):
         rng = np.random.default_rng(seed)
         t, n, c = 3, 7, 5
         p, z = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         maps = pairwise_maps(rng, t, n, 4)
-        got, used = loss_3d(p, z, stacked(maps, n), normalize=normalize)
+        got, used = loss_3d(p, z, stacked(maps, n))
         assert used == 4 * len(maps)
-        assert abs(float(got.value) - oracle_pair_loss(frames(p, t), frames(z, t), maps, normalize)) <= 1e-12
+        assert abs(float(got.value) - oracle_pair_loss(frames(p, t), frames(z, t), maps)) <= 1e-12
 
     def test_bounds_when_normalized(self):
         rng = np.random.default_rng(2)
@@ -159,16 +159,16 @@ class TestLoss3D:
 
 class TestLoss3D4D:
     @settings(max_examples=25, deadline=None)
-    @given(seed=st.integers(0, 2**31 - 1), normalize=st.booleans())
-    def test_matches_bruteforce(self, seed, normalize):
+    @given(seed=st.integers(0, 2**31 - 1))
+    def test_matches_bruteforce(self, seed):
         rng = np.random.default_rng(seed)
         t, n, c = 3, 6, 4
         p3, z3 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         p4, z4 = make_feats(rng, t, n, c), make_feats(rng, t, n, c)
         per_frame = [(rng.integers(0, n, size=5), rng.integers(0, n, size=5)) for _ in range(t)]
-        got, used = loss_3d4d(p3, z3, p4, z4, stacked_frames(per_frame, n), normalize=normalize)
+        got, used = loss_3d4d(p3, z3, p4, z4, stacked_frames(per_frame, n))
         assert used == 5 * t
-        want = oracle_frame_loss(*(frames(x, t) for x in (p3, z3, p4, z4)), per_frame, normalize)
+        want = oracle_frame_loss(*(frames(x, t) for x in (p3, z3, p4, z4)), per_frame)
         assert abs(float(got.value) - want) <= 1e-12
 
     def test_predictors_get_no_gradient_by_default(self):
@@ -185,27 +185,15 @@ class TestLoss3D4D:
         np.testing.assert_array_equal(g["p4"], 0.0)
         assert np.any(g["z3"] != 0.0) and np.any(g["z4"] != 0.0)
 
-    def test_swap_flag_moves_stop_gradient_to_z(self):
-        rng = np.random.default_rng(8)
-        t, n, c = 2, 5, 4
-        p3 = make_feats(rng, t, n, c, as_param=True)
-        z3 = make_feats(rng, t, n, c, as_param=True)
-        p4 = make_feats(rng, t, n, c, as_param=True)
-        z4 = make_feats(rng, t, n, c, as_param=True)
-        per_frame = stacked_frames([(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)], n)
-        val, _ = loss_3d4d(p3, z3, p4, z4, per_frame, sg_on_predictor=False)
-        g = ad.grad(val, {"p3": p3, "z3": z3, "p4": p4, "z4": z4})
-        np.testing.assert_array_equal(g["z3"], 0.0)
-        np.testing.assert_array_equal(g["z4"], 0.0)
-        assert np.any(g["p3"] != 0.0) and np.any(g["p4"] != 0.0)
-
     def test_forward_value_unchanged_by_flag(self):
+        """The stop-gradient side of `_sym_rows` moves no forward value: the
+        3D-4D term equals the same rows with the stop-gradient on z."""
         rng = np.random.default_rng(9)
         t, n, c = 2, 5, 4
-        feats = [make_feats(rng, t, n, c) for _ in range(4)]
+        p3, z3, p4, z4 = (make_feats(rng, t, n, c) for _ in range(4))
         per_frame = stacked_frames([(rng.integers(0, n, size=4), rng.integers(0, n, size=4)) for _ in range(t)], n)
-        a, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=True)
-        b, _ = loss_3d4d(*feats, per_frame, sg_on_predictor=False)
+        a, _ = loss_3d4d(p3, z3, p4, z4, per_frame)
+        b, _ = _sym_rows(p3, z4, p4, z3, per_frame, sg_on_p=False, term="3D-4D")
         assert float(a.value) == pytest.approx(float(b.value), abs=1e-15)
 
 

@@ -162,11 +162,15 @@ class TestAugmentation:
             assert aug.is_object().sum() == 150
             assert len(aug.cloud) < len(frame.cloud)
 
-    def test_chunk_hook_zero_disables_removal(self, small_room, small_object):
+    def test_chunk_hook_zero_disables_removal(self, small_room, small_object, monkeypatch):
+        """With no chunks and every scene point kept, nothing is removed."""
         rng = np.random.default_rng(11)
         canon = sample_scene_canonical(small_room, rng, 0.04)
         frame = compose_frame(canon, small_object, (np.zeros(2), 0.0), rng)
-        aug = augment_scene(frame, rng, n_chunks=0, keep_prob=1.0)
+        monkeypatch.setattr(seqgen, "CHUNKS_MIN", 0)
+        monkeypatch.setattr(seqgen, "CHUNKS_MAX", 0)
+        monkeypatch.setattr(seqgen, "SCENE_KEEP_PROB", 1.0)
+        aug = augment_scene(frame, rng)
         assert len(aug.cloud) == len(frame.cloud)
 
     def test_chunk_parameters_in_range(self):
@@ -188,8 +192,6 @@ class TestAugmentation:
         assert not is_identity(aug.static_aug)
         view = aug.static_view()
         np.testing.assert_allclose(view.points, aug.static_aug.apply(frame.cloud.points), atol=1e-12)
-        ident = augment_frame_static(frame, rng, identity=True)
-        assert is_identity(ident.static_aug)
 
 
 class TestValidation:

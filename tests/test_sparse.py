@@ -386,14 +386,23 @@ class TestValidation:
         with pytest.raises(ValueError):
             sparse_conv(x, Var(np.ones((8, 1, 1))), stride=1)
 
-    def test_batch_isolation(self):
-        """Adjacent coordinates in different batch rows never interact."""
+    @pytest.mark.parametrize("op", ["stride1", "stride2", "transpose"])
+    def test_batch_isolation(self, op):
+        """Adjacent coordinates in different batch rows never interact: each
+        conv of a U-Net (the transposed one after a stride-2 conv, back onto
+        the input coordinates) gives a batch the rows it gets alone."""
         rng = np.random.default_rng(11)
         a = grid_tensor((3, 3, 3), 2, rng, batch=0)
         b_feats = rng.normal(size=a.feats.value.shape)
         coords = np.vstack([a.coords, a.coords + np.array([1, 0, 0, 0])])
         both = SparseTensor(coords, np.vstack([a.feats.value, b_feats]), (1, 1, 1))
-        w = Var(rng.normal(size=(27, 2, 2)))
-        solo = sparse_conv(a, w, stride=1)
-        joint = sparse_conv(both, w, stride=1)
-        np.testing.assert_allclose(joint.feats.value[: len(a)], solo.feats.value, atol=1e-12)
+        w, w2 = Var(rng.normal(size=(27, 2, 2))), Var(rng.normal(size=(8, 2, 2)))
+        conv = {
+            "stride1": lambda x: sparse_conv(x, w, stride=1),
+            "stride2": lambda x: sparse_conv(x, w2, stride=2),
+            "transpose": lambda x: transpose_conv(sparse_conv(x, w2, stride=2), w2, x.coords, x.stride),
+        }[op]
+        solo, joint = conv(a), conv(both)
+        own = joint.coords[:, 0] == 0
+        np.testing.assert_array_equal(joint.coords[own], solo.coords)
+        np.testing.assert_allclose(joint.feats.value[own], solo.feats.value, atol=1e-12)

@@ -99,7 +99,8 @@ def gather_of_gather_loss(state, params, model, cfg):
     """Reference joint loss: per-point features are gathered from the voxel
     features frame by frame, and the losses gather from those."""
     dtype = cfg.np_dtype
-    z3v, rows3 = nets.encode_3d_frames(state.static_views, params, model, dtype=dtype)
+    x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
+    z3v = nets.encode(x3, params, model.unet3d, "3d")
     p3v = nets.predict_3d(z3v, params)
     x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
     z4v = nets.encode_4d(x4, params, model)
@@ -259,22 +260,22 @@ class TestCheckpointIO:
         from seqcontrast.losses import LossWeights
 
         model = ModelConfig(
-            UNetConfig(3, (5, 7, 9), block_depth=2, projection_width=6, normalize=False),
-            UNetConfig(4, (3,), block_depth=3, projection_width=10, normalize=False),
+            UNetConfig(3, (5, 7, 9), block_depth=2, projection_width=6),
+            UNetConfig(4, (3,), block_depth=3, projection_width=10),
             voxel3d=0.06, voxel4d=0.13,
         )
         train = TrainConfig(
             learning_rate=0.1, batch_size=5, steps=17, decay_factor=0.97, decay_interval=33,
             seed=16777217, weights=LossWeights(0.3, 0.7, 1.1), voxel3d=0.06, voxel4d=0.13,
-            momentum=0.9, dtype="float64", normalize_losses=False, sg_on_predictor_3d4d=False,
-            max_corr_per_pair=7, max_points_3d4d=9,
+            momentum=0.9, dtype="float64", max_corr_per_pair=7, max_points_3d4d=9,
         )
         for f in fields(TrainConfig):
             assert getattr(train, f.name) != getattr(TrainConfig(), f.name), f.name
         for f in fields(ModelConfig):
             assert getattr(model, f.name) != getattr(ModelConfig(), f.name), f.name
         rng = np.random.default_rng(3)
-        tensors = {"a.w": rng.normal(size=(3, 4)) * 1e-3, "b.b": rng.normal(size=(5,))}
+        tensors = {k: p.value + rng.normal(size=p.value.shape) * 1e-3
+                   for k, p in build_parameters(model, dtype=np.float64).items()}
         velocity = {k: rng.normal(size=v.shape) for k, v in tensors.items()}
         ckpt = Checkpoint(tensors, 17, model, train, velocity)
         save_checkpoint(tmp_path / "ck.4dcw", ckpt)
