@@ -21,13 +21,12 @@ _ids = itertools.count()
 class Var:
     """A node in the autodiff graph."""
 
-    __slots__ = ("value", "parents", "_backward", "stop_grad", "name", "uid")
+    __slots__ = ("value", "parents", "_backward", "name", "uid")
 
-    def __init__(self, value, parents=(), backward=None, stop_grad=False, name=None):
+    def __init__(self, value, parents=(), backward=None, name=None):
         self.value = np.asarray(value)
         self.parents = tuple(parents)
         self._backward = backward
-        self.stop_grad = stop_grad
         self.name = name
         self.uid = next(_ids)
 
@@ -104,7 +103,7 @@ def stop_gradient(x: Var) -> Var:
                 raise RuntimeError("stop-gradient replay ran past the recorded pass")
             value = fr.values[fr._cursor]
             fr._cursor += 1
-    return Var(value, parents=(x,), backward=lambda g: (None,), stop_grad=True)
+    return Var(value, parents=(x,), backward=lambda g: (None,))
 
 
 # ---------------------------------------------------------------------------
@@ -254,7 +253,7 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
     grads: dict[int, np.ndarray] = {loss.uid: np.asarray(1.0, dtype=loss.value.dtype)}
     for node in reversed(topo_order(loss)):
         g = grads.get(node.uid)
-        if g is None or node._backward is None or node.stop_grad:
+        if g is None or node._backward is None:
             continue
         parent_grads = node._backward(g)
         for parent, pg in zip(node.parents, parent_grads):

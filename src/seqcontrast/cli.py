@@ -126,6 +126,8 @@ def _provenance_colors(prov: np.ndarray) -> np.ndarray:
 
 def cmd_export(args) -> int:
     if args.backbone:
+        if not args.ckpt:
+            raise ConfigError("export --backbone needs --ckpt")
         ckpt = load_checkpoint(args.ckpt)
         save_checkpoint(args.backbone, export_backbone(ckpt))
         print(f"export: 3D backbone written to {args.backbone}")

@@ -49,16 +49,7 @@ class LossReport:
     correspondences_3d: int = 0
     correspondences_3d4d: int = 0
     correspondences_4d: int = 0
-    dropped: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-
-    def check(self, tol: float = 1e-12) -> bool:
-        expect = (
-            self.weights.w_3d * self.l_3d
-            + self.weights.w_3d4d * self.l_3d4d
-            + self.weights.w_4d * self.l_4d
-        )
-        return abs(self.total - expect) <= tol
 
 
 def _sym_rows(

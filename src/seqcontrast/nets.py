@@ -6,6 +6,11 @@ predictor (output ``p``). Inputs are binary occupancy repeated to three
 channels. Both heads preserve the coordinate set of their input voxels.
 `sparse.channel_norm` runs before every activation of the residual blocks and
 the predictor, and on the projection output.
+
+Both branches share one entry per job, told apart by their parameter prefix
+("3d" or "4d"): `encode` gives ``z`` and `predict` gives ``p`` from it;
+`unet_forward` alone gives the backbone features. The conv weight shapes
+follow `sparse`: ``SUB_KERNEL**d`` offsets at stride 1, ``2**d`` at stride 2.
 """
 
 from __future__ import annotations
@@ -25,7 +30,6 @@ from .sparse import SparseTensor
 VOXEL_3D = 0.02  # m
 VOXEL_4D = 0.05  # m
 IN_CHANNELS = 3  # occupancy repeated to three channels
-KERNEL_SIZE = 3  # per axis, of the stride-1 convolutions in the residual blocks
 
 
 @dataclass(frozen=True)
@@ -79,7 +83,7 @@ def _init_weight(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.
 
 def _head_shapes(cfg: UNetConfig, prefix: str) -> dict[str, tuple[int, ...]]:
     """Shapes of all tensors of one branch (U-Net + projection + predictor)."""
-    k = KERNEL_SIZE ** cfg.dim
+    k = sp.SUB_KERNEL ** cfg.dim
     up_k = 2 ** cfg.dim
     ch = cfg.channels
     shapes: dict[str, tuple[int, ...]] = {}
@@ -174,6 +178,11 @@ def project(x: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTenso
     return sp.channel_norm(sp.linear_1x1(x, params[f"proj{prefix}.w"], params[f"proj{prefix}.b"]))
 
 
+def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
+    """Per-voxel projection-head features ``z``: U-Net, then projection."""
+    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix)
+
+
 def predict(z: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTensor:
     h = sp.linear_1x1(z, params[f"pred{prefix}.l1.w"], params[f"pred{prefix}.l1.b"])
     h = sp.relu(sp.channel_norm(h))
@@ -231,30 +240,3 @@ def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float, dtype=n
     without mixing. Returns the tensor and, per frame, the row of each point.
     """
     return _voxelize(frames_points, voxel_size, dtype)
-
-
-def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
-    """Per-voxel projection-head features ``z``: U-Net, then projection."""
-    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix)
-
-
-def encode_3d(points: np.ndarray, params: dict[str, Var], model: ModelConfig, cache: dict | None = None, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
-    """Per-voxel projection-head features ``z`` of a static 3D frame view,
-    and the voxel row of each point."""
-    x, rows = points_to_tensor(points, model.voxel3d, dtype=dtype)
-    return encode(x, params, model.unet3d, "3d", cache), rows
-
-
-def predict_3d(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
-    return predict(z, params, "3d")
-
-
-def encode_4d(tensor: SparseTensor, params: dict[str, Var], model: ModelConfig, cache: dict | None = None) -> SparseTensor:
-    """Per-(voxel, time) projection-head features ``z`` of a 4D sequence tensor."""
-    if tensor.dim != 4:
-        raise ValueError(f"expected a 4D tensor, got dim {tensor.dim}")
-    return encode(tensor, params, model.unet4d, "4d", cache)
-
-
-def predict_4d(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
-    return predict(z, params, "4d")

@@ -1,9 +1,12 @@
 """Sparse integer-coordinate tensors (3D/4D) and generalized sparse convolution.
 
 Coordinates are absolute voxel indices carrying a batch column; a tensor
-stride records the resolution level. Stride-1 convolutions are submanifold
-(output coordinates equal input coordinates); stride-2 convolutions emit the
-occupied downsampled cells and compose strides multiplicatively.
+stride records the resolution level. Each stride has one kernel size, fixed
+here. Stride-1 convolutions are submanifold (output coordinates equal input
+coordinates) with ``SUB_KERNEL`` = 3 taps per axis, ``3**d`` offsets.
+Stride-2 convolutions and their transposes have 2 taps per axis, ``2**d``
+offsets; they emit the occupied downsampled cells and compose strides
+multiplicatively. A weight with any other offset count is rejected.
 
 Kernel maps pair input and output rows per kernel offset, ordered by output
 row. They are built in key space: each coordinate row packs into one int64
@@ -41,6 +44,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Var
 
+SUB_KERNEL = 3  # taps per axis of the stride-1 (submanifold) convolutions
 _COORD_BITS = 14
 _COORD_BIAS = 1 << (_COORD_BITS - 1)
 
@@ -192,13 +196,13 @@ def build_kernel_map(
     return KernelMap(pairs, len(in_coords), len(out_coords))
 
 
-def _kmap_cache_key(coords: np.ndarray, kind: str, ksize: int, stride: tuple[int, ...]):
-    return (kind, ksize, stride, coords.shape[0], coords.tobytes())
+def _kmap_cache_key(coords: np.ndarray, kind: str, stride: tuple[int, ...]):
+    return (kind, stride, coords.shape[0], coords.tobytes())
 
 
-def _get_kernel_map(x: SparseTensor, kind: str, ksize: int, target=None, cache=None):
+def _get_kernel_map(x: SparseTensor, kind: str, target=None, cache=None):
     """Kernel map for submanifold / down / up convolutions, with caching."""
-    key = _kmap_cache_key(x.coords, kind, ksize, x.stride)
+    key = _kmap_cache_key(x.coords, kind, x.stride)
     if kind == "up":
         key = key + (target[0].shape[0], target[0].tobytes(), target[1])
     if cache is not None and key in cache:
@@ -206,7 +210,7 @@ def _get_kernel_map(x: SparseTensor, kind: str, ksize: int, target=None, cache=N
 
     dim = x.dim
     if kind == "sub":
-        offsets = kernel_offsets(dim, ksize)
+        offsets = kernel_offsets(dim, SUB_KERNEL)
         out_coords = x.coords
         kmap = build_kernel_map(x.coords, out_coords, offsets, x.stride)
         out_stride = x.stride
@@ -294,28 +298,27 @@ def _transpose_offsets(weight: Var) -> Var:
     return Var(weight.value.transpose(0, 2, 1), (weight,), lambda g: (g.transpose(0, 2, 1),))
 
 
+def _check_offsets(weight: Var, dim: int, ksize: int, what: str) -> None:
+    n = weight.value.shape[0]
+    if n != ksize**dim:
+        raise ValueError(f"{what} in {dim}D needs {ksize**dim} kernel offsets, the weight has {n}")
+
+
 def sparse_conv(x: SparseTensor, weight: Var, stride: int = 1, cache: dict | None = None) -> SparseTensor:
     """Generalized sparse convolution.
 
-    ``weight`` has shape (K^d, C_in, C_out). Stride 1 requires an odd kernel
-    size and is submanifold; stride 2 uses kernel size 2 and halves the
+    ``weight`` has shape (K, C_in, C_out). Stride 1 is submanifold with
+    K = ``SUB_KERNEL**d``; stride 2 has K = ``2**d`` and halves the
     resolution.
     """
-    wv = weight.value
-    if wv.shape[1] != x.channels:
-        raise ValueError(f"channel mismatch: input {x.channels}, kernel {wv.shape[1]}")
-    dim = x.dim
-    ksize = round(wv.shape[0] ** (1.0 / dim))
-    if ksize**dim != wv.shape[0]:
-        raise ValueError(f"kernel offset count {wv.shape[0]} is not a {dim}-th power")
+    if weight.value.shape[1] != x.channels:
+        raise ValueError(f"channel mismatch: input {x.channels}, kernel {weight.value.shape[1]}")
     if stride == 1:
-        if ksize % 2 == 0:
-            raise ValueError("stride-1 convolution needs an odd kernel size")
-        kmap, out_coords, out_stride = _get_kernel_map(x, "sub", ksize, cache=cache)
+        _check_offsets(weight, x.dim, SUB_KERNEL, "a stride-1 convolution")
+        kmap, out_coords, out_stride = _get_kernel_map(x, "sub", cache=cache)
     elif stride == 2:
-        if ksize != 2:
-            raise ValueError("stride-2 convolution uses kernel size 2")
-        kmap, out_coords, out_stride = _get_kernel_map(x, "down", ksize, cache=cache)
+        _check_offsets(weight, x.dim, 2, "a stride-2 convolution")
+        kmap, out_coords, out_stride = _get_kernel_map(x, "down", cache=cache)
     else:
         raise ValueError("stride must be 1 or 2")
     return SparseTensor(out_coords, _conv_apply(x.feats, weight, kmap), out_stride)
@@ -330,15 +333,17 @@ def transpose_conv(
 ) -> SparseTensor:
     """Adjoint of the stride-2 convolution, onto the supplied target coords.
 
-    The target coordinate set comes from the matching encoder level (U-Net
-    skip bookkeeping); it must be nonempty.
+    ``weight`` has shape (``2**d``, C_out, C_in), as the matching stride-2
+    convolution's. The target coordinate set comes from the matching encoder
+    level (U-Net skip bookkeeping); it must be nonempty.
     """
     if len(target_coords) == 0:
         raise ValueError("target coordinate set is empty")
     if weight.value.shape[2] != x.channels:
         raise ValueError(f"channel mismatch: input {x.channels}, kernel {weight.value.shape[2]}")
+    _check_offsets(weight, x.dim, 2, "a transposed convolution")
     kmap, out_coords, out_stride = _get_kernel_map(
-        x, "up", 2, target=(target_coords, target_stride), cache=cache
+        x, "up", target=(target_coords, target_stride), cache=cache
     )
     return SparseTensor(out_coords, _conv_apply(x.feats, _transpose_offsets(weight), kmap), out_stride)
 

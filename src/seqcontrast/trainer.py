@@ -136,10 +136,10 @@ def sequence_loss(
     p3 = z3 = p4 = z4 = None
     if w.w_3d > 0 or w.w_3d4d > 0:
         z_t = nets.encode(x3, params, model.unet3d, "3d", state.cache)
-        z3, p3 = z_t.feats, nets.predict_3d(z_t, params).feats
+        z3, p3 = z_t.feats, nets.predict(z_t, params, "3d").feats
     if w.w_4d > 0 or w.w_3d4d > 0:
-        z_t = nets.encode_4d(x4, params, model, state.cache)
-        z4, p4 = z_t.feats, nets.predict_4d(z_t, params).feats
+        z_t = nets.encode(x4, params, model.unet4d, "4d", state.cache)
+        z4, p4 = z_t.feats, nets.predict(z_t, params, "4d").feats
 
     zero = Var(np.asarray(0.0, dtype=dtype))
     report = LossReport(weights=w)
@@ -229,26 +229,32 @@ def export_backbone(ckpt: Checkpoint) -> Checkpoint:
     return Checkpoint(tensors, ckpt.step, ckpt.model, ckpt.train)
 
 
-def backbone_features(points: np.ndarray, ckpt: Checkpoint, dtype=np.float32) -> tuple[np.ndarray, np.ndarray]:
-    """Inference-only forward of the 3D U-Net; returns (per-voxel backbone
-    features, per-point voxel rows). No projection head is applied, so a
-    backbone-only checkpoint from `export_backbone` suffices."""
-    params = {k: Var(v.astype(dtype)) for k, v in ckpt.tensors.items() if k.startswith("unet3d.")}
-    x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d, dtype=dtype)
-    out = nets.unet_forward(x, params, ckpt.model.unet3d, "3d", cache={})
+def _inference_params(ckpt: Checkpoint, prefix: str = "") -> dict[str, Var]:
+    """The checkpoint tensors whose names start with ``prefix``, as float32
+    constants: inference runs in float32 whatever dtype the run trained in."""
+    return {k: Var(v.astype(np.float32)) for k, v in ckpt.tensors.items() if k.startswith(prefix)}
+
+
+def backbone_features(points: np.ndarray, ckpt: Checkpoint) -> tuple[np.ndarray, np.ndarray]:
+    """Inference-only float32 forward of the 3D U-Net; returns (per-voxel
+    backbone features, per-point voxel rows). No projection head is applied,
+    so a backbone-only checkpoint from `export_backbone` suffices."""
+    x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
+    out = nets.unet_forward(x, _inference_params(ckpt, "unet3d."), ckpt.model.unet3d, "3d", cache={})
     return out.feats.value, rows
 
 
 def projection_features(frames: list[np.ndarray], ckpt: Checkpoint) -> list[np.ndarray]:
-    """Per-point projection-head features ``z`` (U-Net, then projection: the
-    features the losses compare) of each (N, 3) frame, one forward pass per
-    frame."""
+    """Per-point float32 projection-head features ``z`` (U-Net, then
+    projection: the features the losses compare) of each (N, 3) frame, one
+    forward pass per frame."""
     if "proj3d.w" not in ckpt.tensors:
         raise DataFormatError("the checkpoint has no projection head (a backbone export?)")
-    params = {k: Var(v) for k, v in ckpt.tensors.items()}
+    params = _inference_params(ckpt)
     out = []
     for points in frames:
-        z, rows = nets.encode_3d(points, params, ckpt.model, cache={})
+        x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
+        z = nets.encode(x, params, ckpt.model.unet3d, "3d", cache={})
         out.append(z.feats.value[rows])
     return out
 
@@ -307,10 +313,7 @@ def pretrain(
     try:
         for step in range(first, cfg.steps + 1):
             rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
-            if len(sequences) >= cfg.batch_size:
-                batch = rng.choice(len(sequences), size=cfg.batch_size, replace=False)
-            else:
-                batch = rng.choice(len(sequences), size=cfg.batch_size, replace=True)
+            batch = rng.choice(len(sequences), size=cfg.batch_size, replace=len(sequences) < cfg.batch_size)
 
             grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
             step_report = LossReport(weights=cfg.weights)
@@ -334,7 +337,6 @@ def pretrain(
                 step_report.correspondences_3d += rep.correspondences_3d
                 step_report.correspondences_3d4d += rep.correspondences_3d4d
                 step_report.correspondences_4d += rep.correspondences_4d
-                step_report.dropped += rep.dropped
 
             lr = learning_rate_at(step, cfg)
             inv_b = 1.0 / len(batch)
@@ -348,7 +350,7 @@ def pretrain(
             if log_file:
                 log_file.write(
                     f"{step}\t{lr:.8g}\t{step_report.l_3d:.8g}\t{step_report.l_3d4d:.8g}"
-                    f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\t{step_report.dropped}\n"
+                    f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\n"
                 )
                 log_file.flush()
     finally:
@@ -381,8 +383,7 @@ def probe(
     The probe reads the backbone (U-Net) features, the representation
     `export_backbone` ships for downstream use, so a backbone-only checkpoint
     suffices. The untrained margin of these features is near zero."""
-    dtype = np.float32
-    params = {k: Var(v.astype(dtype)) for k, v in ckpt.tensors.items()}
+    params = _inference_params(ckpt, "unet3d.")
     model = ckpt.model
     rng = np.random.default_rng(seed)
     corr_sims, rand_sims = [], []
@@ -390,7 +391,7 @@ def probe(
     for seq in sequences:
         corr = build_correspondences(seq)
         views = [frame.static_view().points for frame in seq.frames]
-        x, rows = nets.frames_to_tensor(views, model.voxel3d, dtype=dtype)
+        x, rows = nets.frames_to_tensor(views, model.voxel3d)
         z = nets.unet_forward(x, params, model.unet3d, "3d", cache={})
         feats = [z.feats.value[r] for r in rows]
         t = len(seq.frames)

@@ -268,6 +268,11 @@ class TestTrainProbeExport:
     def test_export_without_inputs_is_3(self):
         assert run("export") == EXIT_DATA
 
+    def test_export_backbone_without_ckpt_is_3(self, tmp_path, capsys):
+        assert run("export", "--backbone", str(tmp_path / "out.4dcw")) == EXIT_DATA
+        assert "export --backbone needs --ckpt" in capsys.readouterr().err
+        assert not (tmp_path / "out.4dcw").exists()
+
 
 class TestGradcheckCommand:
     def test_passes_quickly(self, capsys):

@@ -7,7 +7,6 @@ from seqcontrast import autodiff as ad
 from seqcontrast.autodiff import Var
 from seqcontrast.errors import LossUndefinedError
 from seqcontrast.losses import (
-    LossReport,
     LossWeights,
     loss_3d,
     loss_3d4d,
@@ -226,9 +225,3 @@ class TestTotals:
     def test_negative_weight_rejected(self):
         with pytest.raises(ValueError):
             LossWeights(-1.0, 1.0, 1.0)
-
-    def test_report_check(self):
-        rep = LossReport(l_3d=-0.5, l_3d4d=-0.25, l_4d=-0.75, total=-1.5)
-        assert rep.check()
-        rep.total = -1.4
-        assert not rep.check()

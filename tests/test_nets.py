@@ -10,8 +10,7 @@ from seqcontrast.nets import (
     ModelConfig,
     UNetConfig,
     build_parameters,
-    encode_3d,
-    encode_4d,
+    encode,
     frames_to_tensor,
     points_to_tensor,
     sequence_to_4d,
@@ -152,15 +151,8 @@ class TestUNetForward:
         h = unet_forward(x, params, model.unet3d, "3d")
         proj = sp.linear_1x1(h, params["proj3d.w"], params["proj3d.b"])
         np.testing.assert_array_equal(proj.feats.value, 0.25)
-        z, _ = encode_3d(pts, params, model, dtype=np.float64)
+        z = encode(x, params, model.unet3d, "3d")
         np.testing.assert_array_equal(z.feats.value, 0.0)
-
-    def test_encode_4d_rejects_3d_tensor(self):
-        model = tiny_model()
-        params = build_parameters(model, seed=0)
-        x, _ = points_to_tensor(np.zeros((1, 3)), 0.5)
-        with pytest.raises(ValueError):
-            encode_4d(x, params, model)
 
     def test_encode_4d_shapes(self):
         rng = np.random.default_rng(4)
@@ -168,6 +160,6 @@ class TestUNetForward:
         params = build_parameters(model, seed=6, dtype=np.float64)
         seq = fake_sequence([rng.uniform(0, 4, size=(60, 3)) for _ in range(3)])
         tensor, rows = sequence_to_4d(seq, voxel_size=model.voxel4d, dtype=np.float64)
-        z = encode_4d(tensor, params, model)
+        z = encode(tensor, params, model.unet4d, "4d")
         assert z.feats.value.shape == (len(tensor), model.unet4d.projection_width)
         np.testing.assert_array_equal(z.coords, tensor.coords)

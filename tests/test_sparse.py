@@ -381,10 +381,22 @@ class TestValidation:
         with pytest.raises(ValueError):
             sparse_conv(x, Var(np.ones((27, 4, 2))), stride=1)
 
-    def test_even_kernel_rejected_at_stride_1(self):
-        x = grid_tensor((2, 2, 2), 1, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            sparse_conv(x, Var(np.ones((8, 1, 1))), stride=1)
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("op", ["stride1", "stride2", "transpose"])
+    def test_wrong_offset_count_rejected(self, op, dim):
+        """Each conv takes one kernel size: 3**d offsets at stride 1 (an even
+        or a wider odd kernel is rejected), 2**d at stride 2 and for the
+        transposed conv. The error names the expected count."""
+        fine = grid_tensor((2,) * dim, 1, np.random.default_rng(0))
+        coarse = sparse_conv(fine, Var(np.ones((2**dim, 1, 1))), stride=2)
+        conv, want, wrong = {
+            "stride1": (lambda w: sparse_conv(fine, w, stride=1), 3**dim, (2**dim, 5**dim)),
+            "stride2": (lambda w: sparse_conv(fine, w, stride=2), 2**dim, (3**dim,)),
+            "transpose": (lambda w: transpose_conv(coarse, w, fine.coords, fine.stride), 2**dim, (3**dim,)),
+        }[op]
+        for n in wrong:
+            with pytest.raises(ValueError, match=f"needs {want} kernel offsets, the weight has {n}"):
+                conv(Var(np.ones((n, 1, 1))))
 
     @pytest.mark.parametrize("op", ["stride1", "stride2", "transpose"])
     def test_batch_isolation(self, op):

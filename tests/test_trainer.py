@@ -21,6 +21,7 @@ from seqcontrast.trainer import (
     load_dataset,
     pretrain,
     probe,
+    projection_features,
     save_checkpoint,
     sequence_loss,
 )
@@ -101,10 +102,10 @@ def gather_of_gather_loss(state, params, model, cfg):
     dtype = cfg.np_dtype
     x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
     z3v = nets.encode(x3, params, model.unet3d, "3d")
-    p3v = nets.predict_3d(z3v, params)
+    p3v = nets.predict(z3v, params, "3d")
     x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
-    z4v = nets.encode_4d(x4, params, model)
-    p4v = nets.predict_4d(z4v, params)
+    z4v = nets.encode(x4, params, model.unet4d, "4d")
+    p4v = nets.predict(z4v, params, "4d")
     # per-point features of all frames, stacked: frame i starts at row off[i]
     z3, p3 = ad.rows(z3v.feats, np.concatenate(rows3)), ad.rows(p3v.feats, np.concatenate(rows3))
     z4, p4 = ad.rows(z4v.feats, np.concatenate(rows4)), ad.rows(p4v.feats, np.concatenate(rows4))
@@ -163,7 +164,8 @@ class TestPretrain:
         ckpt, reports = pretrain(dataset, tiny_cfg(steps=3), tiny_model())
         assert len(reports) == 3
         for rep in reports:
-            assert rep.check(tol=1e-6)
+            weighted = rep.weights.w_3d * rep.l_3d + rep.weights.w_3d4d * rep.l_3d4d + rep.weights.w_4d * rep.l_4d
+            assert abs(rep.total - weighted) <= 1e-6
             assert np.isfinite(rep.total)
         assert ckpt.step == 3
 
@@ -216,7 +218,7 @@ class TestPretrain:
         lines = log.read_text().strip().splitlines()
         assert len(lines) == 2
         cols = lines[0].split("\t")
-        assert len(cols) == 7 and cols[0] == "1"
+        assert len(cols) == 6 and cols[0] == "1"
         assert float(cols[1]) == pytest.approx(0.25)
 
     def test_untouched_parameters_stay_at_init(self, dataset):
@@ -304,6 +306,19 @@ class TestCheckpointIO:
         b, rows_b = backbone_features(pts, bb)
         np.testing.assert_array_equal(rows_a, rows_b)
         np.testing.assert_array_equal(a, b)
+
+    def test_float64_checkpoint_infers_in_float32(self, dataset):
+        """Inference runs in float32: a float64 checkpoint gives the same
+        features as that checkpoint cast to float32."""
+        model = tiny_model()
+        tensors = {k: p.value for k, p in build_parameters(model, seed=5, dtype=np.float64).items()}
+        ckpt = Checkpoint(tensors, 0, model, tiny_cfg(dtype="float64"))
+        as32 = Checkpoint({k: v.astype(np.float32) for k, v in tensors.items()}, 0, model, tiny_cfg())
+        frames = [f.static_view().points for f in dataset[0].frames]
+        for got, want in zip(projection_features(frames, ckpt), projection_features(frames, as32)):
+            assert got.dtype == want.dtype == np.float32
+            np.testing.assert_array_equal(got, want)
+        np.testing.assert_array_equal(backbone_features(frames[0], ckpt)[0], backbone_features(frames[0], as32)[0])
 
     def test_reexport_idempotent(self, dataset, tmp_path):
         ckpt, _ = pretrain(dataset, tiny_cfg(steps=1), tiny_model())
