@@ -54,12 +54,6 @@ KEYS = _key_table()
 
 
 def _parse_value(raw: str, kind):
-    if kind is bool:
-        if raw.lower() in ("1", "true", "yes", "on"):
-            return True
-        if raw.lower() in ("0", "false", "no", "off"):
-            return False
-        raise ConfigError(f"expected a boolean, got {raw!r}")
     if kind in (int, float, str):
         return kind(raw)
     # tuple[int, ...]
@@ -98,7 +92,7 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
         kind, paths = KEYS[key]
         try:
             value = _parse_value(raw, kind)
-        except (ValueError, ConfigError) as exc:
+        except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from None
         for *parents, name in paths:
             node = changes

@@ -16,7 +16,7 @@ from .errors import EmptyInputError
 # still fitting the u32 on-disk encoding.
 OBJECT_ID_OFFSET = 1 << 31
 
-DEFAULT_MAP_CELL = 0.10     # 2D occupancy map resolution (m)
+MAP_CELL = 0.10             # 2D occupancy map resolution (m)
 FLOOR_BAND = 0.20           # max height above floor for a traversable cell (m)
 FLOOR_QUANTILE = 0.25       # fraction of lowest columns used for the floor fit
 
@@ -114,21 +114,21 @@ def voxel_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
 class OccupancyMap2D:
     """Per-column summary of occupied voxels, used to find valid placements.
 
-    ``accumulation[cell]`` counts distinct occupied 3D voxels in the column;
-    ``max_height[cell]`` is the top of the highest occupied voxel. The floor
-    height is the mean of the lowest-voxel heights over the quarter of columns
-    with the lowest minima (robust against furniture).
+    Cells are ``MAP_CELL`` wide. ``accumulation[cell]`` counts distinct
+    occupied 3D voxels in the column; ``max_height[cell]`` is the top of the
+    highest occupied voxel. The floor height is the mean of the lowest-voxel
+    heights over the quarter of columns with the lowest minima (robust
+    against furniture).
     """
 
-    cell_size: float
     accumulation: dict[tuple[int, int], int]
     max_height: dict[tuple[int, int], float]
     floor_height: float
 
 
-def height_accumulate(scene: PointCloud, cell_size: float = DEFAULT_MAP_CELL) -> OccupancyMap2D:
+def height_accumulate(scene: PointCloud) -> OccupancyMap2D:
     """Accumulate occupied surface voxels along the height axis into a 2D map."""
-    vox = voxel_indices(scene.points, cell_size)
+    vox = voxel_indices(scene.points, MAP_CELL)
     vox = np.unique(vox, axis=0)  # binary occupancy per 3D voxel
 
     accumulation: dict[tuple[int, int], int] = {}
@@ -137,8 +137,8 @@ def height_accumulate(scene: PointCloud, cell_size: float = DEFAULT_MAP_CELL) ->
     for ix, iy, iz in vox:
         cell = (int(ix), int(iy))
         accumulation[cell] = accumulation.get(cell, 0) + 1
-        top = (iz + 1) * cell_size    # top face of the voxel
-        bottom = iz * cell_size
+        top = (iz + 1) * MAP_CELL    # top face of the voxel
+        bottom = iz * MAP_CELL
         if cell not in max_h or top > max_h[cell]:
             max_h[cell] = top
         if cell not in min_h or bottom < min_h[cell]:
@@ -148,9 +148,4 @@ def height_accumulate(scene: PointCloud, cell_size: float = DEFAULT_MAP_CELL) ->
     k = max(1, int(np.ceil(FLOOR_QUANTILE * len(minima))))
     floor = float(np.mean(minima[:k]))
 
-    return OccupancyMap2D(
-        cell_size=cell_size,
-        accumulation=accumulation,
-        max_height=max_h,
-        floor_height=floor,
-    )
+    return OccupancyMap2D(accumulation=accumulation, max_height=max_h, floor_height=floor)

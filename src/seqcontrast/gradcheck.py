@@ -54,24 +54,18 @@ def relative_error(analytic: float, numeric: float, floor: float = 1e-6) -> floa
     return diff / max(abs(analytic), abs(numeric), floor)
 
 
-def check_term(
-    seed: int,
-    weights: LossWeights,
-    n_components: int = 20,
-    h: float = FD_STEP,
-    refine_tolerance: float = TOLERANCE,
-) -> list[tuple[str, float, float, float]]:
+def check_term(seed: int, weights: LossWeights, n_components: int = 20) -> list[tuple[str, float, float, float]]:
     """Gradient check of one weighted loss configuration.
 
     Returns (parameter name, analytic, numeric, relative error) per sampled
     component.
 
-    A component whose error exceeds ``refine_tolerance`` is re-measured at
-    h/10. When a ReLU pre-activation happens to lie within ``h`` of its kink,
-    the central difference straddles the non-differentiable point and reports
-    a spurious error; the refined step no longer crosses the kink and
-    converges to the analytic value, whereas a genuinely wrong gradient fails
-    at every step size.
+    A component whose error exceeds ``TOLERANCE`` is re-measured at
+    ``FD_STEP / 10``. When a ReLU pre-activation happens to lie within
+    ``FD_STEP`` of its kink, the central difference straddles the
+    non-differentiable point and reports a spurious error; the refined step
+    no longer crosses the kink and converges to the analytic value, whereas a
+    genuinely wrong gradient fails at every step size.
     """
     rng = np.random.default_rng(seed)
     model = tiny_model()
@@ -111,11 +105,11 @@ def check_term(
         flat = params[name].value.reshape(-1)
         idx = int(rng.integers(0, flat.size))
         orig = flat[idx]
-        numeric = central_diff(flat, idx, orig, h)
+        numeric = central_diff(flat, idx, orig, FD_STEP)
         a = float(analytic[name].reshape(-1)[idx])
         rel = relative_error(a, numeric)
-        if rel > refine_tolerance:
-            refined = central_diff(flat, idx, orig, h / 10)
+        if rel > TOLERANCE:
+            refined = central_diff(flat, idx, orig, FD_STEP / 10)
             refined_rel = relative_error(a, refined)
             if refined_rel < rel:
                 numeric, rel = refined, refined_rel

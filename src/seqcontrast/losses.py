@@ -40,15 +40,12 @@ class LossWeights:
 
 @dataclass
 class LossReport:
-    """Per-term values and bookkeeping for one training step."""
+    """Per-term loss values of one sequence or one training step."""
 
     l_3d: float = 0.0
     l_3d4d: float = 0.0
     l_4d: float = 0.0
     total: float = 0.0
-    correspondences_3d: int = 0
-    correspondences_3d4d: int = 0
-    correspondences_4d: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
 
 

@@ -7,10 +7,12 @@ channels. Both heads preserve the coordinate set of their input voxels.
 `sparse.channel_norm` runs before every activation of the residual blocks and
 the predictor, and on the projection output.
 
-Both branches share one entry per job, told apart by their parameter prefix
-("3d" or "4d"): `encode` gives ``z`` and `predict` gives ``p`` from it;
-`unet_forward` alone gives the backbone features. The conv weight shapes
-follow `sparse`: ``SUB_KERNEL**d`` offsets at stride 1, ``2**d`` at stride 2.
+Both branches share one entry per job, and each finds its tensors by its
+dimension d (``unet{d}d.``, ``proj{d}d.``, ``pred{d}d.``): `encode` gives
+``z`` and `predict` gives ``p`` from it; `unet_forward` alone gives the
+backbone features. Every U-Net level holds one residual block. The conv
+weight shapes follow `sparse`: ``SUB_KERNEL**d`` offsets at stride 1, ``2**d``
+at stride 2.
 """
 
 from __future__ import annotations
@@ -30,6 +32,7 @@ from .sparse import SparseTensor
 VOXEL_3D = 0.02  # m
 VOXEL_4D = 0.05  # m
 IN_CHANNELS = 3  # occupancy repeated to three channels
+BACKBONE = "unet3d."  # name prefix of the 3D U-Net's tensors, the backbone shipped downstream
 
 
 @dataclass(frozen=True)
@@ -38,7 +41,6 @@ class UNetConfig:
 
     dim: int
     channels: tuple[int, ...]          # one entry per resolution level
-    block_depth: int = 1               # residual blocks per level
     projection_width: int = 32
 
     def __post_init__(self):
@@ -69,6 +71,8 @@ class ModelConfig:
         for name in ("voxel3d", "voxel4d"):
             if getattr(self, name) <= 0:
                 raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if (self.unet3d.dim, self.unet4d.dim) != (3, 4):
+            raise ConfigError(f"the U-Nets must be 3D and 4D, got {self.unet3d.dim}D and {self.unet4d.dim}D")
 
 
 # ---------------------------------------------------------------------------
@@ -81,41 +85,40 @@ def _init_weight(rng: np.random.Generator, shape: tuple[int, ...], dtype) -> np.
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
-def _head_shapes(cfg: UNetConfig, prefix: str) -> dict[str, tuple[int, ...]]:
+def _head_shapes(cfg: UNetConfig) -> dict[str, tuple[int, ...]]:
     """Shapes of all tensors of one branch (U-Net + projection + predictor)."""
     k = sp.SUB_KERNEL ** cfg.dim
     up_k = 2 ** cfg.dim
     ch = cfg.channels
+    d = f"{cfg.dim}d"
     shapes: dict[str, tuple[int, ...]] = {}
-    shapes[f"unet{prefix}.stem.w"] = (IN_CHANNELS, ch[0])
-    shapes[f"unet{prefix}.stem.b"] = (ch[0],)
+    shapes[f"unet{d}.stem.w"] = (IN_CHANNELS, ch[0])
+    shapes[f"unet{d}.stem.b"] = (ch[0],)
     for lvl, c in enumerate(ch):
-        for b in range(cfg.block_depth):
-            shapes[f"unet{prefix}.enc{lvl}.block{b}.conv1.w"] = (k, c, c)
-            shapes[f"unet{prefix}.enc{lvl}.block{b}.conv2.w"] = (k, c, c)
+        shapes[f"unet{d}.enc{lvl}.block0.conv1.w"] = (k, c, c)
+        shapes[f"unet{d}.enc{lvl}.block0.conv2.w"] = (k, c, c)
         if lvl < cfg.levels - 1:
-            shapes[f"unet{prefix}.down{lvl}.w"] = (up_k, c, ch[lvl + 1])
+            shapes[f"unet{d}.down{lvl}.w"] = (up_k, c, ch[lvl + 1])
     for lvl in range(cfg.levels - 1, 0, -1):
         # transpose conv from level lvl to lvl-1: adjoint applies W^T
-        shapes[f"unet{prefix}.up{lvl}.w"] = (up_k, ch[lvl - 1], ch[lvl])
-        shapes[f"unet{prefix}.dec{lvl - 1}.reduce.w"] = (2 * ch[lvl - 1], ch[lvl - 1])
-        shapes[f"unet{prefix}.dec{lvl - 1}.reduce.b"] = (ch[lvl - 1],)
-        for b in range(cfg.block_depth):
-            shapes[f"unet{prefix}.dec{lvl - 1}.block{b}.conv1.w"] = (k, ch[lvl - 1], ch[lvl - 1])
-            shapes[f"unet{prefix}.dec{lvl - 1}.block{b}.conv2.w"] = (k, ch[lvl - 1], ch[lvl - 1])
+        shapes[f"unet{d}.up{lvl}.w"] = (up_k, ch[lvl - 1], ch[lvl])
+        shapes[f"unet{d}.dec{lvl - 1}.reduce.w"] = (2 * ch[lvl - 1], ch[lvl - 1])
+        shapes[f"unet{d}.dec{lvl - 1}.reduce.b"] = (ch[lvl - 1],)
+        shapes[f"unet{d}.dec{lvl - 1}.block0.conv1.w"] = (k, ch[lvl - 1], ch[lvl - 1])
+        shapes[f"unet{d}.dec{lvl - 1}.block0.conv2.w"] = (k, ch[lvl - 1], ch[lvl - 1])
     w = cfg.projection_width
-    shapes[f"proj{prefix}.w"] = (ch[0], w)
-    shapes[f"proj{prefix}.b"] = (w,)
-    shapes[f"pred{prefix}.l1.w"] = (w, w)
-    shapes[f"pred{prefix}.l1.b"] = (w,)
-    shapes[f"pred{prefix}.l2.w"] = (w, w)
-    shapes[f"pred{prefix}.l2.b"] = (w,)
+    shapes[f"proj{d}.w"] = (ch[0], w)
+    shapes[f"proj{d}.b"] = (w,)
+    shapes[f"pred{d}.l1.w"] = (w, w)
+    shapes[f"pred{d}.l1.b"] = (w,)
+    shapes[f"pred{d}.l2.w"] = (w, w)
+    shapes[f"pred{d}.l2.b"] = (w,)
     return shapes
 
 
 def parameter_shapes(model: ModelConfig) -> dict[str, tuple[int, ...]]:
     """Name and shape of every tensor of the model, both branches."""
-    return _head_shapes(model.unet3d, "3d") | _head_shapes(model.unet4d, "4d")
+    return _head_shapes(model.unet3d) | _head_shapes(model.unet4d)
 
 
 def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dict[str, Var]:
@@ -147,14 +150,13 @@ def _resblock(x: SparseTensor, params, name: str, cache) -> SparseTensor:
     return sp.add(x, h)
 
 
-def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
+def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, cache: dict | None = None) -> SparseTensor:
     """U-Net over a sparse tensor; output coordinates equal input coordinates."""
-    base = f"unet{prefix}"
+    base = f"unet{cfg.dim}d"
     x = sp.linear_1x1(x, params[f"{base}.stem.w"], params[f"{base}.stem.b"])
     skips = []
     for lvl in range(cfg.levels):
-        for b in range(cfg.block_depth):
-            x = _resblock(x, params, f"{base}.enc{lvl}.block{b}", cache)
+        x = _resblock(x, params, f"{base}.enc{lvl}.block0", cache)
         skips.append(x)
         if lvl < cfg.levels - 1:
             x = sp.sparse_conv(x, params[f"{base}.down{lvl}.w"], stride=2, cache=cache)
@@ -163,30 +165,30 @@ def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefi
         x = sp.transpose_conv(x, params[f"{base}.up{lvl}.w"], skip.coords, skip.stride, cache=cache)
         x = sp.concat(x, skip)
         x = sp.linear_1x1(x, params[f"{base}.dec{lvl - 1}.reduce.w"], params[f"{base}.dec{lvl - 1}.reduce.b"])
-        for b in range(cfg.block_depth):
-            x = _resblock(x, params, f"{base}.dec{lvl - 1}.block{b}", cache)
+        x = _resblock(x, params, f"{base}.dec{lvl - 1}.block0", cache)
     return x
 
 
-def project(x: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTensor:
+def project(x: SparseTensor, params: dict[str, Var]) -> SparseTensor:
     """Pointwise projection head.
 
     The output is standardized across the occupied voxels: a constant feature
     field cannot satisfy the normalization, which blocks the trivial collapsed
     solution of the matching losses.
     """
-    return sp.channel_norm(sp.linear_1x1(x, params[f"proj{prefix}.w"], params[f"proj{prefix}.b"]))
+    return sp.channel_norm(sp.linear_1x1(x, params[f"proj{x.dim}d.w"], params[f"proj{x.dim}d.b"]))
 
 
-def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, prefix: str, cache: dict | None = None) -> SparseTensor:
+def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, cache: dict | None = None) -> SparseTensor:
     """Per-voxel projection-head features ``z``: U-Net, then projection."""
-    return project(unet_forward(x, params, cfg, prefix, cache), params, prefix)
+    return project(unet_forward(x, params, cfg, cache), params)
 
 
-def predict(z: SparseTensor, params: dict[str, Var], prefix: str) -> SparseTensor:
-    h = sp.linear_1x1(z, params[f"pred{prefix}.l1.w"], params[f"pred{prefix}.l1.b"])
+def predict(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
+    d = f"{z.dim}d"
+    h = sp.linear_1x1(z, params[f"pred{d}.l1.w"], params[f"pred{d}.l1.b"])
     h = sp.relu(sp.channel_norm(h))
-    return sp.linear_1x1(h, params[f"pred{prefix}.l2.w"], params[f"pred{prefix}.l2.b"])
+    return sp.linear_1x1(h, params[f"pred{d}.l2.w"], params[f"pred{d}.l2.b"])
 
 
 # ---------------------------------------------------------------------------

@@ -21,6 +21,7 @@ from .errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFai
 from .formats import write_sidecar
 from .geom import (
     FLOOR_BAND,
+    MAP_CELL,
     OBJECT_ID_OFFSET,
     OccupancyMap2D,
     PointCloud,
@@ -97,10 +98,10 @@ class Sequence:
 
 @dataclass
 class CorrespondenceSet:
-    """Exact matches between frames, plus the per-frame participating points."""
+    """Exact matches between frames: point indices of frame i and of frame j
+    per frame pair (i, j), i < j."""
 
     pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-    per_frame: list[np.ndarray]
 
     def pairs(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
         if (i, j) in self.pair_maps:
@@ -131,12 +132,12 @@ def valid_positions(occ: OccupancyMap2D, object_radius: float) -> set[tuple[int,
     }
     if object_radius == 0:
         return traversable
-    r_cells = int(np.floor(object_radius / occ.cell_size))
+    r_cells = int(np.floor(object_radius / MAP_CELL))
     offsets = [
         (dx, dy)
         for dx in range(-r_cells, r_cells + 1)
         for dy in range(-r_cells, r_cells + 1)
-        if np.hypot(dx, dy) * occ.cell_size <= object_radius
+        if np.hypot(dx, dy) * MAP_CELL <= object_radius
     ]
     return {
         c for c in traversable
@@ -148,12 +149,7 @@ def _wrap_angle(a: float) -> float:
     return float((a + np.pi) % (2 * np.pi) - np.pi)
 
 
-def sample_trajectory(
-    candidates: set[tuple[int, int]],
-    t: int,
-    rng: np.random.Generator,
-    cell_size: float = 0.10,
-) -> Trajectory:
+def sample_trajectory(candidates: set[tuple[int, int]], t: int, rng: np.random.Generator) -> Trajectory:
     """Random walk over candidate cells with bounded step length and turn.
 
     Each step samples a distance in [STEP_MIN, STEP_MAX] and a direction
@@ -167,7 +163,7 @@ def sample_trajectory(
         raise ValueError("t must be >= 1")
 
     cells = sorted(candidates)
-    centers = (np.array(cells, dtype=np.float64) + 0.5) * cell_size
+    centers = (np.array(cells, dtype=np.float64) + 0.5) * MAP_CELL
 
     start = int(rng.integers(0, len(cells)))
     positions = [centers[start]]
@@ -207,15 +203,11 @@ def sample_trajectory(
     return Trajectory(np.array(positions), np.array(headings))
 
 
-def trajectory_violations(
-    traj: Trajectory,
-    candidates: set[tuple[int, int]],
-    cell_size: float = 0.10,
-) -> list[str]:
+def trajectory_violations(traj: Trajectory, candidates: set[tuple[int, int]]) -> list[str]:
     """Independent validator; returns a description of each violated constraint."""
     problems = []
     for k, pos in enumerate(traj.positions):
-        cell = tuple(np.floor(pos / cell_size).astype(int))
+        cell = tuple(np.floor(pos / MAP_CELL).astype(int))
         if cell not in candidates:
             problems.append(f"waypoint {k} at invalid cell {cell}")
     steps = np.diff(traj.positions, axis=0)
@@ -350,8 +342,7 @@ def build_correspondences(seq: Sequence) -> CorrespondenceSet:
                 return_indices=True,
             )
             pair_maps[(i, j)] = (ia, ib)
-    per_frame = [np.arange(len(f.cloud), dtype=np.int64) for f in seq.frames]
-    return CorrespondenceSet(pair_maps, per_frame)
+    return CorrespondenceSet(pair_maps)
 
 
 # ---------------------------------------------------------------------------
@@ -435,15 +426,13 @@ class GenParams:
     t: int = 4
     object_sample: int = OBJECT_SAMPLE_POINTS
     scene_cell: float = SCENE_SAMPLE_CELL
-    map_cell: float = 0.10
 
     def __post_init__(self):
         for name in ("per_scene", "t", "object_sample"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        for name in ("scene_cell", "map_cell"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+        if self.scene_cell <= 0:
+            raise ConfigError(f"scene_cell must be positive, got {self.scene_cell}")
 
 
 def make_sequence(
@@ -465,7 +454,7 @@ def make_sequence(
         traj = None
         for _ in range(START_ATTEMPTS):
             try:
-                traj = sample_trajectory(candidates, params.t, rng, cell_size=params.map_cell)
+                traj = sample_trajectory(candidates, params.t, rng)
                 break
             except TrajectoryFailure:
                 continue
@@ -545,7 +534,7 @@ def generate_dataset(
 
     tasks = []
     for scene_idx, scene in enumerate(scenes):
-        occ = height_accumulate(scene, params.map_cell)
+        occ = height_accumulate(scene)
         candidates_by_radius = [valid_positions(occ, r) for r in object_radii]
         if not any(candidates_by_radius):
             log.warning("scene %d has no valid positions; skipped", scene_idx)

@@ -356,12 +356,9 @@ def relu(x: SparseTensor) -> SparseTensor:
     return SparseTensor(x.coords, ad.relu(x.feats), x.stride)
 
 
-def linear_1x1(x: SparseTensor, weight: Var, bias: Var | None = None) -> SparseTensor:
+def linear_1x1(x: SparseTensor, weight: Var, bias: Var) -> SparseTensor:
     """1x...x1 convolution: a per-coordinate affine map."""
-    out = ad.matmul(x.feats, weight)
-    if bias is not None:
-        out = ad.add_bias(out, bias)
-    return SparseTensor(x.coords, out, x.stride)
+    return SparseTensor(x.coords, ad.add_bias(ad.matmul(x.feats, weight), bias), x.stride)
 
 
 def add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

@@ -95,9 +95,10 @@ class _SequenceState:
                 ia, ib = ia[pick], ib[pick]
             self.pair_maps[key] = (ia, ib)
         self.per_frame = []
-        for idx in corr.per_frame:
+        for frame in seq.frames:
+            idx = np.arange(len(frame.cloud), dtype=np.int64)
             if cfg.max_points_3d4d and len(idx) > cfg.max_points_3d4d:
-                idx = np.sort(rng.choice(idx, size=cfg.max_points_3d4d, replace=False))
+                idx = np.sort(rng.choice(len(idx), size=cfg.max_points_3d4d, replace=False))
             self.per_frame.append(idx)
         self.static_views = [f.static_view().points for f in seq.frames]
 
@@ -135,21 +136,21 @@ def sequence_loss(
     # every frame of a view shares one feature matrix; the index maps pick rows
     p3 = z3 = p4 = z4 = None
     if w.w_3d > 0 or w.w_3d4d > 0:
-        z_t = nets.encode(x3, params, model.unet3d, "3d", state.cache)
-        z3, p3 = z_t.feats, nets.predict(z_t, params, "3d").feats
+        z_t = nets.encode(x3, params, model.unet3d, state.cache)
+        z3, p3 = z_t.feats, nets.predict(z_t, params).feats
     if w.w_4d > 0 or w.w_3d4d > 0:
-        z_t = nets.encode(x4, params, model.unet4d, "4d", state.cache)
-        z4, p4 = z_t.feats, nets.predict(z_t, params, "4d").feats
+        z_t = nets.encode(x4, params, model.unet4d, state.cache)
+        z4, p4 = z_t.feats, nets.predict(z_t, params).feats
 
     zero = Var(np.asarray(0.0, dtype=dtype))
     report = LossReport(weights=w)
     l3 = l34 = l4 = zero
     if w.w_3d > 0:
-        l3, report.correspondences_3d = loss_3d(p3, z3, pairs3)
+        l3, _ = loss_3d(p3, z3, pairs3)
     if w.w_3d4d > 0:
-        l34, report.correspondences_3d4d = loss_3d4d(p3, z3, p4, z4, frames34)
+        l34, _ = loss_3d4d(p3, z3, p4, z4, frames34)
     if w.w_4d > 0:
-        l4, report.correspondences_4d = loss_4d(p4, z4, pairs4)
+        l4, _ = loss_4d(p4, z4, pairs4)
     total = loss_total(l3, l34, l4, w)
     report.l_3d = float(l3.value)
     report.l_3d4d = float(l34.value)
@@ -186,8 +187,8 @@ def _check_tensors(path, tensors: dict[str, np.ndarray], shapes: dict[str, tuple
     """Raise `DataFormatError` unless ``tensors`` are all of the model's
     tensors ``shapes``, or all of its 3D U-Net ones (a backbone export), each
     at its shape."""
-    if all(k.startswith("unet3d.") for k in tensors):
-        shapes = {k: v for k, v in shapes.items() if k.startswith("unet3d.")}
+    if all(k.startswith(nets.BACKBONE) for k in tensors):
+        shapes = {k: v for k, v in shapes.items() if k.startswith(nets.BACKBONE)}
     missing, extra = sorted(shapes.keys() - tensors.keys()), sorted(tensors.keys() - shapes.keys())
     if missing:
         raise DataFormatError(f"{path}: tensor {missing[0]!r} of the stored model is missing")
@@ -223,7 +224,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
 
 def export_backbone(ckpt: Checkpoint) -> Checkpoint:
     """Keep only the 3D U-Net weights (no projector, predictor, or 4D head)."""
-    tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith("unet3d.")}
+    tensors = {k: v for k, v in ckpt.tensors.items() if k.startswith(nets.BACKBONE)}
     if not tensors:
         raise ValueError("checkpoint has no 3D backbone tensors")
     return Checkpoint(tensors, ckpt.step, ckpt.model, ckpt.train)
@@ -240,7 +241,7 @@ def backbone_features(points: np.ndarray, ckpt: Checkpoint) -> tuple[np.ndarray,
     backbone features, per-point voxel rows). No projection head is applied,
     so a backbone-only checkpoint from `export_backbone` suffices."""
     x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
-    out = nets.unet_forward(x, _inference_params(ckpt, "unet3d."), ckpt.model.unet3d, "3d", cache={})
+    out = nets.unet_forward(x, _inference_params(ckpt, nets.BACKBONE), ckpt.model.unet3d, cache={})
     return out.feats.value, rows
 
 
@@ -254,7 +255,7 @@ def projection_features(frames: list[np.ndarray], ckpt: Checkpoint) -> list[np.n
     out = []
     for points in frames:
         x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
-        z = nets.encode(x, params, ckpt.model.unet3d, "3d", cache={})
+        z = nets.encode(x, params, ckpt.model.unet3d, cache={})
         out.append(z.feats.value[rows])
     return out
 
@@ -334,9 +335,6 @@ def pretrain(
                 step_report.l_3d4d += rep.l_3d4d / len(batch)
                 step_report.l_4d += rep.l_4d / len(batch)
                 step_report.total += rep.total / len(batch)
-                step_report.correspondences_3d += rep.correspondences_3d
-                step_report.correspondences_3d4d += rep.correspondences_3d4d
-                step_report.correspondences_4d += rep.correspondences_4d
 
             lr = learning_rate_at(step, cfg)
             inv_b = 1.0 / len(batch)
@@ -383,23 +381,21 @@ def probe(
     The probe reads the backbone (U-Net) features, the representation
     `export_backbone` ships for downstream use, so a backbone-only checkpoint
     suffices. The untrained margin of these features is near zero."""
-    params = _inference_params(ckpt, "unet3d.")
+    params = _inference_params(ckpt, nets.BACKBONE)
     model = ckpt.model
     rng = np.random.default_rng(seed)
     corr_sims, rand_sims = [], []
-    dropped = 0
     for seq in sequences:
         corr = build_correspondences(seq)
         views = [frame.static_view().points for frame in seq.frames]
         x, rows = nets.frames_to_tensor(views, model.voxel3d)
-        z = nets.unet_forward(x, params, model.unet3d, "3d", cache={})
+        z = nets.unet_forward(x, params, model.unet3d, cache={})
         feats = [z.feats.value[r] for r in rows]
         t = len(seq.frames)
         for i in range(t):
             for j in range(i + 1, t):
                 ia, ib = corr.pairs(i, j)
                 if len(ia) == 0:
-                    dropped += 1
                     continue
                 if len(ia) > max_pairs_per_sequence:
                     pick = rng.choice(len(ia), size=max_pairs_per_sequence, replace=False)
@@ -415,7 +411,6 @@ def probe(
         "random": rand_mean,
         "margin": corr_mean - rand_mean,
         "pairs": int(sum(len(c) for c in corr_sims)),
-        "dropped": dropped,
     }
 
 

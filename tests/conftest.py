@@ -45,7 +45,7 @@ def small_object():
 
 @pytest.fixture(scope="session")
 def small_candidates(small_room, small_object):
-    occ = height_accumulate(small_room, 0.10)
+    occ = height_accumulate(small_room)
     cand = valid_positions(occ, object_footprint_radius(small_object))
     assert cand, "fixture room must admit placements"
     return occ, cand

@@ -18,7 +18,7 @@ from seqcontrast import sparse as sp
 from seqcontrast import synth
 from seqcontrast.autodiff import Var
 from seqcontrast.config import RunConfig
-from seqcontrast.geom import FLOOR_BAND, OBJECT_ID_OFFSET, height_accumulate
+from seqcontrast.geom import FLOOR_BAND, MAP_CELL, OBJECT_ID_OFFSET, height_accumulate
 from seqcontrast.gradcheck import run_gradcheck, tiny_model, tiny_sequence
 from seqcontrast.losses import LossWeights, loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
@@ -302,7 +302,7 @@ class TestP5GenerationConstraints:
         n_traj = 0
         candidate_sets = []
         for room in rooms[:4]:
-            occ = height_accumulate(room, 0.10)
+            occ = height_accumulate(room)
             candidate_sets.append((valid_positions(occ, 0.2), occ))
         while n_traj < 1000:
             cand, _ = candidate_sets[n_traj % len(candidate_sets)]
@@ -514,7 +514,7 @@ class TestP9PaperParityConfiguration:
     def test_p9(self):
         cfg = RunConfig()
         snapshot = {
-            "map_cell": (cfg.gen.map_cell, 0.10),
+            "map_cell": (MAP_CELL, 0.10),
             "floor_band": (FLOOR_BAND, 0.20),
             "voxel3d": (cfg.model.voxel3d, 0.02),
             "voxel4d": (cfg.model.voxel4d, 0.05),

@@ -92,7 +92,10 @@ class TestExitCodes:
         (lambda t: t.update({"config": np.frombuffer(
             bytes(t["config"]).replace(b'"dtype"', b'"normalize_losses": true, "dtype"'), np.uint8)}),
          "normalize_losses"),
-    ], ids=["wrong-shape", "missing-tensor", "removed-config-key"])
+        (lambda t: t.update({"config": np.frombuffer(
+            bytes(t["config"]).replace(b'"projection_width"', b'"block_depth": 1, "projection_width"'), np.uint8)}),
+         "block_depth"),
+    ], ids=["wrong-shape", "missing-tensor", "removed-config-key", "removed-unet-field"])
     def test_checkpoint_unlike_its_model_is_3(self, change, named, tmp_path, assets, capsys):
         *_, data, _ = assets
         model = ModelConfig(UNetConfig(3, (4, 8), projection_width=8), UNetConfig(4, (3, 6), projection_width=8))
@@ -294,8 +297,13 @@ PARENT_KEYS = {
     "unet4d_channels", "unet4d_block_depth", "unet4d_projection_width", "unet4d_normalize",
 }
 
-# options no run set, deleted with the branches behind them
-REMOVED_KEYS = {"normalize_losses", "sg_on_predictor_3d4d", "unet3d_normalize", "unet4d_normalize"}
+# options no run set off their defaults, deleted with the branches behind
+# them, each with a value it once took
+REMOVED_KEYS = {
+    "normalize_losses": "False", "sg_on_predictor_3d4d": "False",
+    "unet3d_normalize": "False", "unet4d_normalize": "False",
+    "map_cell": "0.1", "unet3d_block_depth": "1", "unet4d_block_depth": "1",
+}
 
 # every key at a valid value off its default, written as dump_config writes it
 OFF_DEFAULT = {
@@ -303,9 +311,9 @@ OFF_DEFAULT = {
     "decay_interval": "50", "seed": "16777217", "w_3d": "0.3", "w_3d4d": "0.7", "w_4d": "1.1",
     "voxel3d": "0.06", "voxel4d": "0.13", "momentum": "0.9", "dtype": "float64",
     "max_corr_per_pair": "7", "max_points_3d4d": "9",
-    "unet3d_channels": "4,8", "unet3d_block_depth": "2", "unet3d_projection_width": "8",
-    "unet4d_channels": "3,6,12", "unet4d_block_depth": "3", "unet4d_projection_width": "16",
-    "per_scene": "2", "t": "5", "object_sample": "300", "scene_cell": "0.05", "map_cell": "0.15",
+    "unet3d_channels": "4,8", "unet3d_projection_width": "8",
+    "unet4d_channels": "3,6,12", "unet4d_projection_width": "16",
+    "per_scene": "2", "t": "5", "object_sample": "300", "scene_cell": "0.05",
 }
 
 
@@ -337,8 +345,8 @@ class TestConfigRoundtrip:
 
     def test_key_set_is_the_parent_set_with_object_sample(self):
 
-        assert set(KEYS) == PARENT_KEYS - REMOVED_KEYS - {"object_points"} | {"object_sample"}
-        assert len(KEYS) == 26
+        assert set(KEYS) == PARENT_KEYS - set(REMOVED_KEYS) - {"object_points"} | {"object_sample"}
+        assert len(KEYS) == 23
 
     def test_every_key_roundtrips_off_default(self, tmp_path):
 
@@ -368,7 +376,7 @@ class TestConfigRoundtrip:
     @pytest.mark.parametrize("setting", [
         "learning_rate=0", "unet3d_channels=0", "object_points=300",
         "per_scene=-3", "t=0", "object_sample=0", "scene_cell=0", "map_cell=0",
-        *(f"{key}=False" for key in sorted(REMOVED_KEYS)),
+        *(f"{key}={value}" for key, value in sorted(REMOVED_KEYS.items())),
     ])
     def test_gen_with_invalid_or_old_key_is_3(self, assets, tmp_path, setting):
         _, rooms, objs, *_ = assets
@@ -383,3 +391,7 @@ class TestConfigRoundtrip:
         keys = re.findall(r"--set\s+(\w+)=", readme)
         assert keys
         assert set(keys) <= set(KEYS)
+
+    def test_readme_key_count_is_the_schema_count(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        assert [int(n) for n in re.findall(r"The (\d+) keys are", readme)] == [len(KEYS)]

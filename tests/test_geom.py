@@ -94,30 +94,30 @@ class TestSimilarityTransform:
 
 class TestHeightAccumulate:
     def test_single_point(self):
-        occ = height_accumulate(cloud((0, 0, 0)), 0.1)
+        occ = height_accumulate(cloud((0, 0, 0)))
         assert occ.accumulation[(0, 0)] == 1
 
     def test_two_voxels_one_column(self):
-        occ = height_accumulate(cloud((0.05, 0.05, 0.0), (0.05, 0.05, 0.5)), 0.1)
+        occ = height_accumulate(cloud((0.05, 0.05, 0.0), (0.05, 0.05, 0.5)))
         assert occ.accumulation[(0, 0)] == 2
 
     def test_same_voxel_counts_once(self):
-        occ = height_accumulate(cloud((0.01, 0.01, 0.02), (0.03, 0.02, 0.07)), 0.1)
+        occ = height_accumulate(cloud((0.01, 0.01, 0.02), (0.03, 0.02, 0.07)))
         assert occ.accumulation[(0, 0)] == 1
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
-            height_accumulate(PointCloud(np.empty((0, 3))), 0.1)
+            height_accumulate(PointCloud(np.empty((0, 3))))
 
     def test_max_height_is_voxel_top(self):
-        occ = height_accumulate(cloud((0.05, 0.05, 0.23)), 0.1)
+        occ = height_accumulate(cloud((0.05, 0.05, 0.23)))
         assert occ.max_height[(0, 0)] == pytest.approx(0.3)
 
     def test_flat_floor_height(self):
         rng = np.random.default_rng(2)
         xy = rng.uniform(0, 2, size=(400, 2))
         pts = np.column_stack([xy, np.full(400, 0.02)])
-        occ = height_accumulate(PointCloud(pts), 0.1)
+        occ = height_accumulate(PointCloud(pts))
         assert occ.floor_height == pytest.approx(0.0)
 
     @settings(max_examples=25, deadline=None)
@@ -125,7 +125,7 @@ class TestHeightAccumulate:
     def test_counts_match_bruteforce(self, seed, n):
         rng = np.random.default_rng(seed)
         pts = rng.uniform(-2, 2, size=(n, 3))
-        occ = height_accumulate(PointCloud(pts), 0.1)
+        occ = height_accumulate(PointCloud(pts))
         vox = {tuple(v) for v in voxel_indices(pts, 0.1)}
         expect = {}
         for ix, iy, iz in vox:

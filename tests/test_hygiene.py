@@ -11,9 +11,10 @@ SRC = ROOT / "src" / "seqcontrast"
 
 # Kept although only tests use them: the scikit-learn estimator convention,
 # the independent trajectory validator the generation tests compare against,
-# the documented usage exit code, and the reader of the sidecar format that
-# `gen` writes.
-TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE", "read_sidecar"}
+# the documented usage exit code, the reader of the sidecar format that `gen`
+# writes, and the inverse transform the correspondence tests map object
+# points back to canonical coordinates with.
+TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE", "read_sidecar", "inverse"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -49,38 +50,56 @@ def test_no_unused_imports(path):
 
 
 def defined_names(source: str) -> set[str]:
-    """Module-level functions, classes and assigned names, and the methods of
-    module-level classes; dunder names are left out."""
+    """Module-level functions, classes and assigned names; dunder names are
+    left out."""
     names = set()
     for node in ast.parse(source).body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             names.add(node.name)
-        if isinstance(node, ast.ClassDef):
-            names.update(sub.name for sub in node.body if isinstance(sub, ast.FunctionDef))
         targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
         names.update(t.id for t in targets if isinstance(t, ast.Name))
     return {n for n in names if not n.startswith("__")}
 
 
-def referenced_names(source: str) -> set[str]:
-    """Names a module reads or looks up: loaded names, attributes, and string
-    constants that are one identifier (names patched or fetched by string)."""
+def method_names(source: str) -> set[str]:
+    """The methods of module-level classes; dunder names are left out."""
+    return {
+        sub.name for node in ast.parse(source).body if isinstance(node, ast.ClassDef)
+        for sub in node.body if isinstance(sub, ast.FunctionDef) and not sub.name.startswith("__")
+    }
+
+
+def attribute_names(source: str) -> set[str]:
+    """Names a module looks up on an object: attributes, and string constants
+    that are one identifier (names patched or fetched by string)."""
     used = set()
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store):
-            used.add(node.id)
-        elif isinstance(node, ast.Attribute):
+        if isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.Constant) and isinstance(node.value, str) and node.value.isidentifier():
             used.add(node.value)
     return used
 
 
+def referenced_names(source: str) -> set[str]:
+    """Names a module reads or looks up: loaded names and `attribute_names`."""
+    loaded = {
+        node.id for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Name) and not isinstance(node.ctx, ast.Store)
+    }
+    return loaded | attribute_names(source)
+
+
 def test_detects_a_name_nothing_references():
     source = "X = 1\ndef f():\n    return g()\ndef g():\n    pass\nclass C:\n    def m(self):\n        pass\n"
-    assert defined_names(source) == {"X", "f", "g", "C", "m"}
-    assert defined_names(source) - referenced_names(source) == {"X", "f", "C", "m"}
+    assert defined_names(source) == {"X", "f", "g", "C"}
+    assert method_names(source) == {"m"}
+    assert defined_names(source) - referenced_names(source) == {"X", "f", "C"}
     assert referenced_names("patch(mod, 'f')\n'not a name'\n") >= {"patch", "mod", "f"}
+    # a local variable named like a method is no use of the method
+    shadowed = source + "def h(x):\n    m = x\n    return m\n"
+    assert method_names(shadowed) - attribute_names(shadowed) == {"m"}
+    assert method_names(source) - attribute_names(source + "C().m()\n") == set()
 
 
 def markdown_code_names(text: str) -> set[str]:
@@ -100,17 +119,22 @@ def test_detects_names_outside_markdown_code():
 def test_no_src_names_only_tests_use():
     """Every function, method, class and constant of the package is used by
     the package, the benchmark or the README's code, not by tests alone. A
-    benchmark name counts only if the benchmark does not define it itself."""
-    used = markdown_code_names((ROOT / "README.md").read_text())
-    for path in sorted((ROOT / "src").rglob("*.py")):
-        used |= referenced_names(path.read_text())
+    method counts as used only through an attribute (or by string), so a
+    local variable of the same name does not keep it. A benchmark name counts
+    only if the benchmark does not define it itself."""
+    readme = markdown_code_names((ROOT / "README.md").read_text())
+    src = [path.read_text() for path in sorted((ROOT / "src").rglob("*.py"))]
     bench = [path.read_text() for path in sorted((ROOT / "seqbench").rglob("*.py"))]
-    bench_defined = set().union(*(defined_names(source) for source in bench))
-    used |= set().union(*(referenced_names(source) for source in bench)) - bench_defined
+    bench_defined = set().union(*(defined_names(s) | method_names(s) for s in bench))
+    used = readme.union(*map(referenced_names, src), *(referenced_names(s) - bench_defined for s in bench))
+    looked_up = readme.union(*map(attribute_names, src), *(attribute_names(s) - bench_defined for s in bench))
     unused = [
         f"{path.name}: {name}"
         for path in sorted(SRC.glob("*.py"))
-        for name in sorted(defined_names(path.read_text()) - used - TEST_ONLY_ALLOWED)
+        for name in sorted(
+            ((defined_names(path.read_text()) - used) | (method_names(path.read_text()) - looked_up))
+            - TEST_ONLY_ALLOWED
+        )
     ]
     assert unused == []
 
@@ -129,10 +153,18 @@ def dataclass_fields(source: str) -> dict[str, list[str]]:
 
 
 def attribute_reads(source: str) -> set[str]:
-    """Attribute names a module reads (``x.name`` in a load context)."""
+    """Attribute names a module reads (``x.name`` in a load context), leaving
+    out a read that only feeds the attribute of the same name
+    (``a.f += b.f``): a field that is only summed into itself is never read."""
+    tree = ast.parse(source)
+    feeds = set()
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.Assign, ast.AugAssign)):
+            targets = {t.attr for t in getattr(node, "targets", [getattr(node, "target", None)]) if isinstance(t, ast.Attribute)}
+            feeds |= {id(sub) for sub in ast.walk(node.value) if isinstance(sub, ast.Attribute) and sub.attr in targets}
     return {
-        node.attr for node in ast.walk(ast.parse(source))
-        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+        node.attr for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load) and id(node) not in feeds
     }
 
 
@@ -140,10 +172,11 @@ def test_detects_a_field_nothing_reads():
     source = (
         "@dataclass(frozen=True)\nclass A:\n    x: int\n    y: int = 0\n"
         "@dataclass\nclass B:\n    z: int\nclass C:\n    w: int\n"
-        "def f(a, b):\n    b.z = a.x\n"
+        "def f(a, b):\n    b.z = a.x\n    b.y += a.y\n    b.y = a.y + 1\n"
     )
     assert dataclass_fields(source) == {"A": ["x", "y"], "B": ["z"]}
     assert attribute_reads(source) == {"x"}
+    assert attribute_reads("b.z = a.y\nb.y += a.z\n") == {"y", "z"}
 
 
 def test_no_dataclass_field_src_never_reads():

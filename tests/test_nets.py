@@ -5,7 +5,7 @@ import pytest
 
 from seqcontrast import nets
 from seqcontrast import sparse as sp
-from seqcontrast.errors import EmptyInputError
+from seqcontrast.errors import ConfigError, EmptyInputError
 from seqcontrast.nets import (
     ModelConfig,
     UNetConfig,
@@ -19,10 +19,11 @@ from seqcontrast.nets import (
 
 
 def expected_parameter_count(cfg: UNetConfig) -> int:
-    """Closed-form parameter count of one branch: stem, residual blocks,
-    down and up convs, decoder reductions, projection and predictor."""
-    k, up_k, ch, d, w = 3**cfg.dim, 2**cfg.dim, cfg.channels, cfg.block_depth, cfg.projection_width
-    blocks = sum(2 * d * k * c * c for c in ch) + sum(2 * d * k * c * c for c in ch[:-1])
+    """Closed-form parameter count of one branch: stem, one residual block
+    per level, down and up convs, decoder reductions, projection and
+    predictor."""
+    k, up_k, ch, w = 3**cfg.dim, 2**cfg.dim, cfg.channels, cfg.projection_width
+    blocks = sum(2 * k * c * c for c in ch) + sum(2 * k * c * c for c in ch[:-1])
     resample = 2 * sum(up_k * a * b for a, b in zip(ch, ch[1:]))
     reduce = sum(2 * c * c + c for c in ch[:-1])
     return 3 * ch[0] + ch[0] + blocks + resample + reduce + ch[0] * w + w + 2 * (w * w + w)
@@ -81,6 +82,12 @@ class TestVoxelization:
 
 
 class TestParameters:
+    def test_branch_dimensions_are_fixed(self):
+        with pytest.raises(ConfigError, match="3D and 4D"):
+            ModelConfig(unet3d=UNetConfig(dim=4, channels=(4,)))
+        with pytest.raises(ConfigError, match="3D and 4D"):
+            ModelConfig(unet4d=UNetConfig(dim=3, channels=(4,)))
+
     def test_count_matches_closed_form(self):
         model = tiny_model()
         params = build_parameters(model, seed=0)
@@ -117,7 +124,7 @@ class TestUNetForward:
         params = build_parameters(model, seed=1, dtype=np.float64)
         pts = rng.uniform(-2, 2, size=(200, 3))
         x, _ = points_to_tensor(pts, model.voxel3d, dtype=np.float64)
-        out = unet_forward(x, params, model.unet3d, "3d")
+        out = unet_forward(x, params, model.unet3d)
         np.testing.assert_array_equal(out.coords, x.coords)
         assert out.feats.value.shape == (len(x), model.unet3d.channels[0])
 
@@ -133,8 +140,8 @@ class TestUNetForward:
         shifted = sp.SparseTensor(
             x.coords + np.array([0, 2, 2, 2]), x.feats.value.copy(), x.stride
         )
-        a = unet_forward(x, params, model.unet3d, "3d")
-        b = unet_forward(shifted, params, model.unet3d, "3d")
+        a = unet_forward(x, params, model.unet3d)
+        b = unet_forward(shifted, params, model.unet3d)
         np.testing.assert_array_equal(a.feats.value, b.feats.value)
 
     def test_zero_weights_give_projection_bias(self):
@@ -148,10 +155,10 @@ class TestUNetForward:
         params["proj3d.b"].value = np.full_like(params["proj3d.b"].value, 0.25)
         pts = np.array([[0.0, 0, 0], [1.0, 1, 1]])
         x, _ = points_to_tensor(pts, model.voxel3d, dtype=np.float64)
-        h = unet_forward(x, params, model.unet3d, "3d")
+        h = unet_forward(x, params, model.unet3d)
         proj = sp.linear_1x1(h, params["proj3d.w"], params["proj3d.b"])
         np.testing.assert_array_equal(proj.feats.value, 0.25)
-        z = encode(x, params, model.unet3d, "3d")
+        z = encode(x, params, model.unet3d)
         np.testing.assert_array_equal(z.feats.value, 0.0)
 
     def test_encode_4d_shapes(self):
@@ -160,6 +167,6 @@ class TestUNetForward:
         params = build_parameters(model, seed=6, dtype=np.float64)
         seq = fake_sequence([rng.uniform(0, 4, size=(60, 3)) for _ in range(3)])
         tensor, rows = sequence_to_4d(seq, voxel_size=model.voxel4d, dtype=np.float64)
-        z = encode(tensor, params, model.unet4d, "4d")
+        z = encode(tensor, params, model.unet4d)
         assert z.feats.value.shape == (len(tensor), model.unet4d.projection_width)
         np.testing.assert_array_equal(z.coords, tensor.coords)

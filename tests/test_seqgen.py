@@ -49,7 +49,7 @@ class TestValidPositions:
         xy = rng.uniform(0, 1.0, size=(2000, 2))
         pts = np.column_stack([xy, np.zeros(2000)])
         pillar = np.array([[0.55, 0.55, z] for z in np.arange(0, 1.0, 0.05)])
-        occ = height_accumulate(PointCloud(np.vstack([pts, pillar])), 0.10)
+        occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
         cand = valid_positions(occ, 0.0)
         assert (5, 5) not in cand
         assert (1, 1) in cand
@@ -59,7 +59,7 @@ class TestValidPositions:
         xy = rng.uniform(0, 1.0, size=(3000, 2))
         pts = np.column_stack([xy, np.zeros(3000)])
         pillar = np.array([[0.55, 0.55, z] for z in np.arange(0, 1.0, 0.05)])
-        occ = height_accumulate(PointCloud(np.vstack([pts, pillar])), 0.10)
+        occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
         wide = valid_positions(occ, 0.25)
         # neighbors of the pillar fail the disc test at radius 0.25
         assert (5, 4) not in wide and (4, 5) not in wide
@@ -69,7 +69,7 @@ class TestValidPositions:
     def test_empty_map_raises(self):
         from seqcontrast.geom import OccupancyMap2D
 
-        empty = OccupancyMap2D(0.1, {}, {}, 0.0)
+        empty = OccupancyMap2D({}, {}, 0.0)
         with pytest.raises(EmptyInputError):
             valid_positions(empty, 0.1)
 

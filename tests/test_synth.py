@@ -39,7 +39,7 @@ class TestMakeRoom:
         single-count columns whose occupied voxel tops sit within the floor
         band, connected through 4-neighbor adjacency."""
         room = make_room(np.random.default_rng(seed))
-        occ = height_accumulate(room, 0.10)
+        occ = height_accumulate(room)
         flat = {
             c
             for c, n in occ.accumulation.items()

@@ -101,11 +101,11 @@ def gather_of_gather_loss(state, params, model, cfg):
     features frame by frame, and the losses gather from those."""
     dtype = cfg.np_dtype
     x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
-    z3v = nets.encode(x3, params, model.unet3d, "3d")
-    p3v = nets.predict(z3v, params, "3d")
+    z3v = nets.encode(x3, params, model.unet3d)
+    p3v = nets.predict(z3v, params)
     x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
-    z4v = nets.encode(x4, params, model.unet4d, "4d")
-    p4v = nets.predict(z4v, params, "4d")
+    z4v = nets.encode(x4, params, model.unet4d)
+    p4v = nets.predict(z4v, params)
     # per-point features of all frames, stacked: frame i starts at row off[i]
     z3, p3 = ad.rows(z3v.feats, np.concatenate(rows3)), ad.rows(p3v.feats, np.concatenate(rows3))
     z4, p4 = ad.rows(z4v.feats, np.concatenate(rows4)), ad.rows(p4v.feats, np.concatenate(rows4))
@@ -262,8 +262,8 @@ class TestCheckpointIO:
         from seqcontrast.losses import LossWeights
 
         model = ModelConfig(
-            UNetConfig(3, (5, 7, 9), block_depth=2, projection_width=6),
-            UNetConfig(4, (3,), block_depth=3, projection_width=10),
+            UNetConfig(3, (5, 7, 9), projection_width=6),
+            UNetConfig(4, (3,), projection_width=10),
             voxel3d=0.06, voxel4d=0.13,
         )
         train = TrainConfig(
