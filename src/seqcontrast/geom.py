@@ -50,6 +50,12 @@ class PointCloud:
         return len(self.points)
 
 
+_EYE3 = np.eye(3)
+# np.allclose(R @ R.T, I, atol=1e-9) written out: |a - b| <= atol + rtol * |b|
+# with numpy's default rtol, so the same matrices pass and fail.
+_ORTHONORMAL_TOL = 1e-9 + 1e-5 * np.abs(_EYE3)
+
+
 def rotation_about_up(yaw: float) -> np.ndarray:
     """3x3 rotation by ``yaw`` radians about the +z axis."""
     c, s = np.cos(yaw), np.sin(yaw)
@@ -68,7 +74,7 @@ class SimilarityTransform:
         R = np.asarray(self.rotation, dtype=np.float64)
         if R.shape != (3, 3):
             raise ValueError("rotation must be a 3x3 matrix")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9 or not np.allclose(R @ R.T, np.eye(3), atol=1e-9):
+        if abs(np.linalg.det(R) - 1.0) > 1e-9 or not np.all(np.abs(R @ R.T - _EYE3) <= _ORTHONORMAL_TOL):
             raise ValueError("rotation must be orthonormal with determinant +1")
         if not self.scale > 0:
             raise ValueError("scale must be positive")
@@ -110,6 +116,16 @@ def voxel_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
     return np.floor(np.asarray(points, dtype=np.float64) / cell_size).astype(np.int64)
 
 
+def unique_rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``np.unique(idx, axis=0, return_index=True)`` for an (N, d) integer
+    array: the distinct rows in lexicographic order, and where each first
+    occurs. A stable sort of the columns, without comparing rows as records."""
+    order = np.lexsort(idx.T[::-1])
+    rows = idx[order]
+    first = np.r_[True, np.any(rows[1:] != rows[:-1], axis=1)]
+    return rows[first], order[first]
+
+
 @dataclass
 class OccupancyMap2D:
     """Per-column summary of occupied voxels, used to find valid placements.
@@ -128,23 +144,17 @@ class OccupancyMap2D:
 
 def height_accumulate(scene: PointCloud) -> OccupancyMap2D:
     """Accumulate occupied surface voxels along the height axis into a 2D map."""
-    vox = voxel_indices(scene.points, MAP_CELL)
-    vox = np.unique(vox, axis=0)  # binary occupancy per 3D voxel
+    vox, _ = unique_rows(voxel_indices(scene.points, MAP_CELL))  # binary occupancy per 3D voxel
 
-    accumulation: dict[tuple[int, int], int] = {}
-    max_h: dict[tuple[int, int], float] = {}
-    min_h: dict[tuple[int, int], float] = {}
-    for ix, iy, iz in vox:
-        cell = (int(ix), int(iy))
-        accumulation[cell] = accumulation.get(cell, 0) + 1
-        top = (iz + 1) * MAP_CELL    # top face of the voxel
-        bottom = iz * MAP_CELL
-        if cell not in max_h or top > max_h[cell]:
-            max_h[cell] = top
-        if cell not in min_h or bottom < min_h[cell]:
-            min_h[cell] = bottom
+    # The rows are sorted by (ix, iy, iz), so each column is one run of rows
+    # with its lowest voxel first and its highest last.
+    starts = np.flatnonzero(np.r_[True, np.any(vox[1:, :2] != vox[:-1, :2], axis=1)])
+    ends = np.r_[starts[1:], len(vox)]
+    cells = list(zip(vox[starts, 0].tolist(), vox[starts, 1].tolist()))
+    accumulation = dict(zip(cells, (ends - starts).tolist()))
+    max_h = dict(zip(cells, ((vox[ends - 1, 2] + 1) * MAP_CELL).tolist()))  # top face of the voxel
 
-    minima = np.sort(np.array(list(min_h.values())))
+    minima = np.sort(vox[starts, 2] * MAP_CELL)
     k = max(1, int(np.ceil(FLOOR_QUANTILE * len(minima))))
     floor = float(np.mean(minima[:k]))
 

@@ -28,6 +28,7 @@ from .geom import (
     SimilarityTransform,
     apply_transform,
     height_accumulate,
+    unique_rows,
     voxel_indices,
 )
 from .synth import object_footprint_radius
@@ -126,23 +127,26 @@ def valid_positions(occ: OccupancyMap2D, object_radius: float) -> set[tuple[int,
     if object_radius < 0:
         raise ValueError("object_radius must be non-negative")
     limit = occ.floor_height + FLOOR_BAND
-    traversable = {
-        c for c, acc in occ.accumulation.items()
-        if acc <= 1 and occ.max_height[c] <= limit
-    }
-    if object_radius == 0:
-        return traversable
+    cells = np.array(list(occ.accumulation), dtype=np.int64)
+    acc = np.fromiter(occ.accumulation.values(), dtype=np.int64, count=len(cells))
+    top = np.array([occ.max_height[c] for c in occ.accumulation], dtype=np.float64)
+    cells = cells[(acc <= 1) & (top <= limit)]  # traversable
+    if not len(cells):
+        return set()
     r_cells = int(np.floor(object_radius / MAP_CELL))
-    offsets = [
-        (dx, dy)
-        for dx in range(-r_cells, r_cells + 1)
-        for dy in range(-r_cells, r_cells + 1)
-        if np.hypot(dx, dy) * MAP_CELL <= object_radius
-    ]
-    return {
-        c for c in traversable
-        if all((c[0] + dx, c[1] + dy) in traversable for dx, dy in offsets)
-    }
+    dx, dy = np.mgrid[-r_cells:r_cells + 1, -r_cells:r_cells + 1]
+    disc = np.hypot(dx, dy) * MAP_CELL <= object_radius
+    # Erode the traversable grid by the footprint disc: a cell survives when
+    # every offset in the disc lands on a traversable cell.
+    lo = cells.min(axis=0) - r_cells
+    size = cells.max(axis=0) - lo + r_cells + 1
+    grid = np.zeros(size, dtype=bool)
+    grid[tuple((cells - lo).T)] = True
+    w, h = size - 2 * r_cells
+    fits = grid[r_cells:r_cells + w, r_cells:r_cells + h].copy()
+    for ox, oy in zip(dx[disc] + r_cells, dy[disc] + r_cells):
+        fits &= grid[ox:ox + w, oy:oy + h]
+    return set(map(tuple, (np.argwhere(fits) + lo + r_cells).tolist()))
 
 
 def _wrap_angle(a: float) -> float:
@@ -235,7 +239,7 @@ def sample_scene_canonical(scene: PointCloud, rng: np.random.Generator, cell: fl
     """
     idx = voxel_indices(scene.points, cell)
     order = rng.permutation(len(scene))
-    _, first = np.unique(idx[order], axis=0, return_index=True)
+    _, first = unique_rows(idx[order])
     chosen = np.sort(order[first])
     return PointCloud(scene.points[chosen], np.arange(len(chosen), dtype=np.int64))
 
@@ -276,21 +280,27 @@ def augment_scene(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFra
     Only background scene points are candidates for removal; object points
     always survive.
     """
-    is_obj = frame.is_object()
-    keep = np.ones(len(frame.cloud), dtype=bool)
-    keep[~is_obj] &= rng.uniform(0.0, 1.0, size=int((~is_obj).sum())) < SCENE_KEEP_PROB
+    scene = np.flatnonzero(~frame.is_object())
+    kept = rng.uniform(0.0, 1.0, size=len(scene)) < SCENE_KEEP_PROB
 
-    scene_pts = frame.cloud.points[~is_obj]
-    if len(scene_pts):
-        lo, hi = scene_pts.min(axis=0), scene_pts.max(axis=0)
+    if len(scene):
+        # One contiguous column per axis: a chunk tests x on every scene row,
+        # then y and z only on the rows still inside.
+        cols = frame.cloud.points.T.take(scene, axis=1)
+        lo, hi = cols.min(axis=1), cols.max(axis=1)
         extent = float(np.max(hi - lo))
         for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
             edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * extent
             center = rng.uniform(lo, hi)
-            inside = np.all(np.abs(frame.cloud.points - center) <= edge / 2, axis=1)
-            keep &= is_obj | ~inside
+            inside = np.flatnonzero(np.abs(cols[0] - center[0]) <= edge / 2)
+            for axis in (1, 2):
+                inside = inside[np.abs(cols[axis, inside] - center[axis]) <= edge / 2]
+            kept[inside] = False
 
-    cloud = PointCloud(frame.cloud.points[keep], frame.cloud.provenance[keep])
+    keep = np.ones(len(frame.cloud), dtype=bool)
+    keep[scene] = kept
+    rows = np.flatnonzero(keep)
+    cloud = PointCloud(frame.cloud.points.take(rows, axis=0), frame.cloud.provenance.take(rows))
     return replace(frame, cloud=cloud)
 
 
@@ -303,6 +313,13 @@ def augment_frame_static(frame: SequenceFrame, rng: np.random.Generator) -> Sequ
     translation = rng.uniform(-STATIC_AUG_TRANSLATION, STATIC_AUG_TRANSLATION, size=3)
     scale = rng.uniform(*STATIC_AUG_SCALE)
     return replace(frame, static_aug=SimilarityTransform.from_yaw(yaw, translation, scale))
+
+
+def _sorted_unique(ids: np.ndarray) -> np.ndarray:
+    """``np.unique(ids)``, without the sort when ``ids`` already increases
+    strictly, as a generated frame's provenance does (scene ids, then object
+    ids, each ascending)."""
+    return ids if np.all(ids[1:] > ids[:-1]) else np.unique(ids)
 
 
 def validate_sequence(seq: Sequence) -> bool:
@@ -320,7 +337,7 @@ def validate_sequence(seq: Sequence) -> bool:
         if len(frame.cloud) / pre_count < MIN_RETENTION:
             return False
         ids = frame.cloud.provenance
-        common = ids if common is None else np.intersect1d(common, ids, assume_unique=False)
+        common = ids if common is None else np.intersect1d(_sorted_unique(common), _sorted_unique(ids), assume_unique=True)
     n_scene = int(np.sum(common < OBJECT_ID_OFFSET))
     n_obj = len(common) - n_scene
     return (

@@ -230,10 +230,11 @@ def export_backbone(ckpt: Checkpoint) -> Checkpoint:
     return Checkpoint(tensors, ckpt.step, ckpt.model, ckpt.train)
 
 
-def _inference_params(ckpt: Checkpoint, prefix: str = "") -> dict[str, Var]:
-    """The checkpoint tensors whose names start with ``prefix``, as float32
-    constants: inference runs in float32 whatever dtype the run trained in."""
-    return {k: Var(v.astype(np.float32)) for k, v in ckpt.tensors.items() if k.startswith(prefix)}
+def _inference_params(ckpt: Checkpoint, prefixes: str | tuple[str, ...]) -> dict[str, Var]:
+    """The checkpoint tensors whose names start with one of ``prefixes``, as
+    float32 constants: inference runs in float32 whatever dtype the run
+    trained in."""
+    return {k: Var(v.astype(np.float32)) for k, v in ckpt.tensors.items() if k.startswith(prefixes)}
 
 
 def backbone_features(points: np.ndarray, ckpt: Checkpoint) -> tuple[np.ndarray, np.ndarray]:
@@ -251,7 +252,7 @@ def projection_features(frames: list[np.ndarray], ckpt: Checkpoint) -> list[np.n
     forward pass per frame."""
     if "proj3d.w" not in ckpt.tensors:
         raise DataFormatError("the checkpoint has no projection head (a backbone export?)")
-    params = _inference_params(ckpt)
+    params = _inference_params(ckpt, (nets.BACKBONE, "proj3d."))
     out = []
     for points in frames:
         x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)

@@ -5,13 +5,34 @@ from hypothesis import strategies as st
 
 from seqcontrast.errors import EmptyInputError
 from seqcontrast.geom import (
+    FLOOR_QUANTILE,
+    MAP_CELL,
     PointCloud,
     SimilarityTransform,
     apply_transform,
     height_accumulate,
     rotation_about_up,
+    unique_rows,
     voxel_indices,
 )
+
+
+def height_accumulate_loop(scene):
+    """The per-voxel loop form of `height_accumulate`, kept as its reference."""
+    vox = np.unique(voxel_indices(scene.points, MAP_CELL), axis=0)
+    accumulation, max_h, min_h = {}, {}, {}
+    for ix, iy, iz in vox:
+        cell = (int(ix), int(iy))
+        accumulation[cell] = accumulation.get(cell, 0) + 1
+        top = (iz + 1) * MAP_CELL
+        bottom = iz * MAP_CELL
+        if cell not in max_h or top > max_h[cell]:
+            max_h[cell] = top
+        if cell not in min_h or bottom < min_h[cell]:
+            min_h[cell] = bottom
+    minima = np.sort(np.array(list(min_h.values())))
+    k = max(1, int(np.ceil(FLOOR_QUANTILE * len(minima))))
+    return accumulation, max_h, float(np.mean(minima[:k]))
 
 
 def cloud(*pts):
@@ -49,6 +70,19 @@ class TestVoxelize:
         assert cells(centers, 0.1) == occupied
 
 
+class TestUniqueRows:
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 500), d=st.integers(1, 4), span=st.integers(1, 1000))
+    def test_matches_numpy_unique(self, seed, n, d, span):
+        """Same rows, same order (signed, lexicographic) and same first
+        occurrences as ``np.unique(axis=0, return_index=True)``."""
+        idx = np.random.default_rng(seed).integers(-span, span, size=(n, d))
+        rows, first = unique_rows(idx)
+        want_rows, want_first = np.unique(idx, axis=0, return_index=True)
+        np.testing.assert_array_equal(rows, want_rows)
+        np.testing.assert_array_equal(first, want_first)
+
+
 class TestSimilarityTransform:
     def test_identity(self):
         c = cloud((1, 2, 3), (-1, 0, 4))
@@ -73,6 +107,35 @@ class TestSimilarityTransform:
             SimilarityTransform(rotation=np.eye(3) * 2)
         with pytest.raises(ValueError, match="3x3"):
             SimilarityTransform(rotation=0.5)  # a yaw goes through from_yaw
+
+    def test_skewed_rotation_rejected(self):
+        """A shear keeps the determinant at 1, so only the orthonormality test
+        can reject it: 1e-8 off orthonormal fails, 1e-10 passes."""
+        for skew, ok in ((1e-8, False), (-1e-8, False), (1e-10, True)):
+            R = np.eye(3)
+            R[0, 1] = skew
+            if ok:
+                SimilarityTransform(rotation=R)
+            else:
+                with pytest.raises(ValueError, match="orthonormal"):
+                    SimilarityTransform(rotation=R)
+
+    def test_rotation_check_matches_allclose(self):
+        rng = np.random.default_rng(3)
+        verdicts = set()
+        for _ in range(300):
+            R = rotation_about_up(rng.uniform(0, 2 * np.pi))
+            R = R + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12, -7)
+            R = R / np.cbrt(np.linalg.det(R))  # back to determinant ~1
+            want = abs(np.linalg.det(R) - 1.0) <= 1e-9 and np.allclose(R @ R.T, np.eye(3), atol=1e-9)
+            try:
+                SimilarityTransform(rotation=R)
+                got = True
+            except ValueError:
+                got = False
+            assert got == want
+            verdicts.add(got)
+        assert verdicts == {True, False}
 
     def test_nonpositive_scale_rejected(self):
         with pytest.raises(ValueError):
@@ -131,3 +194,29 @@ class TestHeightAccumulate:
         for ix, iy, iz in vox:
             expect[(ix, iy)] = expect.get((ix, iy), 0) + 1
         assert occ.accumulation == expect
+
+    @pytest.mark.parametrize(
+        "points",
+        [
+            [(0.05, 0.05, 0.23)],                                        # one voxel
+            [(-0.05, -0.15, -0.25), (-0.05, -0.15, 0.31), (0.2, -0.3, -0.01)],  # negative cells
+        ],
+    )
+    def test_matches_loop_on_small_scenes(self, points):
+        occ = height_accumulate(cloud(*points))
+        assert (occ.accumulation, occ.max_height, occ.floor_height) == height_accumulate_loop(cloud(*points))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 1000))
+    def test_matches_loop(self, seed, n):
+        rng = np.random.default_rng(seed)
+        scene = PointCloud(rng.uniform(-2, 2, size=(n, 3)) * rng.uniform(0.1, 1.0, size=3))
+        occ = height_accumulate(scene)
+        accumulation, max_h, floor = height_accumulate_loop(scene)
+        assert list(occ.accumulation.items()) == list(accumulation.items())
+        assert list(occ.max_height.items()) == list(max_h.items())
+        assert occ.floor_height == floor
+
+    def test_matches_loop_on_room(self, small_room):
+        occ = height_accumulate(small_room)
+        assert (occ.accumulation, occ.max_height, occ.floor_height) == height_accumulate_loop(small_room)

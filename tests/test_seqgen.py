@@ -4,7 +4,7 @@ import pytest
 from seqcontrast import seqgen
 from seqcontrast.errors import DataFormatError, EmptyInputError, TrajectoryFailure
 from seqcontrast.formats import read_sidecar
-from seqcontrast.geom import OBJECT_ID_OFFSET, PointCloud, height_accumulate
+from seqcontrast.geom import FLOOR_BAND, MAP_CELL, OBJECT_ID_OFFSET, PointCloud, SimilarityTransform, height_accumulate
 from seqcontrast.seqgen import (
     CHUNK_FRACTION_MAX,
     CHUNK_FRACTION_MIN,
@@ -12,6 +12,7 @@ from seqcontrast.seqgen import (
     CHUNKS_MIN,
     MIN_CONSISTENT,
     MIN_RETENTION,
+    SCENE_KEEP_PROB,
     STEP_MAX,
     STEP_MIN,
     TURN_LIMIT,
@@ -31,6 +32,52 @@ from seqcontrast.seqgen import (
     validate_sequence,
     write_sequence,
 )
+
+
+# Loop forms of the array code in `seqgen`, kept as references: the array
+# forms must give the same answers and draw the same random numbers.
+
+
+def valid_positions_loop(occ, object_radius):
+    limit = occ.floor_height + FLOOR_BAND
+    traversable = {c for c, acc in occ.accumulation.items() if acc <= 1 and occ.max_height[c] <= limit}
+    r_cells = int(np.floor(object_radius / MAP_CELL))
+    offsets = [
+        (dx, dy)
+        for dx in range(-r_cells, r_cells + 1)
+        for dy in range(-r_cells, r_cells + 1)
+        if np.hypot(dx, dy) * MAP_CELL <= object_radius
+    ]
+    return {c for c in traversable if all((c[0] + dx, c[1] + dy) in traversable for dx, dy in offsets)}
+
+
+def augment_scene_loop(frame, rng):
+    is_obj = frame.is_object()
+    keep = np.ones(len(frame.cloud), dtype=bool)
+    keep[~is_obj] &= rng.uniform(0.0, 1.0, size=int((~is_obj).sum())) < SCENE_KEEP_PROB
+    scene_pts = frame.cloud.points[~is_obj]
+    if len(scene_pts):
+        lo, hi = scene_pts.min(axis=0), scene_pts.max(axis=0)
+        extent = float(np.max(hi - lo))
+        for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
+            edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * extent
+            center = rng.uniform(lo, hi)
+            inside = np.all(np.abs(frame.cloud.points - center) <= edge / 2, axis=1)
+            keep &= is_obj | ~inside
+    return keep
+
+
+def validate_sequence_loop(seq):
+    pre_count = seq.scene_ref_points + seq.object_ref_points
+    common = None
+    for frame in seq.frames:
+        if len(frame.cloud) / pre_count < MIN_RETENTION:
+            return False
+        ids = frame.cloud.provenance
+        common = ids if common is None else np.intersect1d(common, ids, assume_unique=False)
+    n_scene = int(np.sum(common < OBJECT_ID_OFFSET))
+    n_obj = len(common) - n_scene
+    return n_scene / seq.scene_ref_points >= MIN_CONSISTENT and n_obj / seq.object_ref_points >= MIN_CONSISTENT
 
 
 def is_identity(transform) -> bool:
@@ -65,6 +112,33 @@ class TestValidPositions:
         assert (5, 4) not in wide and (4, 5) not in wide
         narrow = valid_positions(occ, 0.0)
         assert wide < narrow
+
+    @pytest.mark.parametrize("radius", [0.0, 0.05, 0.15, 0.25, 0.4])
+    def test_matches_loop(self, small_room, radius):
+        occ = height_accumulate(small_room)
+        got = valid_positions(occ, radius)
+        assert got == valid_positions_loop(occ, radius)
+        assert all(type(v) is int for c in got for v in c)
+
+    @pytest.mark.parametrize("radius", [0.0, 0.15, 0.4])
+    def test_matches_loop_on_negative_cells(self, radius):
+        """A floor around the origin, so cell indices run negative, with a
+        pillar and a hole."""
+        rng = np.random.default_rng(2)
+        xy = rng.uniform(-1.0, 0.6, size=(4000, 2))
+        xy = xy[np.hypot(*(xy - [-0.5, 0.2]).T) > 0.15]
+        pts = np.column_stack([xy, rng.uniform(-0.05, 0.0, len(xy))])
+        pillar = np.array([[-0.25, -0.35, z] for z in np.arange(0, 1.0, 0.05)])
+        occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
+        assert min(occ.accumulation)[0] < 0
+        got = valid_positions(occ, radius)
+        assert got == valid_positions_loop(occ, radius)
+        assert got and (-3, -4) not in got
+
+    @pytest.mark.parametrize("radius", [0.0, 0.15, 0.4])
+    def test_one_voxel_scene(self, radius):
+        occ = height_accumulate(PointCloud(np.array([[-0.05, 0.05, 0.02]])))
+        assert valid_positions(occ, radius) == valid_positions_loop(occ, radius) == ({(-1, 0)} if radius < MAP_CELL else set())
 
     def test_empty_map_raises(self):
         from seqcontrast.geom import OccupancyMap2D
@@ -173,6 +247,34 @@ class TestAugmentation:
         aug = augment_scene(frame, rng)
         assert len(aug.cloud) == len(frame.cloud)
 
+    def test_matches_loop_rows_and_random_stream(self, small_room, small_object):
+        """Over 200 seeded frames the array form keeps the same rows as the
+        loop form and leaves the generator in the same state. Some frames put
+        the object rows first or mix them in, and one has no scene rows."""
+        canon = sample_scene_canonical(small_room, np.random.default_rng(14), 0.04)
+        removed = 0
+        for seed in range(200):
+            rng = np.random.default_rng(seed)
+            frame = compose_frame(canon, small_object, (rng.uniform(-1, 1, 2), rng.uniform(0, 6)), rng, object_sample=100)
+            if seed % 3:
+                order = rng.permutation(len(frame.cloud)) if seed % 3 == 1 else np.roll(np.arange(len(frame.cloud)), 100)
+                frame = seqgen.SequenceFrame(
+                    PointCloud(frame.cloud.points[order], frame.cloud.provenance[order]), frame.object_pose, frame.static_aug
+                )
+            if seed == 199:
+                obj = frame.is_object()
+                frame = seqgen.SequenceFrame(
+                    PointCloud(frame.cloud.points[obj], frame.cloud.provenance[obj]), frame.object_pose, frame.static_aug
+                )
+            rng_a, rng_b = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+            got = augment_scene(frame, rng_a)
+            keep = augment_scene_loop(frame, rng_b)
+            np.testing.assert_array_equal(got.cloud.points, frame.cloud.points[keep])
+            np.testing.assert_array_equal(got.cloud.provenance, frame.cloud.provenance[keep])
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            removed += len(frame.cloud) - int(keep.sum())
+        assert removed > 0
+
     def test_chunk_parameters_in_range(self):
         # the sampled chunk count and edge fraction always fall in the
         # documented ranges
@@ -214,6 +316,44 @@ class TestValidation:
             object_ref_points=small_sequence.object_ref_points,
         )
         assert not validate_sequence(bad)
+
+    def test_repeated_ids_give_the_deduplicating_answer(self):
+        """A frame whose provenance repeats an id gets the answer of
+        `np.intersect1d(..., assume_unique=False)`. Here the repeats would
+        lift 1 common scene id of 10 past the threshold if they were counted."""
+        obj = OBJECT_ID_OFFSET + np.arange(2)
+        ids = np.r_[np.zeros(8, dtype=np.int64), obj]
+
+        def seq(*frame_ids):
+            frames = [
+                seqgen.SequenceFrame(PointCloud(np.zeros((len(f), 3)), f), SimilarityTransform(), SimilarityTransform())
+                for f in frame_ids
+            ]
+            return Sequence(frames, 0, 0, scene_ref_points=10, object_ref_points=2)
+
+        for case in (seq(ids, ids), seq(ids[::-1], ids, ids), seq(np.r_[np.arange(10), obj], ids)):
+            assert validate_sequence_loop(case) is False
+            assert validate_sequence(case) is False
+        assert np.intersect1d(ids, ids, assume_unique=True).size > 3  # the shortcut would count repeats
+
+    def test_matches_loop_on_random_provenance(self):
+        """Random frames, sorted or not, with and without repeated ids, near
+        the consistency thresholds: the answer equals the reference's."""
+        rng = np.random.default_rng(15)
+        verdicts = set()
+        for _ in range(300):
+            n_scene, n_obj = int(rng.integers(5, 40)), int(rng.integers(2, 20))
+            frames = []
+            for _ in range(int(rng.integers(1, 5))):
+                scene = rng.choice(n_scene, size=int(rng.integers(n_scene // 3, n_scene + 1)), replace=bool(rng.integers(2)))
+                obj = OBJECT_ID_OFFSET + rng.choice(n_obj, size=int(rng.integers(n_obj // 3, n_obj + 1)), replace=bool(rng.integers(2)))
+                ids = np.r_[np.sort(scene), np.sort(obj)] if rng.integers(2) else rng.permutation(np.r_[scene, obj])
+                frames.append(seqgen.SequenceFrame(PointCloud(np.zeros((len(ids), 3)), ids), SimilarityTransform(), SimilarityTransform()))
+            case = Sequence(frames, 0, 0, scene_ref_points=n_scene, object_ref_points=n_obj)
+            want = validate_sequence_loop(case)
+            assert validate_sequence(case) == want
+            verdicts.add(want)
+        assert verdicts == {True, False}
 
     def test_missing_reference_counts_rejected(self, small_sequence):
         bare = Sequence(small_sequence.frames, 0, 0)

@@ -320,6 +320,24 @@ class TestCheckpointIO:
             np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(backbone_features(frames[0], ckpt)[0], backbone_features(frames[0], as32)[0])
 
+    def test_projection_features_convert_only_what_they_read(self, dataset):
+        """On a checkpoint of the P7 toy model, the features equal those of a
+        forward pass with every tensor in float32, and a checkpoint holding
+        only the 3D U-Net and its projection gives the same bits."""
+        model = ModelConfig(
+            UNetConfig(3, (8, 16), projection_width=32), UNetConfig(4, (8, 16), projection_width=32), voxel3d=0.06, voxel4d=0.12
+        )
+        tensors = {k: p.value for k, p in build_parameters(model, seed=6, dtype=np.float64).items()}
+        ckpt = Checkpoint(tensors, 0, model, tiny_cfg(dtype="float64", voxel3d=0.06, voxel4d=0.12))
+        read = {k: v for k, v in tensors.items() if k.startswith(("unet3d.", "proj3d."))}
+        assert len(read) < len(tensors)
+        frames = [f.static_view().points for f in dataset[0].frames]
+        every = {k: ad.Var(v.astype(np.float32)) for k, v in tensors.items()}
+        for points, got, only in zip(frames, projection_features(frames, ckpt), projection_features(frames, replace(ckpt, tensors=read))):
+            x, rows = nets.points_to_tensor(points, model.voxel3d)
+            want = nets.encode(x, every, model.unet3d, cache={}).feats.value[rows]
+            assert got.tobytes() == want.tobytes() == only.tobytes()
+
     def test_reexport_idempotent(self, dataset, tmp_path):
         ckpt, _ = pretrain(dataset, tiny_cfg(steps=1), tiny_model())
         bb = export_backbone(ckpt)
