@@ -15,6 +15,7 @@ from pathlib import Path
 from typing import get_type_hints
 
 from .errors import ConfigError
+from .formats import read_sidecar, write_sidecar
 from .nets import ModelConfig
 from .seqgen import GenParams
 from .trainer import TrainConfig
@@ -70,19 +71,9 @@ def _apply(obj, changes: dict):
 
 
 def load_config(path: str | Path | None, overrides: dict[str, str] | None = None) -> RunConfig:
-    """Parse a config file (or start from the defaults when ``path`` is None),
-    rejecting unknown keys and invalid values; apply flag overrides last."""
-    entries: dict[str, str] = {}
-    if path is not None:
-        with open(path) as f:
-            for lineno, line in enumerate(f, 1):
-                line = line.split("#", 1)[0].strip()
-                if not line:
-                    continue
-                if "=" not in line:
-                    raise ConfigError(f"{path}:{lineno}: expected 'key = value'")
-                key, _, value = line.partition("=")
-                entries[key.strip()] = value.strip()
+    """Read a config file with `formats.read_sidecar` (or start from defaults
+    when ``path`` is None), rejecting bad keys and values; overrides go last."""
+    entries = read_sidecar(path) if path is not None else {}
     if overrides:
         entries.update(overrides)
     changes: dict = {}
@@ -107,12 +98,10 @@ def load_config(path: str | Path | None, overrides: dict[str, str] | None = None
 
 def dump_config(cfg: RunConfig, path: str | Path) -> None:
     """Write the effective configuration; re-running from it reproduces a run."""
-    with open(path, "w") as f:
-        f.write("# effective configuration\n")
-        for key, (_, paths) in KEYS.items():
-            value = cfg
-            for name in paths[0]:
-                value = getattr(value, name)
-            if isinstance(value, tuple):
-                value = ",".join(str(v) for v in value)
-            f.write(f"{key} = {value}\n")
+    values = {}
+    for key, (_, paths) in KEYS.items():
+        value = cfg
+        for name in paths[0]:
+            value = getattr(value, name)
+        values[key] = ",".join(str(v) for v in value) if isinstance(value, tuple) else value
+    write_sidecar(path, values, header="# effective configuration\n")

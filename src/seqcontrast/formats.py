@@ -1,11 +1,11 @@
-"""File I/O: ASCII XYZ/PLY point clouds, binary weight checkpoints, sidecars.
-
-Point-cloud files carry float32-precision coordinates; binary containers are
-little-endian with a trailing CRC32 of everything before the checksum field.
+"""File formats: ASCII XYZ/PLY point clouds (float32 precision); the sealed
+binary containers (`seal`, `unseal`) of ".4dc" sequences and ".4dcw" weight
+checkpoints; and the ``key = value`` text of sidecars and config files.
 """
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from pathlib import Path
@@ -102,19 +102,13 @@ def read_ply(path: str | Path) -> PointCloud:
 def write_ply(path: str | Path, cloud: PointCloud, colors: np.ndarray | None = None) -> None:
     """Write an ASCII PLY of vertex positions, optionally with uchar colors."""
     pts = cloud.points.astype(np.float32)
+    rgb = "" if colors is None else "property uchar red\nproperty uchar green\nproperty uchar blue\n"
     with open(path, "w") as f:
-        f.write("ply\nformat ascii 1.0\n")
-        f.write(f"element vertex {len(pts)}\n")
-        f.write("property float x\nproperty float y\nproperty float z\n")
-        if colors is not None:
-            f.write("property uchar red\nproperty uchar green\nproperty uchar blue\n")
-        f.write("end_header\n")
-        if colors is None:
-            for p in pts:
-                f.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}\n")
-        else:
-            for p, c in zip(pts, colors):
-                f.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f} {int(c[0])} {int(c[1])} {int(c[2])}\n")
+        f.write(f"ply\nformat ascii 1.0\nelement vertex {len(pts)}\n")
+        f.write(f"property float x\nproperty float y\nproperty float z\n{rgb}end_header\n")
+        for k, p in enumerate(pts):
+            c = "" if colors is None else f" {int(colors[k][0])} {int(colors[k][1])} {int(colors[k][2])}"
+            f.write(f"{p[0]:.6f} {p[1]:.6f} {p[2]:.6f}{c}\n")
 
 
 def read_point_cloud(path: str | Path) -> PointCloud:
@@ -125,18 +119,77 @@ def read_point_cloud(path: str | Path) -> PointCloud:
 
 
 # ---------------------------------------------------------------------------
+# Sealed binary containers
+
+
+def seal(magic: bytes, version: int, body: list) -> bytes:
+    """``magic``, the u32 ``version``, the little-endian ``body`` buffers (each
+    copied once), then the u32 CRC32 of everything before it."""
+    head = magic + struct.pack("<I", version)
+    crc = zlib.crc32(head)
+    for part in body:
+        crc = zlib.crc32(part, crc)
+    return b"".join([head, *body, struct.pack("<I", crc)])
+
+
+class Cursor:
+    """Reads through a sealed body: a read into the CRC trailer raises
+    `DataFormatError` with the byte offset, and `close` rejects unread bytes."""
+
+    def __init__(self, path, kind: str, data: bytes, offset: int):
+        self.path, self.kind, self.data, self.offset, self.end = path, kind, data, offset, len(data) - 4
+
+    def _advance(self, nbytes: int) -> int:
+        off = self.offset
+        if nbytes > self.end - off:
+            raise DataFormatError(f"{self.path}: truncated {self.kind}: {nbytes} bytes needed, {self.end - off} left", off)
+        self.offset = off + nbytes
+        return off
+
+    def unpack(self, fmt: str) -> tuple:
+        return struct.unpack_from(fmt, self.data, self._advance(struct.calcsize(fmt)))
+
+    def array(self, dtype, count: int) -> np.ndarray:
+        """``count`` items of ``dtype``, read-only, sharing the file's bytes."""
+        dtype = np.dtype(dtype)
+        return np.frombuffer(self.data, dtype, count, self._advance(count * dtype.itemsize))
+
+    def text(self, nbytes: int) -> str:
+        off = self._advance(nbytes)
+        try:
+            return self.data[off : off + nbytes].decode("utf-8")
+        except UnicodeDecodeError:
+            raise DataFormatError(f"{self.path}: {self.kind} text is not UTF-8", off) from None
+
+    def close(self) -> None:
+        if self.offset != self.end:
+            raise DataFormatError(f"{self.path}: trailing bytes in {self.kind}", self.offset)
+
+
+def unseal(path: str | Path, magic: bytes, version: int, kind: str) -> Cursor:
+    """Check the magic, CRC and version of a container written by `seal`;
+    errors name its ``kind``. Returns a `Cursor` at the start of the body."""
+    data = Path(path).read_bytes()
+    cur = Cursor(path, kind, data, len(magic) + 4)
+    if cur.end < cur.offset or data[: len(magic)] != magic:
+        raise DataFormatError(f"{path}: bad {kind} magic", 0)
+    if zlib.crc32(memoryview(data)[: cur.end]) != struct.unpack_from("<I", data, cur.end)[0]:
+        raise DataFormatError(f"{path}: checksum mismatch", cur.end)
+    (found,) = struct.unpack_from("<I", data, len(magic))
+    if found != version:
+        raise DataFormatError(f"{path}: unsupported {kind} version {found}", len(magic))
+    return cur
+
+
+# ---------------------------------------------------------------------------
 # Weight checkpoints ("4DCW")
 
 
 def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
-    """Serialize named tensors row-major, each in its own dtype.
-
-    Per tensor: the UTF-8 name, a 3-byte numpy dtype tag (one of
-    `CHECKPOINT_DTYPES`), the rank, the dimensions and the payload.
-    """
-    buf = bytearray()
-    buf += CHECKPOINT_MAGIC
-    buf += struct.pack("<II", CHECKPOINT_VERSION, len(tensors))
+    """Seal the tensor count and the named tensors row-major, each in its own
+    dtype. Per tensor: the UTF-8 name, a 3-byte numpy dtype tag (one of
+    `CHECKPOINT_DTYPES`), the rank, the dimensions and the payload."""
+    body = [struct.pack("<I", len(tensors))]
     for name, arr in tensors.items():
         nb = name.encode("utf-8")
         a = np.asarray(arr)
@@ -144,65 +197,42 @@ def write_checkpoint(path: str | Path, tensors: dict[str, np.ndarray]) -> None:
         if tag not in CHECKPOINT_DTYPES:
             raise ValueError(f"tensor {name!r}: unsupported dtype {a.dtype}")
         a = np.ascontiguousarray(a, dtype=tag)
-        buf += struct.pack("<I", len(nb)) + nb + tag.encode("ascii")
-        buf += struct.pack("<I", a.ndim)
-        buf += struct.pack(f"<{a.ndim}I", *a.shape)
-        buf += a.tobytes()
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    Path(path).write_bytes(bytes(buf))
+        body += [struct.pack("<I", len(nb)), nb, tag.encode("ascii"), struct.pack(f"<I{a.ndim}I", a.ndim, *a.shape), a]
+    Path(path).write_bytes(seal(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, body))
 
 
 def read_checkpoint(path: str | Path) -> dict[str, np.ndarray]:
-    data = Path(path).read_bytes()
-    if len(data) < 12 or data[:4] != CHECKPOINT_MAGIC:
-        raise DataFormatError(f"{path}: bad checkpoint magic", 0)
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise DataFormatError(f"{path}: checksum mismatch", len(data) - 4)
-    version, count = struct.unpack_from("<II", data, 4)
-    if version != CHECKPOINT_VERSION:
-        raise DataFormatError(f"{path}: unsupported checkpoint version {version}", 4)
-    off = 12
+    cur = unseal(path, CHECKPOINT_MAGIC, CHECKPOINT_VERSION, "checkpoint")
     out: dict[str, np.ndarray] = {}
-    for _ in range(count):
-        (nlen,) = struct.unpack_from("<I", data, off)
-        off += 4
-        name = data[off : off + nlen].decode("utf-8")
-        off += nlen
-        tag = data[off : off + 3].decode("ascii", errors="replace")
+    for _ in range(cur.unpack("<I")[0]):
+        name = cur.text(cur.unpack("<I")[0])
+        tag = cur.text(3)
         if tag not in CHECKPOINT_DTYPES:
-            raise DataFormatError(f"{path}: tensor {name!r} has unknown dtype tag {tag!r}", off)
-        off += 3
-        (rank,) = struct.unpack_from("<I", data, off)
-        off += 4
-        dims = struct.unpack_from(f"<{rank}I", data, off)
-        off += 4 * rank
-        n = int(np.prod(dims)) if rank else 1
-        arr = np.frombuffer(data, dtype=tag, count=n, offset=off).reshape(dims).copy()
-        off += arr.nbytes
-        out[name] = arr
-    if off != len(data) - 4:
-        raise DataFormatError(f"{path}: trailing bytes in checkpoint", off)
+            raise DataFormatError(f"{path}: tensor {name!r} has unknown dtype tag {tag!r}", cur.offset - 3)
+        (rank,) = cur.unpack("<I")
+        dims = cur.unpack(f"<{rank}I")
+        out[name] = cur.array(tag, math.prod(dims)).reshape(dims).copy()
+    cur.close()
     return out
 
 
 # ---------------------------------------------------------------------------
-# key = value sidecars
+# key = value text (sidecars and config files)
 
 
-def write_sidecar(path: str | Path, params: dict[str, object]) -> None:
-    with open(path, "w") as f:
-        for key in params:
-            f.write(f"{key} = {params[key]}\n")
+def write_sidecar(path: str | Path, params: dict[str, object], header: str = "") -> None:
+    """``header`` (``#`` comment lines, if any), then ``key = value`` lines."""
+    Path(path).write_text(header + "".join(f"{key} = {value}\n" for key, value in params.items()))
 
 
 def read_sidecar(path: str | Path) -> dict[str, str]:
+    """``key = value`` lines; ``#`` starts a comment and a later key wins."""
     out: dict[str, str] = {}
     offset = 0
     with open(path, "rb") as f:
         for raw in f:
-            line = raw.decode("utf-8").strip()
-            if line and not line.startswith("#"):
+            line = raw.decode("utf-8", errors="replace").split("#", 1)[0].strip()
+            if line:
                 if "=" not in line:
                     raise DataFormatError(f"{path}: expected 'key = value'", offset)
                 key, _, value = line.partition("=")

@@ -10,6 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .errors import ConfigError
 from .geom import PointCloud, SimilarityTransform
 from .losses import LossWeights
 from .nets import ModelConfig, UNetConfig, build_parameters
@@ -119,6 +120,8 @@ def check_term(seed: int, weights: LossWeights, n_components: int = 20) -> list[
 
 def run_gradcheck(seed: int = 0, n_seeds: int = 1, tolerance: float = TOLERANCE, n_components: int = 20) -> dict:
     """Check every loss term for several seeds; the acceptance-facing entry."""
+    if n_seeds < 1:
+        raise ConfigError(f"gradcheck needs at least one seed, got {n_seeds}")
     term_weights = {
         "loss_3d": LossWeights(1.0, 0.0, 0.0),
         "loss_3d4d": LossWeights(0.0, 1.0, 0.0),

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import logging
 import struct
-import zlib
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from pathlib import Path
@@ -18,7 +17,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFailure
-from .formats import write_sidecar
+from .formats import seal, unseal, write_sidecar
 from .geom import (
     FLOOR_BAND,
     MAP_CELL,
@@ -375,19 +374,15 @@ def _transform_from_fields(yaw, scale, tx, ty, tz) -> SimilarityTransform:
 
 
 def sequence_to_bytes(seq: Sequence) -> bytes:
-    buf = bytearray()
-    buf += SEQUENCE_MAGIC
-    buf += struct.pack("<II", SEQUENCE_VERSION, len(seq.frames))
-    buf += struct.pack("<QQ", seq.scene_id, seq.object_id)
+    """Seal the u32 frame count and u64 scene and object ids, then per frame the
+    u32 point count, float32 points, u32 provenance ids and the float32 yaw,
+    scale and translation of the object pose and of the static augmentation."""
+    body = [struct.pack("<IQQ", len(seq.frames), seq.scene_id, seq.object_id)]
     for frame in seq.frames:
-        n = len(frame.cloud)
-        buf += struct.pack("<I", n)
-        buf += frame.cloud.points.astype("<f4").tobytes()
-        buf += frame.cloud.provenance.astype("<u4").tobytes()
         fields = _transform_fields(frame.object_pose) + _transform_fields(frame.static_aug)
-        buf += struct.pack("<10f", *fields)
-    buf += struct.pack("<I", zlib.crc32(bytes(buf)))
-    return bytes(buf)
+        body += [struct.pack("<I", len(frame.cloud)), frame.cloud.points.astype("<f4", order="C"),
+                 frame.cloud.provenance.astype("<u4"), struct.pack("<10f", *fields)]
+    return seal(SEQUENCE_MAGIC, SEQUENCE_VERSION, body)
 
 
 def write_sequence(path: str | Path, seq: Sequence) -> None:
@@ -395,41 +390,20 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
 
 
 def read_sequence(path: str | Path) -> Sequence:
-    data = Path(path).read_bytes()
-    if len(data) < 28 or data[:4] != SEQUENCE_MAGIC:
-        raise DataFormatError(f"{path}: bad sequence magic", 0)
-    stored_crc = struct.unpack_from("<I", data, len(data) - 4)[0]
-    if zlib.crc32(data[:-4]) != stored_crc:
-        raise DataFormatError(f"{path}: checksum mismatch", len(data) - 4)
-    version, t = struct.unpack_from("<II", data, 4)
-    if version != SEQUENCE_VERSION:
-        raise DataFormatError(f"{path}: unsupported sequence version {version}", 4)
-    scene_id, object_id = struct.unpack_from("<QQ", data, 12)
-    off = 28
+    cur = unseal(path, SEQUENCE_MAGIC, SEQUENCE_VERSION, "sequence")
+    t, scene_id, object_id = cur.unpack("<IQQ")
     frames = []
     for _ in range(t):
-        if off + 4 > len(data) - 4:
-            raise DataFormatError(f"{path}: truncated frame header", off)
-        (n,) = struct.unpack_from("<I", data, off)
-        off += 4
-        need = 12 * n + 4 * n + 40
-        if off + need > len(data) - 4:
-            raise DataFormatError(f"{path}: truncated frame payload", off)
-        pts = np.frombuffer(data, dtype="<f4", count=3 * n, offset=off).reshape(n, 3).astype(np.float64)
-        off += 12 * n
-        prov = np.frombuffer(data, dtype="<u4", count=n, offset=off).astype(np.int64)
-        off += 4 * n
-        fields = struct.unpack_from("<10f", data, off)
-        off += 40
-        frames.append(
-            SequenceFrame(
-                PointCloud(pts, prov),
-                _transform_from_fields(*fields[:5]),
-                _transform_from_fields(*fields[5:]),
-            )
-        )
-    if off != len(data) - 4:
-        raise DataFormatError(f"{path}: trailing bytes", off)
+        (n,) = cur.unpack("<I")
+        pts = cur.array("<f4", 3 * n).reshape(n, 3).astype(np.float64)
+        prov = cur.array("<u4", n).astype(np.int64)
+        fields = cur.unpack("<10f")
+        try:
+            pose, aug = _transform_from_fields(*fields[:5]), _transform_from_fields(*fields[5:])
+        except ValueError as exc:
+            raise DataFormatError(f"{path}: bad frame pose: {exc}", cur.offset - 40) from None
+        frames.append(SequenceFrame(PointCloud(pts, prov), pose, aug))
+    cur.close()
     return Sequence(frames, scene_id, object_id)
 
 
@@ -541,6 +515,8 @@ def generate_dataset(
     """
     if not scenes or not objects:
         raise EmptyInputError("need at least one scene and one object")
+    if workers < 1:
+        raise ConfigError(f"workers must be >= 1, got {workers}")
     params = params or GenParams()
     params = replace(params, per_scene=params.per_scene if per_scene is None else per_scene,
                      t=params.t if t is None else t)

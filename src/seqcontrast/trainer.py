@@ -39,8 +39,8 @@ class TrainConfig:
     decay_interval: int = 1000
     seed: int = 0
     weights: LossWeights = field(default_factory=LossWeights)
-    voxel3d: float = 0.02
-    voxel4d: float = 0.05
+    voxel3d: float = nets.VOXEL_3D
+    voxel4d: float = nets.VOXEL_4D
     momentum: float = 0.0
     dtype: str = "float32"
     max_corr_per_pair: int = 256

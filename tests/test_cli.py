@@ -1,4 +1,5 @@
 import re
+import struct
 import zlib
 from pathlib import Path
 
@@ -107,6 +108,37 @@ class TestExitCodes:
         write_checkpoint(ck, tensors)
         assert run("probe", "--ckpt", str(ck), "--data", str(data)) == EXIT_DATA
         assert named in capsys.readouterr().err
+
+    @pytest.mark.parametrize("tensor", [
+        struct.pack("<I", 1) + b"x<f4" + struct.pack("<II", 1, 1000) + bytes(8),
+        struct.pack("<I", 2) + b"\xff\xfe<f4" + struct.pack("<II", 1, 2) + bytes(8),
+    ], ids=["payload-past-end", "non-utf8-name"])
+    def test_crc_valid_malformed_checkpoint_is_3(self, tensor, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        ck = tmp_path / "bad.4dcw"
+        body = b"4DCW" + (2).to_bytes(4, "little") + (1).to_bytes(4, "little") + tensor
+        ck.write_bytes(body + zlib.crc32(body).to_bytes(4, "little"))
+        assert run("probe", "--ckpt", str(ck), "--data", str(data)) == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and "checkpoint" in err[-1]
+
+    def test_config_line_without_equals_is_3(self, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("steps = 2\nlearning_rate 0.1\n")
+        code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--config", str(cfg))
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and "expected 'key = value'" in err[-1]
+        assert not (tmp_path / "x").exists()
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_gen_workers_below_one_is_3(self, workers, tmp_path, assets, capsys):
+        _, rooms, objs, *_ = assets
+        code = run("gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(tmp_path / "d"), "--workers", workers)
+        assert code == EXIT_DATA
+        assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error:")
+        assert not list((tmp_path / "d").glob("*.4dc"))
 
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
@@ -282,6 +314,12 @@ class TestGradcheckCommand:
         assert run("gradcheck", "--seeds", "1") == EXIT_OK
         out = capsys.readouterr().out
         assert "worst relative error" in out
+
+    def test_zero_seeds_is_3(self, capsys):
+        assert run("gradcheck", "--seeds", "0") == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert "components checked" not in out
+        assert err.strip().splitlines()[-1].startswith("error:")
 
     def test_impossible_tolerance_is_4(self, capsys):
         assert run("gradcheck", "--seeds", "1", "--tolerance", "1e-300") == EXIT_NUMERIC

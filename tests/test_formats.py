@@ -1,3 +1,4 @@
+import math
 import struct
 import zlib
 
@@ -7,6 +8,7 @@ import pytest
 from seqcontrast.errors import DataFormatError
 from seqcontrast.formats import (
     CHECKPOINT_MAGIC,
+    CHECKPOINT_VERSION,
     read_checkpoint,
     read_ply,
     read_sidecar,
@@ -134,6 +136,51 @@ class TestCheckpoint:
         assert err.value.offset == len(raw) - 4
 
 
+def tensor_record(name=b"x", tag=b"<f4", dims=(2,), payload=None):
+    """One checkpoint tensor as `write_checkpoint` lays it out."""
+    payload = bytes(4 * math.prod(dims)) if payload is None else payload
+    return struct.pack("<I", len(name)) + name + tag + struct.pack(f"<I{len(dims)}I", len(dims), *dims) + payload
+
+
+# CRC-valid checkpoint bodies whose contents are malformed
+MALFORMED_CHECKPOINTS = {
+    "count-past-end": struct.pack("<I", 3) + tensor_record(),
+    "payload-past-end": struct.pack("<I", 1) + tensor_record(dims=(1000,), payload=bytes(8)),
+    "non-utf8-name": struct.pack("<I", 1) + tensor_record(name=b"\xff\xfe"),
+    "rank-past-end": struct.pack("<II", 1, 1) + b"x<f4" + struct.pack("<I", 1 << 30),
+    "unknown-dtype-tag": struct.pack("<I", 1) + tensor_record(tag=b"<i8", payload=bytes(16)),
+    "trailing-bytes": struct.pack("<I", 1) + tensor_record() + bytes(3),
+}
+
+
+def write_sealed_checkpoint(path, body):
+    """A checkpoint file with a correct CRC around ``body``."""
+    data = CHECKPOINT_MAGIC + struct.pack("<I", CHECKPOINT_VERSION) + body
+    path.write_bytes(data + struct.pack("<I", zlib.crc32(data)))
+
+
+class TestMalformedCheckpoint:
+    def test_fixture_layout_is_the_writers(self, tmp_path):
+        write_checkpoint(tmp_path / "a", {"x": np.zeros(2, np.float32)})
+        write_sealed_checkpoint(tmp_path / "b", struct.pack("<I", 1) + tensor_record())
+        assert (tmp_path / "a").read_bytes() == (tmp_path / "b").read_bytes()
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_CHECKPOINTS))
+    def test_is_a_data_format_error_inside_the_file(self, case, tmp_path):
+        path = tmp_path / "bad.4dcw"
+        write_sealed_checkpoint(path, MALFORMED_CHECKPOINTS[case])
+        with pytest.raises(DataFormatError) as err:
+            read_checkpoint(path)
+        assert 0 <= err.value.offset <= path.stat().st_size - 4
+
+    def test_count_past_end_stops_at_the_trailer(self, tmp_path):
+        path = tmp_path / "bad.4dcw"
+        write_sealed_checkpoint(path, MALFORMED_CHECKPOINTS["count-past-end"])
+        with pytest.raises(DataFormatError, match="truncated checkpoint") as err:
+            read_checkpoint(path)
+        assert err.value.offset == path.stat().st_size - 4
+
+
 class TestSidecar:
     def test_roundtrip(self, tmp_path):
         path = tmp_path / "s.txt"
@@ -143,6 +190,12 @@ class TestSidecar:
 
     def test_malformed_line(self, tmp_path):
         path = tmp_path / "s.txt"
-        path.write_text("just words\n")
-        with pytest.raises(DataFormatError):
+        path.write_text("a = 1\njust words\n")
+        with pytest.raises(DataFormatError, match="key = value") as err:
             read_sidecar(path)
+        assert err.value.offset == 6
+
+    def test_comments_and_blank_lines(self, tmp_path):
+        path = tmp_path / "s.txt"
+        path.write_text("# header\n\nsteps = 42  # a short run\nname=a b\nsteps = 7\n")
+        assert read_sidecar(path) == {"steps": "7", "name": "a b"}

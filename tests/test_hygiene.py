@@ -11,10 +11,9 @@ SRC = ROOT / "src" / "seqcontrast"
 
 # Kept although only tests use them: the scikit-learn estimator convention,
 # the independent trajectory validator the generation tests compare against,
-# the documented usage exit code, the reader of the sidecar format that `gen`
-# writes, and the inverse transform the correspondence tests map object
-# points back to canonical coordinates with.
-TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE", "read_sidecar", "inverse"}
+# the documented usage exit code, and the inverse transform the
+# correspondence tests map object points back to canonical coordinates with.
+TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE", "inverse"}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -47,6 +46,22 @@ def test_detects_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def imported_modules(source: str) -> set[str]:
+    """Modules a source imports, by ``import m`` or ``from m import n``;
+    relative imports name their module without the package."""
+    tree = ast.parse(source)
+    return {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names} | {
+        node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module
+    }
+
+
+def test_only_formats_computes_checksums():
+    """The CRC32 framing of the binary containers lives in one module:
+    `formats` is the only package module that imports `zlib`."""
+    assert imported_modules("import zlib\nfrom .formats import seal\ndef f():\n    import os\n") == {"zlib", "formats", "os"}
+    assert [path.name for path in sorted(SRC.glob("*.py")) if "zlib" in imported_modules(path.read_text())] == ["formats.py"]
 
 
 def defined_names(source: str) -> set[str]:

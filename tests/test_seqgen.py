@@ -1,8 +1,11 @@
+import struct
+import zlib
+
 import numpy as np
 import pytest
 
 from seqcontrast import seqgen
-from seqcontrast.errors import DataFormatError, EmptyInputError, TrajectoryFailure
+from seqcontrast.errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFailure
 from seqcontrast.formats import read_sidecar
 from seqcontrast.geom import FLOOR_BAND, MAP_CELL, OBJECT_ID_OFFSET, PointCloud, SimilarityTransform, height_accumulate
 from seqcontrast.seqgen import (
@@ -18,6 +21,7 @@ from seqcontrast.seqgen import (
     TURN_LIMIT,
     GenParams,
     Sequence,
+    SequenceFrame,
     augment_frame_static,
     augment_scene,
     build_correspondences,
@@ -414,6 +418,20 @@ class TestSequenceFormat:
                 fa.static_aug.translation, fb.static_aug.translation, atol=1e-6
             )
 
+    def test_layout(self):
+        """The "4DC1" bytes, field by field: magic, version, frame count, scene
+        and object ids; per frame the point count, points, provenance and the
+        yaw, scale and translation of the pose and of the static augmentation;
+        then the CRC32 of everything before it."""
+        pts, prov = np.array([[0.5, -1.0, 2.0], [1.5, 0.25, 0.0]]), np.array([3, 7])
+        pose = SimilarityTransform.from_yaw(0.0, (1.0, 2.0, 3.0), 2.0)
+        seq = Sequence([SequenceFrame(PointCloud(pts, prov), pose, SimilarityTransform())], scene_id=4, object_id=5)
+        body = (
+            b"4DC1" + struct.pack("<IIQQI", 1, 1, 4, 5, 2) + pts.astype("<f4").tobytes() + prov.astype("<u4").tobytes()
+            + struct.pack("<10f", 0.0, 2.0, 1.0, 2.0, 3.0, 0.0, 1.0, 0.0, 0.0, 0.0)
+        )
+        assert sequence_to_bytes(seq) == body + struct.pack("<I", zlib.crc32(body))
+
     def test_serialization_deterministic(self, small_sequence):
         assert sequence_to_bytes(small_sequence) == sequence_to_bytes(small_sequence)
 
@@ -432,6 +450,37 @@ class TestSequenceFormat:
         path.write_bytes(bytes(raw))
         with pytest.raises(DataFormatError):
             read_sequence(path)
+
+
+    @staticmethod
+    def resealed(small_sequence, offset, fmt, value):
+        """The sequence's bytes with one field overwritten and the CRC redone."""
+        raw = bytearray(sequence_to_bytes(small_sequence))
+        struct.pack_into(fmt, raw, offset, value)
+        struct.pack_into("<I", raw, len(raw) - 4, zlib.crc32(raw[:-4]))
+        return bytes(raw)
+
+    @pytest.mark.parametrize("field,fmt,value,message", [
+        ("frame-count", "<I", 9, "truncated sequence"),
+        ("point-count", "<I", 1 << 30, "truncated sequence"),
+        ("first-pose-scale", "<f", 0.0, "bad frame pose"),
+    ])
+    def test_crc_valid_malformed_rejected(self, small_sequence, tmp_path, field, fmt, value, message):
+        n = len(small_sequence.frames[0].cloud)
+        offset = {"frame-count": 8, "point-count": 28, "first-pose-scale": 36 + 16 * n}[field]
+        path = tmp_path / "bad.4dc"
+        path.write_bytes(self.resealed(small_sequence, offset, fmt, value))
+        with pytest.raises(DataFormatError, match=message) as err:
+            read_sequence(path)
+        assert 0 <= err.value.offset <= path.stat().st_size - 4
+
+    def test_trailing_bytes_rejected(self, small_sequence, tmp_path):
+        raw = sequence_to_bytes(small_sequence)[:-4] + bytes(8)
+        path = tmp_path / "long.4dc"
+        path.write_bytes(raw + struct.pack("<I", zlib.crc32(raw)))
+        with pytest.raises(DataFormatError, match="trailing bytes in sequence") as err:
+            read_sequence(path)
+        assert err.value.offset == len(raw) - 8
 
 
 class TestGenerateDataset:
@@ -456,6 +505,12 @@ class TestGenerateDataset:
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
             generate_dataset([], [], tmp_path, per_scene=1)
+
+    @pytest.mark.parametrize("workers", [0, -3])
+    def test_workers_below_one_rejected(self, small_room, small_object, tmp_path, workers):
+        with pytest.raises(ConfigError, match="workers"):
+            generate_dataset([small_room], [small_object], tmp_path, per_scene=1, workers=workers)
+        assert not list(tmp_path.glob("*.4dc"))
 
     def test_caller_params_unchanged(self, small_room, small_object, tmp_path):
         params = GenParams(per_scene=20, t=4, object_sample=200, scene_cell=0.05)
