@@ -72,8 +72,10 @@ def read_ply(path: str | Path) -> PointCloud:
                 raise DataFormatError(f"{path}: only ASCII PLY supported", offset)
         elif line.startswith("element"):
             parts = line.split()
-            in_vertex = parts[1] == "vertex"
+            in_vertex = parts[1:2] == ["vertex"]
             if in_vertex:
+                if len(parts) != 3 or not parts[2].isdigit():
+                    raise DataFormatError(f"{path}: vertex count is not a non-negative integer: {line!r}", offset)
                 n_vertex = int(parts[2])
         elif line.startswith("property") and in_vertex:
             props.append(line.split()[-1])
@@ -88,13 +90,19 @@ def read_ply(path: str | Path) -> PointCloud:
     except ValueError:
         raise DataFormatError(f"{path}: vertex element lacks x/y/z", offset) from None
 
+    offset += len(lines[header_end]) + 1  # past end_header: the first vertex line
+    body = lines[header_end + 1 : header_end + 1 + n_vertex]
+    if len(body) < n_vertex:
+        raise DataFormatError(f"{path}: {n_vertex} vertices declared, {len(body)} lines follow the header", len(data))
     pts = np.empty((n_vertex, 3), dtype=np.float64)
-    for k in range(n_vertex):
-        raw = lines[header_end + 1 + k]
+    for k, raw in enumerate(body):
         parts = raw.split()
         if len(parts) < len(props):
             raise DataFormatError(f"{path}: truncated vertex {k}", offset)
-        pts[k] = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
+        try:
+            pts[k] = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
+        except ValueError:
+            raise DataFormatError(f"{path}: non-numeric value in vertex {k}", offset) from None
         offset += len(raw) + 1
     return PointCloud(pts)
 

@@ -11,19 +11,32 @@ multiplicatively. A weight with any other offset count is rejected.
 Kernel maps pair input and output rows per kernel offset, ordered by output
 row. They are built in key space: each coordinate row packs into one int64
 key (14 bits per spatial field), the output keys are packed once, and an
-offset's queries are those keys plus one key delta, looked up by binary
-search in the sorted input keys. One min/max check per axis keeps every
-query inside the packing range, so no sum carries into the next field. A
-submanifold map over rows in key order (every one the U-Nets build) looks up
-only the centre offset and one offset of each +-k pair: offset -k's pairs
-are offset k's two index arrays, swapped and shared, not copied, as in
-TorchSparse's symmetric maps.
+offset's queries are those keys plus one key delta, looked up in the sorted
+input keys (sorted only when they do not already ascend). One min/max check
+per axis keeps every query inside the packing range, so no sum carries into
+the next field. A submanifold map over rows in key order (every one the U-Nets
+build) looks up only one offset of each +-k pair: offset -k's pairs are
+offset k's two index arrays, swapped and shared, not copied, as in
+TorchSparse's symmetric maps. Its centre offset pairs every row with itself;
+it is stored as one ``arange`` shared by both sides and marked as
+``KernelMap.identity``.
+
+Offsets that follow each other along the last axis chain their lookups. When
+every input and output row's last coordinate lies in one residue class
+modulo the offset stride's last entry (true at every U-Net level) and the
+input keys strictly ascend, no input key lies strictly between a query q and
+q + step, so the next offset's insertion point is this offset's plus its
+hit. Only the first offset of each run along the last axis is binary
+searched; a map without that property searches every offset.
 
 Every convolution runs one gather -> GEMM -> scatter round per offset that
 has pairs, as in MinkowskiEngine; there is no dense fallback, since the maps
 seen in practice are sparse (5-35 % of the (row, offset) slots hold a pair).
-The transposed convolution runs the same rounds on the stride-2 map with each
-offset's pairs swapped and its weight matrix transposed.
+The identity offset skips the gather and the scatter: its GEMM reads the
+input rows in place and adds straight into the output, the same operands in
+the same order as the round would use. The transposed convolution runs the
+same rounds on the stride-2 map with each offset's pairs swapped and its
+weight matrix transposed.
 
 Rows move as whole items. Gathers are `take` along axis 0, which copies the
 same values as fancy indexing. A scatter takes the destination rows, adds
@@ -83,12 +96,15 @@ class SparseTensor:
 def pack_coords(coords: np.ndarray) -> np.ndarray:
     """Pack (batch, spatial...) rows into unique int64 keys."""
     spatial = coords[:, 1:]
-    if np.any(np.abs(spatial) >= _COORD_BIAS):
-        raise ValueError("coordinate magnitude exceeds packing range")
     # the batch index takes the bits left above the spatial fields
     batch_bound = 1 << (63 - _COORD_BITS * spatial.shape[1])
-    if np.any((coords[:, 0] < -batch_bound) | (coords[:, 0] >= batch_bound)):
-        raise ValueError(f"batch index outside [{-batch_bound}, {batch_bound}) cannot be packed")
+    if len(coords):
+        # one column at a time, as in `_key_deltas`
+        for c in range(spatial.shape[1]):
+            if spatial[:, c].min() <= -_COORD_BIAS or spatial[:, c].max() >= _COORD_BIAS:
+                raise ValueError("coordinate magnitude exceeds packing range")
+        if coords[:, 0].min() < -batch_bound or coords[:, 0].max() >= batch_bound:
+            raise ValueError(f"batch index outside [{-batch_bound}, {batch_bound}) cannot be packed")
     keys = coords[:, 0].astype(np.int64)
     for c in range(spatial.shape[1]):
         keys = (keys << _COORD_BITS) | (spatial[:, c] + _COORD_BIAS)
@@ -111,25 +127,41 @@ def kernel_offsets(dim: int, kernel_size: int) -> np.ndarray:
     return np.array(list(itertools.product(r, repeat=dim)), dtype=np.int64)
 
 
-def _lookup(sorted_keys: np.ndarray, order: np.ndarray, query: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _lookup(
+    sorted_keys: np.ndarray, order: np.ndarray | None, query: np.ndarray, pos: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(keyed row, query index) of each query key present among the keyed
-    rows, in query order."""
-    if len(sorted_keys) == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    pos = np.searchsorted(sorted_keys, query)
-    np.minimum(pos, len(sorted_keys) - 1, out=pos)
-    qi = np.flatnonzero(sorted_keys[pos] == query)
-    return order[pos[qi]], qi
+    rows, in query order, and the mask of present queries.
+
+    ``pos`` holds each query's insertion point in the nonempty
+    ``sorted_keys``; ``order`` maps sorted positions to rows, or is None when
+    the keys are already in row order.
+    """
+    hit = sorted_keys[np.minimum(pos, len(sorted_keys) - 1)] == query
+    qi = np.flatnonzero(hit)
+    ii = pos[qi]
+    return (ii if order is None else order[ii]), qi, hit
 
 
 class KernelMap:
-    """Per-offset (input row, output row) index pairs."""
+    """Per-offset (input row, output row) index pairs.
 
-    def __init__(self, pairs: list[tuple[np.ndarray, np.ndarray]], n_in: int, n_out: int):
+    ``identity`` is the index of an offset that pairs every row with itself
+    through one shared ``arange`` (the centre of a mirrored submanifold map),
+    or None.
+    """
+
+    def __init__(
+        self,
+        pairs: list[tuple[np.ndarray, np.ndarray]],
+        n_in: int,
+        n_out: int,
+        identity: int | None = None,
+    ):
         self.pairs = pairs
         self.n_in = n_in
         self.n_out = n_out
+        self.identity = identity
 
 
 def downsample_coords(coords: np.ndarray, stride: tuple[int, ...]) -> np.ndarray:
@@ -137,8 +169,8 @@ def downsample_coords(coords: np.ndarray, stride: tuple[int, ...]) -> np.ndarray
     s = np.array(stride, dtype=np.int64)
     out = coords.copy()
     out[:, 1:] = np.floor_divide(out[:, 1:], 2 * s) * (2 * s)
-    uniq, _ = unique_coords(out)
-    return uniq
+    _, first = np.unique(pack_coords(out), return_index=True)
+    return out[first]
 
 
 def _key_deltas(out_coords: np.ndarray, offsets: np.ndarray, offset_stride: tuple[int, ...]) -> np.ndarray:
@@ -171,29 +203,46 @@ def build_kernel_map(
 
     Pairs are ordered by output row. A submanifold map (``out_coords is
     in_coords``) over rows in ascending key order, with an offset list that
-    reads as its own negation backwards, looks up the first half and the
-    centre only: offset -k's pairs are offset k's two arrays, swapped.
+    reads as its own negation backwards, is mirrored: its centre is the
+    identity and it looks up the offsets after the centre only; offset -k's
+    pairs are offset k's two arrays, swapped. Lookups chain along the last
+    axis where the module docstring's residue condition holds.
     """
     in_keys = pack_coords(in_coords)
     out_keys = in_keys if out_coords is in_coords else pack_coords(out_coords)
     deltas = _key_deltas(out_coords, offsets, offset_stride)
-    order = np.argsort(in_keys, kind="stable")
-    sorted_keys = in_keys[order]
     n = len(offsets)
+    if len(in_keys) == 0:
+        empty = np.empty(0, dtype=np.int64)
+        return KernelMap([(empty, empty)] * n, 0, len(out_coords))
     # over rows in strictly ascending key order, ii ascends with oi, so the
     # swapped pairs of offset -k are again ordered by output row
-    mirrored = (
-        out_coords is in_coords
-        and bool(np.all(in_keys[1:] > in_keys[:-1]))
-        and np.array_equal(offsets[::-1], -offsets)
-    )
+    ascending = bool(np.all(in_keys[1:] > in_keys[:-1]))
+    order = None if ascending else np.argsort(in_keys, kind="stable")
+    sorted_keys = in_keys if ascending else in_keys[order]
+    mirrored = out_coords is in_coords and ascending and np.array_equal(offsets[::-1], -offsets)
+    last = np.concatenate([in_coords[:, -1], out_coords[:, -1]]) % offset_stride[-1]
+    chained = ascending and bool(np.all(last == last[0]))
+    # follows[k]: offset k is offset k - 1 moved one step along the last axis
+    follows = np.zeros(n, dtype=bool)
+    follows[1:] = np.all(offsets[1:, :-1] == offsets[:-1, :-1], axis=1) & (offsets[1:, -1] == offsets[:-1, -1] + 1)
+    follows &= chained
     pairs: list = [None] * n
-    for k in range((n + 1) // 2 if mirrored else n):
-        ii, oi = _lookup(sorted_keys, order, out_keys + deltas[k])
+    identity = None
+    if mirrored and n % 2:
+        # the middle offset is its own negation, the zero offset
+        identity = n // 2
+        rows = np.arange(len(in_keys), dtype=np.int64)
+        pairs[identity] = (rows, rows)
+        pos, hit = rows, True  # every row hits itself
+    for k in range((n + 1) // 2 if mirrored else 0, n):
+        query = out_keys + deltas[k]
+        pos = pos + hit if follows[k] else np.searchsorted(sorted_keys, query)
+        ii, oi, hit = _lookup(sorted_keys, order, query, pos)
         pairs[k] = (ii, oi)
-        if mirrored and k != n - 1 - k:
+        if mirrored:
             pairs[n - 1 - k] = (oi, ii)
-    return KernelMap(pairs, len(in_coords), len(out_coords))
+    return KernelMap(pairs, len(in_coords), len(out_coords), identity)
 
 
 def _kmap_cache_key(coords: np.ndarray, kind: str, stride: tuple[int, ...]):
@@ -257,7 +306,8 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     """out[o] += x[i] @ W[k] over kernel-map pairs; autodiff-aware.
 
     One gather -> GEMM -> scatter round per offset; offsets without pairs are
-    skipped. Gathers are row `take`s and scatters row-item stores through
+    skipped, and the identity offset reads and writes whole arrays in place.
+    Gathers are row `take`s and scatters row-item stores through
     `_scatter_add_rows`, both exact because each offset's index lists are
     unique (see the module docstring). `take` copies a non-contiguous source
     whole on every call, so the input and the output gradient are made
@@ -271,7 +321,10 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     out_items = _row_items(out)
     gathered: list[np.ndarray | None] = []
     for k, (ii, oi) in enumerate(kmap.pairs):
-        if len(ii):
+        if k == kmap.identity:
+            out += xv @ wv[k]
+            gathered.append(xv)
+        elif len(ii):
             xg = xv.take(ii, axis=0)
             _scatter_add_rows(out, out_items, oi, xg @ wv[k])
             gathered.append(xg)
@@ -284,7 +337,10 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
         dx_items = _row_items(dx)
         dw = np.zeros_like(wv)
         for k, (ii, oi) in enumerate(kmap.pairs):
-            if len(ii):
+            if k == kmap.identity:
+                dx += g @ wv[k].T
+                dw[k] = xv.T @ g
+            elif len(ii):
                 go = g.take(oi, axis=0)
                 _scatter_add_rows(dx, dx_items, ii, go @ wv[k].T)
                 dw[k] = gathered[k].T @ go

@@ -125,6 +125,27 @@ class TestNegCosine:
         np.testing.assert_allclose(got, want, atol=1e-12)
 
 
+class TestRelu:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_the_masked_form_byte_for_byte(self, dtype):
+        """Forward bytes, dtype and layout of ``np.where(x > 0, x, 0.0)``,
+        signed zeros, NaNs, infinities and subnormals included, on C-ordered,
+        F-ordered and strided inputs; the backward pass masks by ``x > 0``."""
+        tiny = np.finfo(dtype).smallest_subnormal
+        special = np.array([-0.0, 0.0, np.nan, -np.nan, np.inf, -np.inf, tiny, -tiny, 1.5, -2.0], dtype=dtype)
+        block = RNG.normal(size=(40, 9)).astype(dtype)
+        block.flat[: len(special)] = special
+        for x in (block, np.asfortranarray(block), block[::2, 1:7], special):
+            want = np.where(x > 0, x, 0.0)
+            out = ad.relu(ad.Var(x))
+            assert out.value.dtype == want.dtype == dtype
+            assert out.value.strides == want.strides
+            assert out.value.tobytes() == want.tobytes()
+            g = RNG.normal(size=x.shape).astype(dtype)
+            (dx,) = out._backward(g)
+            assert dx.tobytes() == (g * (x > 0)).tobytes()
+
+
 class TestChannelNorm:
     def test_forward_statistics(self):
         x = RNG.normal(size=(64, 5)) * 3 + 2

@@ -140,6 +140,17 @@ class TestExitCodes:
         assert capsys.readouterr().err.strip().splitlines()[-1].startswith("error:")
         assert not list((tmp_path / "d").glob("*.4dc"))
 
+    def test_gen_over_malformed_ply_is_3(self, tmp_path, assets, capsys):
+        _, _, objs, *_ = assets
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "room.ply").write_text(
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+            "property float z\nend_header\n0 0 0\n1 a 2\n"
+        )
+        assert run("gen", "--scenes", str(scenes), "--objects", str(objs), "--out", str(tmp_path / "x")) == EXIT_DATA
+        assert "non-numeric value in vertex 1" in capsys.readouterr().err
+
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
         code = run(

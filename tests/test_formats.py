@@ -81,6 +81,35 @@ class TestPLY:
         with pytest.raises(DataFormatError):
             read_ply(path)
 
+    @pytest.mark.parametrize("count,body", [
+        ("2", "0 0 0\n1 a 2\n"),
+        ("", "0 0 0\n"),
+        ("-1", "0 0 0\n"),
+        ("1.5", "0 0 0\n1 1 1\n"),
+        ("1e3", "0 0 0\n"),
+        ("3", "0 0 0\n1 1 1"),
+        ("99999999999999", "0 0 0\n"),
+    ], ids=["non-numeric", "no-count", "negative", "fraction", "exponent", "short-no-newline", "huge"])
+    def test_malformed_vertex_data_is_a_data_format_error(self, tmp_path, count, body):
+        path = tmp_path / "bad.ply"
+        path.write_text(
+            f"ply\nformat ascii 1.0\nelement vertex {count}\nproperty float x\nproperty float y\n"
+            f"property float z\nend_header\n{body}"
+        )
+        with pytest.raises(DataFormatError):
+            read_ply(path)
+
+    def test_bad_vertex_reports_its_offset(self, tmp_path):
+        path = tmp_path / "bad.ply"
+        text = (
+            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
+            "property float z\nend_header\n0 0 0\n1 a 2\n"
+        )
+        path.write_text(text)
+        with pytest.raises(DataFormatError) as err:
+            read_ply(path)
+        assert err.value.offset == text.index("1 a 2")
+
 
 class TestCheckpoint:
     def test_roundtrip_bit_exact(self, tmp_path):

@@ -78,6 +78,26 @@ class TestCoordPacking:
         keys = pack_coords(np.array([[127, 1, 2, 3, 0], [-128, 1, 2, 3, 0]], dtype=np.int64))
         assert keys[0] != keys[1]
 
+    @pytest.mark.parametrize("dim", [3, 4])
+    def test_range_check_raises_where_the_magnitude_check_did(self, dim):
+        """Per column, a value v raises exactly when |v| >= 2**13; the most
+        negative int64, whose magnitude overflows, raises too."""
+        edge = 1 << 13
+        for col in range(1, 1 + dim):
+            for v in (-edge - 1, -edge, -edge + 1, 0, edge - 1, edge, edge + 1):
+                coords = np.zeros((3, 1 + dim), dtype=np.int64)
+                coords[1, col] = v
+                if abs(v) >= edge:
+                    with pytest.raises(ValueError, match="packing range"):
+                        pack_coords(coords)
+                else:
+                    pack_coords(coords)
+            coords = np.zeros((2, 1 + dim), dtype=np.int64)
+            coords[0, col] = np.iinfo(np.int64).min
+            with pytest.raises(ValueError, match="packing range"):
+                pack_coords(coords)
+        assert pack_coords(np.zeros((0, 1 + dim), dtype=np.int64)).shape == (0,)
+
     def test_unique_coords_inverse(self):
         coords = np.array([[0, 1, 2, 3], [0, 1, 2, 3], [0, 0, 0, 0]], dtype=np.int64)
         uniq, inv = unique_coords(coords)
@@ -146,10 +166,15 @@ class TestKernelMapInvariants:
         # rows in key order share each mirrored offset's arrays, swapped;
         # rows out of key order look every offset up
         offs = kernel_offsets(dim, 3)
-        sub = build_kernel_map(fine, fine, offs, unit).pairs
-        assert sub[-1][0] is sub[0][1] and sub[-1][1] is sub[0][0]
-        sub = build_kernel_map(shuffled, shuffled, offs, unit).pairs
-        assert sub[-1][0] is not sub[0][1]
+        # and the centre is one shared arange, marked as the identity offset
+        sub = build_kernel_map(fine, fine, offs, unit)
+        assert sub.pairs[-1][0] is sub.pairs[0][1] and sub.pairs[-1][1] is sub.pairs[0][0]
+        centre = sub.pairs[sub.identity]
+        assert sub.identity == len(offs) // 2 and centre[0] is centre[1]
+        np.testing.assert_array_equal(centre[0], np.arange(len(fine)))
+        sub = build_kernel_map(shuffled, shuffled, offs, unit)
+        assert sub.pairs[-1][0] is not sub.pairs[0][1] and sub.identity is None
+        assert build_kernel_map(fine, fine.copy(), offs, unit).identity is None
 
     @pytest.mark.parametrize("dim", [3, 4])
     @pytest.mark.parametrize("edge", [(1 << 13) - 1, -((1 << 13) - 1)])
@@ -181,6 +206,83 @@ class TestKernelMapInvariants:
             for ii, oi in kmap.pairs:
                 assert len(np.unique(ii)) == len(ii)
                 assert len(np.unique(oi)) == len(oi)
+
+
+def kernel_map_reference(in_coords, out_coords, offsets, offset_stride):
+    """The per-offset form: a stable argsort of the input keys, then one
+    binary search of each offset's packed query coordinates."""
+    in_keys = pack_coords(in_coords)
+    order = np.argsort(in_keys, kind="stable")
+    sorted_keys = in_keys[order]
+    pairs = []
+    for off in offsets:
+        query = pack_coords(out_coords + np.concatenate([[0], off * np.array(offset_stride)]))
+        if len(sorted_keys) == 0:
+            pairs.append((np.empty(0, dtype=np.int64), np.empty(0, dtype=np.int64)))
+            continue
+        pos = np.minimum(np.searchsorted(sorted_keys, query), len(sorted_keys) - 1)
+        qi = np.flatnonzero(sorted_keys[pos] == query)
+        pairs.append((order[pos[qi]], qi))
+    return pairs
+
+
+def layout_coords(dim, step, layout, seed):
+    """Unique coordinates on the grid of ``step``, shifted one cell off it,
+    anywhere (off-grid), in random row order, with repeated rows, or none."""
+    rng = np.random.default_rng(seed)
+    raw = rng.integers(-10, 10, size=(300, 1 + dim))
+    raw[:, 0] = rng.integers(0, 3, size=len(raw))
+    if layout != "off-grid":
+        raw[:, 1:] = raw[:, 1:] // step * step + (layout == "shifted")
+    coords, _ = unique_coords(raw)
+    if layout == "unsorted":
+        coords = coords[rng.permutation(len(coords))]
+    if layout == "repeated":
+        coords = np.concatenate([coords, coords[::4]])
+    return coords[:0] if layout == "empty" else coords
+
+
+class TestKernelMapAgainstPerOffsetSearch:
+    @pytest.mark.parametrize("dim", [3, 4])
+    @pytest.mark.parametrize("step", [1, 2, 4])
+    @pytest.mark.parametrize("layout", ["on-grid", "shifted", "off-grid", "unsorted", "repeated", "empty"])
+    def test_pairs_equal_byte_for_byte(self, dim, step, layout):
+        """Values, dtype and order of every offset's pairs, for sub maps, down
+        maps and sub-kernel maps onto other output rows; the chained lookups
+        and the identity centre on the grid, the per-offset fallback off it."""
+        coords = layout_coords(dim, step, layout, seed=dim * 100 + step)
+        stride = (step,) * dim
+        cases = [
+            (coords, coords, kernel_offsets(dim, 3)),
+            (coords, downsample_coords(coords, stride), kernel_offsets(dim, 2)),
+            (coords, coords[::2].copy(), kernel_offsets(dim, 3)),
+        ]
+        if layout == "empty":
+            cases.append((coords, layout_coords(dim, step, "on-grid", seed=0), kernel_offsets(dim, 3)))
+        for in_coords, out_coords, offs in cases:
+            kmap = build_kernel_map(in_coords, out_coords, offs, stride)
+            want = kernel_map_reference(in_coords, out_coords, offs, stride)
+            assert len(kmap.pairs) == len(want)
+            for (ii, oi), (wi, wo) in zip(kmap.pairs, want):
+                assert ii.dtype == oi.dtype == wi.dtype == wo.dtype == np.int64
+                assert ii.tobytes() == wi.tobytes() and oi.tobytes() == wo.tobytes()
+
+    @pytest.mark.parametrize("dim,kind,chained,searched", [
+        (3, "sub", 4, 13), (3, "down", 4, 8), (4, "sub", 13, 40), (4, "down", 8, 16),
+    ])
+    def test_only_the_first_offset_of_each_run_is_searched(self, monkeypatch, dim, kind, chained, searched):
+        """On the grid, a mirrored 3^d map searches 4 (3D) or 13 (4D) of the
+        offsets after its centre and a 2^d down map every other offset; off
+        the grid each looked-up offset is searched."""
+        calls = []
+        search = np.searchsorted
+        monkeypatch.setattr(np, "searchsorted", lambda *a, **k: calls.append(1) or search(*a, **k))
+        for layout, want in (("on-grid", chained), ("off-grid", searched)):
+            coords = layout_coords(dim, 2, layout, seed=5)
+            out = coords if kind == "sub" else downsample_coords(coords, (2,) * dim)
+            calls.clear()
+            build_kernel_map(coords, out, kernel_offsets(dim, 3 if kind == "sub" else 2), (2,) * dim)
+            assert len(calls) == want
 
 
 class TestSubmanifoldConv3D:
@@ -344,9 +446,10 @@ class TestConvApplyExact:
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("dim", [3, 4])
     def test_matches_fancy_indexed_loop_bit_for_bit(self, dtype, dim):
-        """Sub, stride-2 down and swapped up maps, on an F-ordered input, a
-        transposed (non-contiguous) weight for the up map, and an output
-        gradient that is a non-contiguous column slice."""
+        """Sub (its centre through the identity path), stride-2 down and
+        swapped up maps, on an F-ordered input, a transposed (non-contiguous)
+        weight for the up map, and an output gradient that is a
+        non-contiguous column slice; the reference gathers every offset."""
         rng = np.random.default_rng(17 + dim)
         raw = rng.integers(-6, 6, size=(400, 1 + dim))
         raw[:, 0] = rng.integers(0, 2, size=len(raw))
@@ -362,6 +465,7 @@ class TestConvApplyExact:
             (KernelMap([(oi, ii) for ii, oi in down.pairs], down.n_out, down.n_in),
              rng.normal(size=(2**dim, c_out, c_in)).transpose(0, 2, 1)),
         ]
+        assert cases[0][0].identity == 3**dim // 2
         for kmap, w in cases:
             xv = np.asfortranarray(rng.normal(size=(kmap.n_in, c_in)).astype(dtype))
             wv = w.astype(dtype, order="K")
