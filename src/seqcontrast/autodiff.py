@@ -195,18 +195,18 @@ def channel_norm(x: Var, eps: float = 1e-5) -> Var:
     return Var(y, (x,), bw)
 
 
-def neg_cosine_rows(p: Var, z: Var, eps: float = COSINE_EPS) -> Var:
+def neg_cosine_rows(p: Var, z: Var) -> Var:
     """Row-wise negative cosine similarity of two (R, C) feature matrices.
 
-    The norms are floored at ``eps``, so a zero row gives 0 rather than NaN.
-    Scale-invariant in each row of each argument.
+    The norms are floored at ``COSINE_EPS``, so a zero row gives 0 rather
+    than NaN. Scale-invariant in each row of each argument.
     """
     p, z = as_var(p), as_var(z)
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:
         raise ValueError(f"expected matching (R, C) matrices, got {pv.shape} and {zv.shape}")
-    pn = np.maximum(np.sqrt((pv * pv).sum(axis=1)), eps)
-    zn = np.maximum(np.sqrt((zv * zv).sum(axis=1)), eps)
+    pn = np.maximum(np.sqrt((pv * pv).sum(axis=1)), COSINE_EPS)
+    zn = np.maximum(np.sqrt((zv * zv).sum(axis=1)), COSINE_EPS)
     pu = pv / pn[:, None]
     zu = zv / zn[:, None]
     dot = (pu * zu).sum(axis=1)

@@ -162,7 +162,7 @@ def cmd_inspect(args) -> int:
             f"frame {i}: points={len(frame.cloud)} scene={len(frame.cloud) - n_obj} object={n_obj} "
             f"static_aug_yaw={frame.static_aug.yaw:.4f} scale={frame.static_aug.scale:.4f}"
         )
-    for (i, j), (ia, _) in sorted(corr.pair_maps.items()):
+    for (i, j), (ia, _) in sorted(corr.items()):
         print(f"correspondences {i}-{j}: {len(ia)}")
     return EXIT_OK
 

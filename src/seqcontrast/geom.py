@@ -130,15 +130,16 @@ def unique_rows(idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class OccupancyMap2D:
     """Per-column summary of occupied voxels, used to find valid placements.
 
-    Cells are ``MAP_CELL`` wide. ``accumulation[cell]`` counts distinct
-    occupied 3D voxels in the column; ``max_height[cell]`` is the top of the
-    highest occupied voxel. The floor height is the mean of the lowest-voxel
-    heights over the quarter of columns with the lowest minima (robust
-    against furniture).
+    Cells are ``MAP_CELL`` wide and listed in lexicographic order.
+    ``counts[k]`` counts distinct occupied 3D voxels in column ``cells[k]``;
+    ``top[k]`` is the top of its highest occupied voxel. The floor height is
+    the mean of the lowest-voxel heights over the quarter of columns with the
+    lowest minima (robust against furniture).
     """
 
-    accumulation: dict[tuple[int, int], int]
-    max_height: dict[tuple[int, int], float]
+    cells: np.ndarray   # (M, 2) int64
+    counts: np.ndarray  # (M,) int64
+    top: np.ndarray     # (M,) float64
     floor_height: float
 
 
@@ -150,12 +151,10 @@ def height_accumulate(scene: PointCloud) -> OccupancyMap2D:
     # with its lowest voxel first and its highest last.
     starts = np.flatnonzero(np.r_[True, np.any(vox[1:, :2] != vox[:-1, :2], axis=1)])
     ends = np.r_[starts[1:], len(vox)]
-    cells = list(zip(vox[starts, 0].tolist(), vox[starts, 1].tolist()))
-    accumulation = dict(zip(cells, (ends - starts).tolist()))
-    max_h = dict(zip(cells, ((vox[ends - 1, 2] + 1) * MAP_CELL).tolist()))  # top face of the voxel
 
     minima = np.sort(vox[starts, 2] * MAP_CELL)
     k = max(1, int(np.ceil(FLOOR_QUANTILE * len(minima))))
     floor = float(np.mean(minima[:k]))
 
-    return OccupancyMap2D(accumulation=accumulation, max_height=max_h, floor_height=floor)
+    top = (vox[ends - 1, 2] + 1) * MAP_CELL  # top face of the voxel
+    return OccupancyMap2D(vox[starts, :2], ends - starts, top, floor)

@@ -48,11 +48,11 @@ def tiny_sequence(rng: np.random.Generator, t: int = 2, n_points: int = 12) -> S
     return Sequence(frames, 0, 0, scene_ref_points=n_points, object_ref_points=1)
 
 
-def relative_error(analytic: float, numeric: float, floor: float = 1e-6) -> float:
+def relative_error(analytic: float, numeric: float) -> float:
     diff = abs(analytic - numeric)
     if diff <= ABS_NOISE_FLOOR:
         return 0.0
-    return diff / max(abs(analytic), abs(numeric), floor)
+    return diff / max(abs(analytic), abs(numeric), 1e-6)
 
 
 def check_term(seed: int, weights: LossWeights, n_components: int = 20) -> list[tuple[str, float, float, float]]:

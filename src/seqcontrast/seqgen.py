@@ -96,42 +96,25 @@ class Sequence:
         return len(self.frames)
 
 
-@dataclass
-class CorrespondenceSet:
-    """Exact matches between frames: point indices of frame i and of frame j
-    per frame pair (i, j), i < j."""
-
-    pair_maps: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]
-
-    def pairs(self, i: int, j: int) -> tuple[np.ndarray, np.ndarray]:
-        if (i, j) in self.pair_maps:
-            return self.pair_maps[(i, j)]
-        b, a = self.pair_maps[(j, i)]
-        return a, b
-
-
 # ---------------------------------------------------------------------------
 # Placement and trajectories
 
 
-def valid_positions(occ: OccupancyMap2D, object_radius: float) -> set[tuple[int, int]]:
-    """Cells where the object's footprint disc fits on traversable floor.
+def valid_positions(occ: OccupancyMap2D, object_radius: float) -> np.ndarray:
+    """Cells where the object's footprint disc fits on traversable floor, as
+    an (N, 2) int64 array in lexicographic order.
 
     A cell is traversable when its column holds at most one occupied voxel
     whose top stays within the floor band; a candidate additionally requires
     every cell center within ``object_radius`` to be traversable.
     """
-    if not occ.accumulation:
+    if not len(occ.cells):
         raise EmptyInputError("occupancy map has no cells")
     if object_radius < 0:
         raise ValueError("object_radius must be non-negative")
-    limit = occ.floor_height + FLOOR_BAND
-    cells = np.array(list(occ.accumulation), dtype=np.int64)
-    acc = np.fromiter(occ.accumulation.values(), dtype=np.int64, count=len(cells))
-    top = np.array([occ.max_height[c] for c in occ.accumulation], dtype=np.float64)
-    cells = cells[(acc <= 1) & (top <= limit)]  # traversable
+    cells = occ.cells[(occ.counts <= 1) & (occ.top <= occ.floor_height + FLOOR_BAND)]  # traversable
     if not len(cells):
-        return set()
+        return np.empty((0, 2), dtype=np.int64)
     r_cells = int(np.floor(object_radius / MAP_CELL))
     dx, dy = np.mgrid[-r_cells:r_cells + 1, -r_cells:r_cells + 1]
     disc = np.hypot(dx, dy) * MAP_CELL <= object_radius
@@ -145,28 +128,29 @@ def valid_positions(occ: OccupancyMap2D, object_radius: float) -> set[tuple[int,
     fits = grid[r_cells:r_cells + w, r_cells:r_cells + h].copy()
     for ox, oy in zip(dx[disc] + r_cells, dy[disc] + r_cells):
         fits &= grid[ox:ox + w, oy:oy + h]
-    return set(map(tuple, (np.argwhere(fits) + lo + r_cells).tolist()))
+    return np.argwhere(fits) + lo + r_cells
 
 
 def _wrap_angle(a: float) -> float:
     return float((a + np.pi) % (2 * np.pi) - np.pi)
 
 
-def sample_trajectory(candidates: set[tuple[int, int]], t: int, rng: np.random.Generator) -> Trajectory:
+def sample_trajectory(cells: np.ndarray, t: int, rng: np.random.Generator) -> Trajectory:
     """Random walk over candidate cells with bounded step length and turn.
 
-    Each step samples a distance in [STEP_MIN, STEP_MAX] and a direction
-    turning less than TURN_LIMIT from the previous heading (the first step is
-    unconstrained in direction), snaps to the nearest candidate, and re-checks
-    the realized step against both bounds.
+    ``cells`` is the (N, 2) array of `valid_positions`; the start is drawn
+    by row index, so the row order is part of the draw. Each step samples a
+    distance in [STEP_MIN, STEP_MAX] and a direction turning less than
+    TURN_LIMIT from the previous heading (the first step is unconstrained in
+    direction), snaps to the nearest candidate, and re-checks the realized
+    step against both bounds.
     """
-    if not candidates:
-        raise ValueError("candidates must be nonempty")
+    if not len(cells):
+        raise ValueError("cells must be nonempty")
     if t < 1:
         raise ValueError("t must be >= 1")
 
-    cells = sorted(candidates)
-    centers = (np.array(cells, dtype=np.float64) + 0.5) * MAP_CELL
+    centers = (cells + 0.5) * MAP_CELL
 
     start = int(rng.integers(0, len(cells)))
     positions = [centers[start]]
@@ -206,13 +190,13 @@ def sample_trajectory(candidates: set[tuple[int, int]], t: int, rng: np.random.G
     return Trajectory(np.array(positions), np.array(headings))
 
 
-def trajectory_violations(traj: Trajectory, candidates: set[tuple[int, int]]) -> list[str]:
+def trajectory_violations(traj: Trajectory, cells: np.ndarray) -> list[str]:
     """Independent validator; returns a description of each violated constraint."""
     problems = []
     for k, pos in enumerate(traj.positions):
-        cell = tuple(np.floor(pos / MAP_CELL).astype(int))
-        if cell not in candidates:
-            problems.append(f"waypoint {k} at invalid cell {cell}")
+        cell = np.floor(pos / MAP_CELL).astype(np.int64)
+        if not np.any(np.all(cells == cell, axis=1)):
+            problems.append(f"waypoint {k} at invalid cell {tuple(cell.tolist())}")
     steps = np.diff(traj.positions, axis=0)
     dists = np.hypot(steps[:, 0], steps[:, 1])
     for k, d in enumerate(dists):
@@ -345,8 +329,10 @@ def validate_sequence(seq: Sequence) -> bool:
     )
 
 
-def build_correspondences(seq: Sequence) -> CorrespondenceSet:
-    """Match point indices across every frame pair via shared provenance ids."""
+def build_correspondences(seq: Sequence) -> dict[tuple[int, int], tuple[np.ndarray, np.ndarray]]:
+    """Match point indices across every frame pair via shared provenance ids:
+    for each pair (i, j), i < j, the indices into frame i and into frame j of
+    the points they share."""
     t = len(seq.frames)
     pair_maps = {}
     for i in range(t):
@@ -358,7 +344,7 @@ def build_correspondences(seq: Sequence) -> CorrespondenceSet:
                 return_indices=True,
             )
             pair_maps[(i, j)] = (ia, ib)
-    return CorrespondenceSet(pair_maps)
+    return pair_maps
 
 
 # ---------------------------------------------------------------------------
@@ -429,7 +415,7 @@ class GenParams:
 def make_sequence(
     scene: PointCloud,
     obj: PointCloud,
-    candidates: set[tuple[int, int]],
+    candidates: np.ndarray,
     floor_height: float,
     rng: np.random.Generator,
     params: GenParams,
@@ -475,7 +461,7 @@ def _generate_one(args):
     rng = np.random.default_rng(np.random.SeedSequence((seed, scene_idx, traj_idx)))
     obj_idx = int(rng.integers(0, len(objects)))
     candidates = candidates_by_radius[obj_idx]
-    if not candidates:
+    if not len(candidates):
         return scene_idx, traj_idx, None, "no valid positions for object"
     try:
         seq = make_sequence(
@@ -529,7 +515,7 @@ def generate_dataset(
     for scene_idx, scene in enumerate(scenes):
         occ = height_accumulate(scene)
         candidates_by_radius = [valid_positions(occ, r) for r in object_radii]
-        if not any(candidates_by_radius):
+        if not any(len(c) for c in candidates_by_radius):
             log.warning("scene %d has no valid positions; skipped", scene_idx)
             continue
         for traj_idx in range(params.per_scene):

@@ -429,5 +429,5 @@ def concat(x: SparseTensor, y: SparseTensor) -> SparseTensor:
     return SparseTensor(x.coords, ad.concat_cols(x.feats, y.feats), x.stride)
 
 
-def channel_norm(x: SparseTensor, eps: float = 1e-5) -> SparseTensor:
-    return SparseTensor(x.coords, ad.channel_norm(x.feats, eps), x.stride)
+def channel_norm(x: SparseTensor) -> SparseTensor:
+    return SparseTensor(x.coords, ad.channel_norm(x.feats), x.stride)

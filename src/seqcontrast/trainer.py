@@ -86,10 +86,9 @@ class _SequenceState:
     def __init__(self, seq: Sequence, cfg: TrainConfig, seq_key: int):
         self.seq = seq
         self.cache: dict = {}
-        corr = build_correspondences(seq)
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 977, seq_key)))
         self.pair_maps = {}
-        for key, (ia, ib) in sorted(corr.pair_maps.items()):
+        for key, (ia, ib) in sorted(build_correspondences(seq).items()):
             if cfg.max_corr_per_pair and len(ia) > cfg.max_corr_per_pair:
                 pick = np.sort(rng.choice(len(ia), size=cfg.max_corr_per_pair, replace=False))
                 ia, ib = ia[pick], ib[pick]
@@ -387,24 +386,20 @@ def probe(
     rng = np.random.default_rng(seed)
     corr_sims, rand_sims = [], []
     for seq in sequences:
-        corr = build_correspondences(seq)
         views = [frame.static_view().points for frame in seq.frames]
         x, rows = nets.frames_to_tensor(views, model.voxel3d)
         z = nets.unet_forward(x, params, model.unet3d, cache={})
         feats = [z.feats.value[r] for r in rows]
-        t = len(seq.frames)
-        for i in range(t):
-            for j in range(i + 1, t):
-                ia, ib = corr.pairs(i, j)
-                if len(ia) == 0:
-                    continue
-                if len(ia) > max_pairs_per_sequence:
-                    pick = rng.choice(len(ia), size=max_pairs_per_sequence, replace=False)
-                    ia, ib = ia[pick], ib[pick]
-                corr_sims.append(_cosine(feats[i][ia], feats[j][ib]))
-                ra = rng.integers(0, len(feats[i]), size=len(ia))
-                rb = rng.integers(0, len(feats[j]), size=len(ia))
-                rand_sims.append(_cosine(feats[i][ra], feats[j][rb]))
+        for (i, j), (ia, ib) in build_correspondences(seq).items():
+            if len(ia) == 0:
+                continue
+            if len(ia) > max_pairs_per_sequence:
+                pick = rng.choice(len(ia), size=max_pairs_per_sequence, replace=False)
+                ia, ib = ia[pick], ib[pick]
+            corr_sims.append(_cosine(feats[i][ia], feats[j][ib]))
+            ra = rng.integers(0, len(feats[i]), size=len(ia))
+            rb = rng.integers(0, len(feats[j]), size=len(ia))
+            rand_sims.append(_cosine(feats[i][ra], feats[j][rb]))
     corr_mean = float(np.mean(np.concatenate(corr_sims))) if corr_sims else float("nan")
     rand_mean = float(np.mean(np.concatenate(rand_sims))) if rand_sims else float("nan")
     return {
@@ -486,7 +481,9 @@ class ContrastivePretrainer:
         points = X.points if isinstance(X, PointCloud) else np.asarray(X, dtype=np.float64)
         return projection_features([points], self.checkpoint_)[0]
 
-    def fit_transform(self, X, y=None, points=None) -> np.ndarray:
+    def fit_transform(self, X, y=None) -> np.ndarray:
+        """Fit, then transform the first frame of the first training sequence."""
+        if isinstance(X, (str, Path)):
+            X = load_dataset(X)
         self.fit(X, y)
-        target = points if points is not None else X[0].frames[0].cloud.points
-        return self.transform(target)
+        return self.transform(X[0].frames[0].cloud.points)

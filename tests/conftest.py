@@ -47,7 +47,7 @@ def small_object():
 def small_candidates(small_room, small_object):
     occ = height_accumulate(small_room)
     cand = valid_positions(occ, object_footprint_radius(small_object))
-    assert cand, "fixture room must admit placements"
+    assert len(cand), "fixture room must admit placements"
     return occ, cand
 
 

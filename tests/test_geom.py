@@ -35,6 +35,13 @@ def height_accumulate_loop(scene):
     return accumulation, max_h, float(np.mean(minima[:k]))
 
 
+def column_dicts(occ):
+    """The map's per-column arrays as the loop form's {cell: count} and
+    {cell: top} dicts, in row order."""
+    cells = list(map(tuple, occ.cells.tolist()))
+    return dict(zip(cells, occ.counts.tolist())), dict(zip(cells, occ.top.tolist()))
+
+
 def cloud(*pts):
     return PointCloud(np.array(pts, dtype=np.float64))
 
@@ -158,15 +165,15 @@ class TestSimilarityTransform:
 class TestHeightAccumulate:
     def test_single_point(self):
         occ = height_accumulate(cloud((0, 0, 0)))
-        assert occ.accumulation[(0, 0)] == 1
+        assert occ.cells.tolist() == [[0, 0]] and occ.counts.tolist() == [1]
 
     def test_two_voxels_one_column(self):
         occ = height_accumulate(cloud((0.05, 0.05, 0.0), (0.05, 0.05, 0.5)))
-        assert occ.accumulation[(0, 0)] == 2
+        assert occ.cells.tolist() == [[0, 0]] and occ.counts.tolist() == [2]
 
     def test_same_voxel_counts_once(self):
         occ = height_accumulate(cloud((0.01, 0.01, 0.02), (0.03, 0.02, 0.07)))
-        assert occ.accumulation[(0, 0)] == 1
+        assert occ.cells.tolist() == [[0, 0]] and occ.counts.tolist() == [1]
 
     def test_empty_raises(self):
         with pytest.raises(EmptyInputError):
@@ -174,7 +181,7 @@ class TestHeightAccumulate:
 
     def test_max_height_is_voxel_top(self):
         occ = height_accumulate(cloud((0.05, 0.05, 0.23)))
-        assert occ.max_height[(0, 0)] == pytest.approx(0.3)
+        assert occ.cells.tolist() == [[0, 0]] and occ.top[0] == pytest.approx(0.3)
 
     def test_flat_floor_height(self):
         rng = np.random.default_rng(2)
@@ -193,7 +200,7 @@ class TestHeightAccumulate:
         expect = {}
         for ix, iy, iz in vox:
             expect[(ix, iy)] = expect.get((ix, iy), 0) + 1
-        assert occ.accumulation == expect
+        assert column_dicts(occ)[0] == expect
 
     @pytest.mark.parametrize(
         "points",
@@ -204,7 +211,7 @@ class TestHeightAccumulate:
     )
     def test_matches_loop_on_small_scenes(self, points):
         occ = height_accumulate(cloud(*points))
-        assert (occ.accumulation, occ.max_height, occ.floor_height) == height_accumulate_loop(cloud(*points))
+        assert (*column_dicts(occ), occ.floor_height) == height_accumulate_loop(cloud(*points))
 
     @settings(max_examples=25, deadline=None)
     @given(seed=st.integers(0, 2**31 - 1), n=st.integers(1, 1000))
@@ -213,10 +220,12 @@ class TestHeightAccumulate:
         scene = PointCloud(rng.uniform(-2, 2, size=(n, 3)) * rng.uniform(0.1, 1.0, size=3))
         occ = height_accumulate(scene)
         accumulation, max_h, floor = height_accumulate_loop(scene)
-        assert list(occ.accumulation.items()) == list(accumulation.items())
-        assert list(occ.max_height.items()) == list(max_h.items())
+        assert occ.cells.tolist() == [list(c) for c in accumulation]
+        assert occ.counts.tolist() == list(accumulation.values())
+        assert occ.top.tolist() == list(max_h.values())
         assert occ.floor_height == floor
+        assert occ.cells.dtype == occ.counts.dtype == np.int64 and occ.top.dtype == np.float64
 
     def test_matches_loop_on_room(self, small_room):
         occ = height_accumulate(small_room)
-        assert (occ.accumulation, occ.max_height, occ.floor_height) == height_accumulate_loop(small_room)
+        assert (*column_dicts(occ), occ.floor_height) == height_accumulate_loop(small_room)

@@ -30,7 +30,7 @@ class TestTinySequence:
         rng = np.random.default_rng(0)
         seq = tiny_sequence(rng, t=3)
         corr = build_correspondences(seq)
-        assert all(len(ia) > 0 for ia, _ in corr.pair_maps.values())
+        assert all(len(ia) > 0 for ia, _ in corr.values())
 
 
 class TestCheckTerm:

@@ -44,7 +44,8 @@ from seqcontrast.seqgen import (
 
 def valid_positions_loop(occ, object_radius):
     limit = occ.floor_height + FLOOR_BAND
-    traversable = {c for c, acc in occ.accumulation.items() if acc <= 1 and occ.max_height[c] <= limit}
+    columns = zip(map(tuple, occ.cells.tolist()), occ.counts.tolist(), occ.top.tolist())
+    traversable = {c for c, acc, top in columns if acc <= 1 and top <= limit}
     r_cells = int(np.floor(object_radius / MAP_CELL))
     offsets = [
         (dx, dy)
@@ -53,6 +54,49 @@ def valid_positions_loop(occ, object_radius):
         if np.hypot(dx, dy) * MAP_CELL <= object_radius
     ]
     return {c for c in traversable if all((c[0] + dx, c[1] + dy) in traversable for dx, dy in offsets)}
+
+
+def sample_trajectory_loop(candidates, t, rng):
+    """`sample_trajectory` on a set of cells, which it sorts first."""
+    cells = sorted(candidates)
+    centers = (np.array(cells, dtype=np.float64) + 0.5) * MAP_CELL
+    positions = [centers[int(rng.integers(0, len(cells)))]]
+    headings = []
+    for step in range(1, t):
+        prev = positions[-1]
+        prev_heading = headings[-1] if headings else None
+        for _ in range(seqgen.STEP_RETRIES):
+            dist = rng.uniform(STEP_MIN, STEP_MAX)
+            if prev_heading is None:
+                direction = rng.uniform(0.0, 2 * np.pi)
+            else:
+                direction = prev_heading + rng.uniform(-TURN_LIMIT, TURN_LIMIT)
+            target = prev + dist * np.array([np.cos(direction), np.sin(direction)])
+            snapped = centers[int(np.argmin(np.sum((centers - target) ** 2, axis=1)))]
+            realized = snapped - prev
+            if not (STEP_MIN <= float(np.hypot(*realized)) <= STEP_MAX):
+                continue
+            heading = float(np.arctan2(realized[1], realized[0]))
+            if prev_heading is not None and abs(seqgen._wrap_angle(heading - prev_heading)) >= TURN_LIMIT:
+                continue
+            positions.append(snapped)
+            headings.append(heading)
+            break
+        else:
+            raise TrajectoryFailure(f"no valid step found at waypoint {step}")
+    headings = [headings[0]] + headings if headings else [0.0]
+    return seqgen.Trajectory(np.array(positions), np.array(headings))
+
+
+def cell_set(cells):
+    return set(map(tuple, cells.tolist()))
+
+
+def assert_same_cells(got, candidates):
+    """``got`` is the set ``candidates`` as an (N, 2) int64 array, row for
+    row in lexicographic order."""
+    want = np.array(sorted(candidates), dtype=np.int64).reshape(-1, 2)
+    np.testing.assert_array_equal(got, want, strict=True)
 
 
 def augment_scene_loop(frame, rng):
@@ -101,7 +145,7 @@ class TestValidPositions:
         pts = np.column_stack([xy, np.zeros(2000)])
         pillar = np.array([[0.55, 0.55, z] for z in np.arange(0, 1.0, 0.05)])
         occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
-        cand = valid_positions(occ, 0.0)
+        cand = cell_set(valid_positions(occ, 0.0))
         assert (5, 5) not in cand
         assert (1, 1) in cand
 
@@ -111,18 +155,16 @@ class TestValidPositions:
         pts = np.column_stack([xy, np.zeros(3000)])
         pillar = np.array([[0.55, 0.55, z] for z in np.arange(0, 1.0, 0.05)])
         occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
-        wide = valid_positions(occ, 0.25)
+        wide = cell_set(valid_positions(occ, 0.25))
         # neighbors of the pillar fail the disc test at radius 0.25
         assert (5, 4) not in wide and (4, 5) not in wide
-        narrow = valid_positions(occ, 0.0)
+        narrow = cell_set(valid_positions(occ, 0.0))
         assert wide < narrow
 
     @pytest.mark.parametrize("radius", [0.0, 0.05, 0.15, 0.25, 0.4])
     def test_matches_loop(self, small_room, radius):
         occ = height_accumulate(small_room)
-        got = valid_positions(occ, radius)
-        assert got == valid_positions_loop(occ, radius)
-        assert all(type(v) is int for c in got for v in c)
+        assert_same_cells(valid_positions(occ, radius), valid_positions_loop(occ, radius))
 
     @pytest.mark.parametrize("radius", [0.0, 0.15, 0.4])
     def test_matches_loop_on_negative_cells(self, radius):
@@ -134,20 +176,22 @@ class TestValidPositions:
         pts = np.column_stack([xy, rng.uniform(-0.05, 0.0, len(xy))])
         pillar = np.array([[-0.25, -0.35, z] for z in np.arange(0, 1.0, 0.05)])
         occ = height_accumulate(PointCloud(np.vstack([pts, pillar])))
-        assert min(occ.accumulation)[0] < 0
+        assert occ.cells[0, 0] < 0
         got = valid_positions(occ, radius)
-        assert got == valid_positions_loop(occ, radius)
-        assert got and (-3, -4) not in got
+        assert_same_cells(got, valid_positions_loop(occ, radius))
+        assert len(got) and (-3, -4) not in cell_set(got)
 
     @pytest.mark.parametrize("radius", [0.0, 0.15, 0.4])
     def test_one_voxel_scene(self, radius):
         occ = height_accumulate(PointCloud(np.array([[-0.05, 0.05, 0.02]])))
-        assert valid_positions(occ, radius) == valid_positions_loop(occ, radius) == ({(-1, 0)} if radius < MAP_CELL else set())
+        expect = {(-1, 0)} if radius < MAP_CELL else set()
+        assert valid_positions_loop(occ, radius) == expect
+        assert_same_cells(valid_positions(occ, radius), expect)
 
     def test_empty_map_raises(self):
         from seqcontrast.geom import OccupancyMap2D
 
-        empty = OccupancyMap2D({}, {}, 0.0)
+        empty = OccupancyMap2D(np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), np.empty(0), 0.0)
         with pytest.raises(EmptyInputError):
             valid_positions(empty, 0.1)
 
@@ -179,12 +223,30 @@ class TestSampleTrajectory:
 
     def test_single_cell_fails(self):
         with pytest.raises(TrajectoryFailure):
-            sample_trajectory({(0, 0)}, 3, np.random.default_rng(0))
+            sample_trajectory(np.array([[0, 0]]), 3, np.random.default_rng(0))
 
     def test_length_one_is_a_point(self, small_candidates):
         _, cand = small_candidates
         traj = sample_trajectory(cand, 1, np.random.default_rng(5))
         assert len(traj) == 1 and traj.headings[0] == 0.0
+
+    @pytest.mark.parametrize("t", [1, 3, 4, 6])
+    def test_matches_loop(self, small_candidates, t):
+        """The same waypoints and headings, and the same draws consumed, as
+        the set form; failures fail alike."""
+        _, cand = small_candidates
+        for seed in range(20):
+            rng, rng_loop = np.random.default_rng(seed), np.random.default_rng(seed)
+            try:
+                want = sample_trajectory_loop(cell_set(cand), t, rng_loop)
+            except TrajectoryFailure:
+                with pytest.raises(TrajectoryFailure):
+                    sample_trajectory(cand, t, rng)
+            else:
+                got = sample_trajectory(cand, t, rng)
+                np.testing.assert_array_equal(got.positions, want.positions, strict=True)
+                np.testing.assert_array_equal(got.headings, want.headings, strict=True)
+            assert rng.bit_generator.state == rng_loop.bit_generator.state
 
     def test_validator_flags_bad_trajectories(self, small_candidates):
         _, cand = small_candidates
@@ -374,7 +436,7 @@ class TestCorrespondences:
         t = len(small_sequence)
         for i in range(t):
             for j in range(i + 1, t):
-                ia, ib = corr.pair_maps[(i, j)]
+                ia, ib = corr[(i, j)]
                 assert len(ia) == len(ib) > 0
                 assert len(np.unique(ia)) == len(ia)
                 assert len(np.unique(ib)) == len(ib)
@@ -383,14 +445,12 @@ class TestCorrespondences:
                     small_sequence.frames[i].cloud.provenance[ia],
                     small_sequence.frames[j].cloud.provenance[ib],
                 )
-                # reversed lookup swaps the columns
-                ra, rb = corr.pairs(j, i)
-                np.testing.assert_array_equal(ra, ib)
-                np.testing.assert_array_equal(rb, ia)
+        # one entry per frame pair, first frame first
+        assert sorted(corr) == [(i, j) for i in range(t) for j in range(i + 1, t)]
 
     def test_scene_points_coincide_objects_map_back(self, small_sequence):
         corr = build_correspondences(small_sequence)
-        for (i, j), (ia, ib) in corr.pair_maps.items():
+        for (i, j), (ia, ib) in corr.items():
             fi, fj = small_sequence.frames[i], small_sequence.frames[j]
             prov = fi.cloud.provenance[ia]
             scene_mask = prov < OBJECT_ID_OFFSET

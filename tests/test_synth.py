@@ -40,11 +40,7 @@ class TestMakeRoom:
         band, connected through 4-neighbor adjacency."""
         room = make_room(np.random.default_rng(seed))
         occ = height_accumulate(room)
-        flat = {
-            c
-            for c, n in occ.accumulation.items()
-            if n <= 1 and occ.max_height[c] <= occ.floor_height + 0.20
-        }
+        flat = set(map(tuple, occ.cells[(occ.counts <= 1) & (occ.top <= occ.floor_height + 0.20)].tolist()))
         best = 0
         todo = set(flat)
         while todo:

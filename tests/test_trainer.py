@@ -394,6 +394,16 @@ class TestEstimatorFacade:
         feats = est.transform(pts)
         assert feats.shape == (200, tiny_model().unet3d.projection_width)
 
+    @pytest.mark.parametrize("source", ["list", "directory"])
+    def test_fit_transform_first_frame(self, small_dataset, dataset, source):
+        """Features of the first frame of the first training sequence, from
+        a list of sequences or a dataset directory alike."""
+        est = ContrastivePretrainer(steps=1, batch_size=2, seed=0, model=tiny_model())
+        feats = est.fit_transform(dataset if source == "list" else small_dataset)
+        pts = dataset[0].frames[0].cloud.points
+        assert feats.shape == (len(pts), tiny_model().unet3d.projection_width)
+        np.testing.assert_array_equal(feats, est.transform(pts))
+
     def test_transform_before_fit_rejected(self):
         with pytest.raises(RuntimeError):
             ContrastivePretrainer().transform(np.zeros((3, 3)))
