@@ -3,7 +3,8 @@
 Each branch is a U-Net of pre-activation residual blocks over sparse tensors,
 followed by a 1x..x1 projection (output ``z``) and a two-layer 1x..x1
 predictor (output ``p``). Inputs are binary occupancy repeated to three
-channels. Both heads preserve the coordinate set of their input voxels.
+channels, as float32 ones that the stem casts to the parameters' dtype.
+Both heads preserve the coordinate set of their input voxels.
 `sparse.channel_norm` runs before every activation of the residual blocks and
 the predictor, and on the projection output.
 
@@ -142,30 +143,32 @@ def build_parameters(model: ModelConfig, seed: int = 0, dtype=np.float32) -> dic
 # Forward passes
 
 
-def _resblock(x: SparseTensor, params, name: str, cache) -> SparseTensor:
+def _resblock(x: SparseTensor, params, name: str) -> SparseTensor:
     h = sp.relu(sp.channel_norm(x))
-    h = sp.sparse_conv(h, params[f"{name}.conv1.w"], stride=1, cache=cache)
+    h = sp.sparse_conv(h, params[f"{name}.conv1.w"], stride=1)
     h = sp.relu(sp.channel_norm(h))
-    h = sp.sparse_conv(h, params[f"{name}.conv2.w"], stride=1, cache=cache)
+    h = sp.sparse_conv(h, params[f"{name}.conv2.w"], stride=1)
     return sp.add(x, h)
 
 
-def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, cache: dict | None = None) -> SparseTensor:
+def unet_forward(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig) -> SparseTensor:
     """U-Net over a sparse tensor; output coordinates equal input coordinates."""
     base = f"unet{cfg.dim}d"
-    x = sp.linear_1x1(x, params[f"{base}.stem.w"], params[f"{base}.stem.b"])
+    stem = params[f"{base}.stem.w"]
+    ones = x.feats.value.astype(stem.value.dtype, copy=False)  # a mixed float32/float64 GEMM can round differently
+    x = sp.linear_1x1(SparseTensor(x.coords, ones, x.stride, x.maps), stem, params[f"{base}.stem.b"])
     skips = []
     for lvl in range(cfg.levels):
-        x = _resblock(x, params, f"{base}.enc{lvl}.block0", cache)
+        x = _resblock(x, params, f"{base}.enc{lvl}.block0")
         skips.append(x)
         if lvl < cfg.levels - 1:
-            x = sp.sparse_conv(x, params[f"{base}.down{lvl}.w"], stride=2, cache=cache)
+            x = sp.sparse_conv(x, params[f"{base}.down{lvl}.w"], stride=2)
     for lvl in range(cfg.levels - 1, 0, -1):
         skip = skips[lvl - 1]
-        x = sp.transpose_conv(x, params[f"{base}.up{lvl}.w"], skip.coords, skip.stride, cache=cache)
+        x = sp.transpose_conv(x, params[f"{base}.up{lvl}.w"], skip.coords, skip.stride)
         x = sp.concat(x, skip)
         x = sp.linear_1x1(x, params[f"{base}.dec{lvl - 1}.reduce.w"], params[f"{base}.dec{lvl - 1}.reduce.b"])
-        x = _resblock(x, params, f"{base}.dec{lvl - 1}.block0", cache)
+        x = _resblock(x, params, f"{base}.dec{lvl - 1}.block0")
     return x
 
 
@@ -179,9 +182,9 @@ def project(x: SparseTensor, params: dict[str, Var]) -> SparseTensor:
     return sp.channel_norm(sp.linear_1x1(x, params[f"proj{x.dim}d.w"], params[f"proj{x.dim}d.b"]))
 
 
-def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig, cache: dict | None = None) -> SparseTensor:
+def encode(x: SparseTensor, params: dict[str, Var], cfg: UNetConfig) -> SparseTensor:
     """Per-voxel projection-head features ``z``: U-Net, then projection."""
-    return project(unet_forward(x, params, cfg, cache), params)
+    return project(unet_forward(x, params, cfg), params)
 
 
 def predict(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
@@ -195,7 +198,7 @@ def predict(z: SparseTensor, params: dict[str, Var]) -> SparseTensor:
 # Voxelization of inputs
 
 
-def _voxelize(clouds: list[np.ndarray], voxel_size: float, dtype, time_axis: bool = False) -> tuple[SparseTensor, list[np.ndarray]]:
+def _voxelize(clouds: list[np.ndarray], voxel_size: float, time_axis: bool = False) -> tuple[SparseTensor, list[np.ndarray]]:
     """Quantize point clouds into one occupancy tensor.
 
     Cloud k goes to batch k, or, with ``time_axis``, to time step k of batch
@@ -212,33 +215,33 @@ def _voxelize(clouds: list[np.ndarray], voxel_size: float, dtype, time_axis: boo
             cols.append(np.full((len(pts), 1), k, dtype=np.int64))
         blocks.append(np.concatenate(cols, axis=1))
     uniq, inverse = sp.unique_coords(np.concatenate(blocks, axis=0))
-    feats = np.ones((len(uniq), IN_CHANNELS), dtype=dtype)
+    feats = np.ones((len(uniq), IN_CHANNELS), dtype=np.float32)
     rows = np.split(inverse, np.cumsum([len(b) for b in blocks[:-1]]))
     return SparseTensor(uniq, Var(feats), (1,) * (uniq.shape[1] - 1)), rows
 
 
-def points_to_tensor(points: np.ndarray, voxel_size: float, dtype=np.float32) -> tuple[SparseTensor, np.ndarray]:
+def points_to_tensor(points: np.ndarray, voxel_size: float) -> tuple[SparseTensor, np.ndarray]:
     """Quantize one (N, 3) point cloud into a 3D occupancy tensor.
 
     Returns the tensor and, per input point, the row of its voxel.
     """
-    x, rows = _voxelize([points], voxel_size, dtype)
+    x, rows = _voxelize([points], voxel_size)
     return x, rows[0]
 
 
-def sequence_to_4d(seq: Sequence, voxel_size: float = VOXEL_4D, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
+def sequence_to_4d(seq: Sequence, voxel_size: float = VOXEL_4D) -> tuple[SparseTensor, list[np.ndarray]]:
     """Stack the (unaugmented) sequence view into a 4D occupancy tensor.
 
     Coordinates are (x, y, z) quantized at ``voxel_size`` plus the frame index
     as the time axis. Also returns, per frame, the tensor row of each point.
     """
-    return _voxelize([frame.cloud.points for frame in seq.frames], voxel_size, dtype, time_axis=True)
+    return _voxelize([frame.cloud.points for frame in seq.frames], voxel_size, time_axis=True)
 
 
-def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float, dtype=np.float32) -> tuple[SparseTensor, list[np.ndarray]]:
+def frames_to_tensor(frames_points: list[np.ndarray], voxel_size: float) -> tuple[SparseTensor, list[np.ndarray]]:
     """Quantize several frames into one 3D occupancy tensor.
 
     The batch column keeps frames apart, so one U-Net pass convolves them all
     without mixing. Returns the tensor and, per frame, the row of each point.
     """
-    return _voxelize(frames_points, voxel_size, dtype)
+    return _voxelize(frames_points, voxel_size)

@@ -11,6 +11,7 @@ from __future__ import annotations
 import logging
 import struct
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -521,20 +522,17 @@ def generate_dataset(
         for traj_idx in range(params.per_scene):
             tasks.append((scene, objects, scene_idx, traj_idx, seed, params, occ.floor_height, candidates_by_radius))
 
-    if workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_generate_one, tasks))
-    else:
-        results = [_generate_one(task) for task in tasks]
-
+    # written as each result arrives, so memory holds a few sequences, not all
     written, rejected = 0, 0
-    for scene_idx, traj_idx, blob, info in results:
-        if blob is None:
-            rejected += 1
-            log.warning("scene %d trajectory %d rejected: %s", scene_idx, traj_idx, info)
-            continue
-        stem = f"seq_{scene_idx:04d}_{traj_idx:04d}"
-        (out_dir / f"{stem}.4dc").write_bytes(blob)
-        write_sidecar(out_dir / f"{stem}.txt", info)
-        written += 1
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
+    with pool or nullcontext():
+        for scene_idx, traj_idx, blob, info in (pool.map if pool else map)(_generate_one, tasks):
+            if blob is None:
+                rejected += 1
+                log.warning("scene %d trajectory %d rejected: %s", scene_idx, traj_idx, info)
+                continue
+            stem = f"seq_{scene_idx:04d}_{traj_idx:04d}"
+            (out_dir / f"{stem}.4dc").write_bytes(blob)
+            write_sidecar(out_dir / f"{stem}.txt", info)
+            written += 1
     return {"written": written, "rejected": rejected}

@@ -29,6 +29,10 @@ q + step, so the next offset's insertion point is this offset's plus its
 hit. Only the first offset of each run along the last axis is binary
 searched; a map without that property searches every offset.
 
+Kernel maps live in ``SparseTensor.maps``: one dict per voxelised input, shared
+by every tensor derived from it. Keys hold the coordinate bytes (and the target
+bytes of `transpose_conv`, which takes any target), not just kind and stride.
+
 Every convolution runs one gather -> GEMM -> scatter round per offset that
 has pairs, as in MinkowskiEngine; there is no dense fallback, since the maps
 seen in practice are sparse (5-35 % of the (row, offset) slots hold a pair).
@@ -50,7 +54,7 @@ the sums the fancy-indexed accumulation would.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -69,6 +73,7 @@ class SparseTensor:
     coords: np.ndarray   # (N, 1 + d) int64: batch index then d spatial coords
     feats: Var           # (N, C)
     stride: tuple[int, ...]
+    maps: dict = field(default_factory=dict, repr=False, compare=False)
 
     def __post_init__(self):
         if isinstance(self.feats, np.ndarray):
@@ -245,17 +250,13 @@ def build_kernel_map(
     return KernelMap(pairs, len(in_coords), len(out_coords), identity)
 
 
-def _kmap_cache_key(coords: np.ndarray, kind: str, stride: tuple[int, ...]):
-    return (kind, stride, coords.shape[0], coords.tobytes())
-
-
-def _get_kernel_map(x: SparseTensor, kind: str, target=None, cache=None):
-    """Kernel map for submanifold / down / up convolutions, with caching."""
-    key = _kmap_cache_key(x.coords, kind, x.stride)
+def _get_kernel_map(x: SparseTensor, kind: str, target=None):
+    """Kernel map for submanifold / down / up convolutions, cached in ``x.maps``."""
+    key = (kind, x.stride, x.coords.shape[0], x.coords.tobytes())
     if kind == "up":
-        key = key + (target[0].shape[0], target[0].tobytes(), target[1])
-    if cache is not None and key in cache:
-        return cache[key]
+        key += (target[0].shape[0], target[0].tobytes(), target[1])
+    if key in x.maps:
+        return x.maps[key]
 
     dim = x.dim
     if kind == "sub":
@@ -277,10 +278,8 @@ def _get_kernel_map(x: SparseTensor, kind: str, target=None, cache=None):
         out_coords, out_stride = fine_coords, fine_stride
     else:
         raise ValueError(kind)
-    result = (kmap, out_coords, out_stride)
-    if cache is not None:
-        cache[key] = result
-    return result
+    x.maps[key] = kmap, out_coords, out_stride
+    return x.maps[key]
 
 
 def _row_items(a: np.ndarray) -> np.ndarray:
@@ -360,7 +359,7 @@ def _check_offsets(weight: Var, dim: int, ksize: int, what: str) -> None:
         raise ValueError(f"{what} in {dim}D needs {ksize**dim} kernel offsets, the weight has {n}")
 
 
-def sparse_conv(x: SparseTensor, weight: Var, stride: int = 1, cache: dict | None = None) -> SparseTensor:
+def sparse_conv(x: SparseTensor, weight: Var, stride: int = 1) -> SparseTensor:
     """Generalized sparse convolution.
 
     ``weight`` has shape (K, C_in, C_out). Stride 1 is submanifold with
@@ -371,13 +370,13 @@ def sparse_conv(x: SparseTensor, weight: Var, stride: int = 1, cache: dict | Non
         raise ValueError(f"channel mismatch: input {x.channels}, kernel {weight.value.shape[1]}")
     if stride == 1:
         _check_offsets(weight, x.dim, SUB_KERNEL, "a stride-1 convolution")
-        kmap, out_coords, out_stride = _get_kernel_map(x, "sub", cache=cache)
+        kmap, out_coords, out_stride = _get_kernel_map(x, "sub")
     elif stride == 2:
         _check_offsets(weight, x.dim, 2, "a stride-2 convolution")
-        kmap, out_coords, out_stride = _get_kernel_map(x, "down", cache=cache)
+        kmap, out_coords, out_stride = _get_kernel_map(x, "down")
     else:
         raise ValueError("stride must be 1 or 2")
-    return SparseTensor(out_coords, _conv_apply(x.feats, weight, kmap), out_stride)
+    return SparseTensor(out_coords, _conv_apply(x.feats, weight, kmap), out_stride, x.maps)
 
 
 def transpose_conv(
@@ -385,7 +384,6 @@ def transpose_conv(
     weight: Var,
     target_coords: np.ndarray,
     target_stride: tuple[int, ...],
-    cache: dict | None = None,
 ) -> SparseTensor:
     """Adjoint of the stride-2 convolution, onto the supplied target coords.
 
@@ -398,10 +396,8 @@ def transpose_conv(
     if weight.value.shape[2] != x.channels:
         raise ValueError(f"channel mismatch: input {x.channels}, kernel {weight.value.shape[2]}")
     _check_offsets(weight, x.dim, 2, "a transposed convolution")
-    kmap, out_coords, out_stride = _get_kernel_map(
-        x, "up", target=(target_coords, target_stride), cache=cache
-    )
-    return SparseTensor(out_coords, _conv_apply(x.feats, _transpose_offsets(weight), kmap), out_stride)
+    kmap, out_coords, out_stride = _get_kernel_map(x, "up", target=(target_coords, target_stride))
+    return SparseTensor(out_coords, _conv_apply(x.feats, _transpose_offsets(weight), kmap), out_stride, x.maps)
 
 
 # ---------------------------------------------------------------------------
@@ -409,25 +405,25 @@ def transpose_conv(
 
 
 def relu(x: SparseTensor) -> SparseTensor:
-    return SparseTensor(x.coords, ad.relu(x.feats), x.stride)
+    return SparseTensor(x.coords, ad.relu(x.feats), x.stride, x.maps)
 
 
 def linear_1x1(x: SparseTensor, weight: Var, bias: Var) -> SparseTensor:
     """1x...x1 convolution: a per-coordinate affine map."""
-    return SparseTensor(x.coords, ad.add_bias(ad.matmul(x.feats, weight), bias), x.stride)
+    return SparseTensor(x.coords, ad.add_bias(ad.matmul(x.feats, weight), bias), x.stride, x.maps)
 
 
 def add(x: SparseTensor, y: SparseTensor) -> SparseTensor:
     if x.coords.shape != y.coords.shape or not np.array_equal(x.coords, y.coords):
         raise ValueError("add requires identical coordinate sets")
-    return SparseTensor(x.coords, ad.add(x.feats, y.feats), x.stride)
+    return SparseTensor(x.coords, ad.add(x.feats, y.feats), x.stride, x.maps)
 
 
 def concat(x: SparseTensor, y: SparseTensor) -> SparseTensor:
     if not np.array_equal(x.coords, y.coords):
         raise ValueError("concat requires identical coordinate sets")
-    return SparseTensor(x.coords, ad.concat_cols(x.feats, y.feats), x.stride)
+    return SparseTensor(x.coords, ad.concat_cols(x.feats, y.feats), x.stride, x.maps)
 
 
 def channel_norm(x: SparseTensor) -> SparseTensor:
-    return SparseTensor(x.coords, ad.channel_norm(x.feats), x.stride)
+    return SparseTensor(x.coords, ad.channel_norm(x.feats), x.stride, x.maps)

@@ -80,12 +80,12 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 
 class _SequenceState:
     """Static per-sequence structures reused across steps: correspondences
-    (optionally subsampled), and in ``cache`` the kernel maps and the
-    voxelised views built by `_voxel_views`."""
+    (optionally subsampled), and in ``views`` the voxelised views built by
+    `_voxel_views`, whose tensors keep their kernel maps."""
 
     def __init__(self, seq: Sequence, cfg: TrainConfig, seq_key: int):
         self.seq = seq
-        self.cache: dict = {}
+        self.views: dict = {}
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 977, seq_key)))
         self.pair_maps = {}
         for key, (ia, ib) in sorted(build_correspondences(seq).items()):
@@ -99,26 +99,25 @@ class _SequenceState:
             if cfg.max_points_3d4d and len(idx) > cfg.max_points_3d4d:
                 idx = np.sort(rng.choice(len(idx), size=cfg.max_points_3d4d, replace=False))
             self.per_frame.append(idx)
-        self.static_views = [f.static_view().points for f in seq.frames]
 
 
-def _voxel_views(state: _SequenceState, model: ModelConfig, dtype) -> tuple:
+def _voxel_views(state: _SequenceState, model: ModelConfig) -> tuple:
     """Both voxelised views of a sequence and its correspondences as voxel rows.
 
     Point indices are composed with each view's point-to-voxel rows once, so
     the losses gather straight from the per-voxel features: the 3D and 4D
     pair maps, and per frame the (3D rows, 4D rows) pairs of the 3D-4D term.
-    Cached in ``state.cache``, keyed by the voxel sizes and the dtype.
+    Cached in ``state.views``, keyed by the voxel sizes.
     """
-    key = ("views", model.voxel3d, model.voxel4d, np.dtype(dtype).str)
-    if key not in state.cache:
-        x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
-        x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
+    key = (model.voxel3d, model.voxel4d)
+    if key not in state.views:
+        x3, rows3 = nets.frames_to_tensor([f.static_view().points for f in state.seq.frames], model.voxel3d)
+        x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d)
         pairs3 = {(i, j): (rows3[i][ia], rows3[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
         pairs4 = {(i, j): (rows4[i][ia], rows4[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
         frames34 = [(rows3[i][idx], rows4[i][idx]) for i, idx in enumerate(state.per_frame)]
-        state.cache[key] = (x3, x4, pairs3, pairs4, frames34)
-    return state.cache[key]
+        state.views[key] = (x3, x4, pairs3, pairs4, frames34)
+    return state.views[key]
 
 
 def sequence_loss(
@@ -129,19 +128,18 @@ def sequence_loss(
 ) -> tuple[Var, LossReport]:
     """Joint weighted loss of one sequence through both branches."""
     w = cfg.weights
-    dtype = cfg.np_dtype
-    x3, x4, pairs3, pairs4, frames34 = _voxel_views(state, model, dtype)
+    x3, x4, pairs3, pairs4, frames34 = _voxel_views(state, model)
 
     # every frame of a view shares one feature matrix; the index maps pick rows
     p3 = z3 = p4 = z4 = None
     if w.w_3d > 0 or w.w_3d4d > 0:
-        z_t = nets.encode(x3, params, model.unet3d, state.cache)
+        z_t = nets.encode(x3, params, model.unet3d)
         z3, p3 = z_t.feats, nets.predict(z_t, params).feats
     if w.w_4d > 0 or w.w_3d4d > 0:
-        z_t = nets.encode(x4, params, model.unet4d, state.cache)
+        z_t = nets.encode(x4, params, model.unet4d)
         z4, p4 = z_t.feats, nets.predict(z_t, params).feats
 
-    zero = Var(np.asarray(0.0, dtype=dtype))
+    zero = Var(np.asarray(0.0, dtype=cfg.np_dtype))
     report = LossReport(weights=w)
     l3 = l34 = l4 = zero
     if w.w_3d > 0:
@@ -241,7 +239,7 @@ def backbone_features(points: np.ndarray, ckpt: Checkpoint) -> tuple[np.ndarray,
     backbone features, per-point voxel rows). No projection head is applied,
     so a backbone-only checkpoint from `export_backbone` suffices."""
     x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
-    out = nets.unet_forward(x, _inference_params(ckpt, nets.BACKBONE), ckpt.model.unet3d, cache={})
+    out = nets.unet_forward(x, _inference_params(ckpt, nets.BACKBONE), ckpt.model.unet3d)
     return out.feats.value, rows
 
 
@@ -255,7 +253,7 @@ def projection_features(frames: list[np.ndarray], ckpt: Checkpoint) -> list[np.n
     out = []
     for points in frames:
         x, rows = nets.points_to_tensor(points, ckpt.model.voxel3d)
-        z = nets.encode(x, params, ckpt.model.unet3d, cache={})
+        z = nets.encode(x, params, ckpt.model.unet3d)
         out.append(z.feats.value[rows])
     return out
 
@@ -294,6 +292,9 @@ def pretrain(
             f"voxel sizes differ: TrainConfig has {cfg.voxel3d}/{cfg.voxel4d}, "
             f"ModelConfig {model.voxel3d}/{model.voxel4d}"
         )
+    widths = (model.unet3d.projection_width, model.unet4d.projection_width)
+    if cfg.weights.w_3d4d > 0 and widths[0] != widths[1]:
+        raise ConfigError(f"the 3D-4D loss compares the projections, but their widths differ: 3D {widths[0]}, 4D {widths[1]}")
     dtype = cfg.np_dtype
     params = build_parameters(model, seed=cfg.seed, dtype=dtype)
     velocity = {k: np.zeros_like(p.value) for k, p in params.items()}
@@ -388,7 +389,7 @@ def probe(
     for seq in sequences:
         views = [frame.static_view().points for frame in seq.frames]
         x, rows = nets.frames_to_tensor(views, model.voxel3d)
-        z = nets.unet_forward(x, params, model.unet3d, cache={})
+        z = nets.unet_forward(x, params, model.unet3d)
         feats = [z.feats.value[r] for r in rows]
         for (i, j), (ia, ib) in build_correspondences(seq).items():
             if len(ia) == 0:

@@ -78,6 +78,16 @@ class TestExitCodes:
         assert err[-1].startswith("error:") and named in err[-1]
         assert not (tmp_path / "x").exists()
 
+    def test_unequal_projection_widths_are_3(self, tmp_path, assets, capsys):
+        """The 3D-4D loss compares the two projections row by row, so the run
+        stops on unequal widths before it writes anything."""
+        *_, data, _ = assets
+        code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--set", "unet3d_projection_width=16")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and "3D 16, 4D 32" in err[-1]
+        assert not list(tmp_path.iterdir())
+
     def test_version_1_checkpoint_is_3(self, tmp_path, assets, capsys):
         *_, data, _ = assets
         ck = tmp_path / "v1.4dcw"

@@ -2,6 +2,7 @@
 
 import ast
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import pytest
@@ -14,6 +15,25 @@ SRC = ROOT / "src" / "seqcontrast"
 # the documented usage exit code, and the inverse transform the
 # correspondence tests map object points back to canonical coordinates with.
 TEST_ONLY_ALLOWED = {"fit_transform", "trajectory_violations", "EXIT_USAGE", "inverse"}
+
+# Defaulted parameters kept although no call in the package or the benchmark
+# passes them, each with its reason.
+UNCALLED_DEFAULTS_ALLOWED = {
+    "autodiff.channel_norm(eps)": "the normalisation's epsilon, named where it is set; the tests vary it",
+    "cli.main(argv)": "None reads the command line, as the console script does; the tests pass argument lists",
+    "gradcheck.tiny_sequence(n_points)": "P8's bit-exact run trains on larger tiny sequences",
+    "gradcheck.run_gradcheck(n_components)": "components sampled per term; P1 states its count",
+    "synth.make_room(n_clutter)": "rooms without clutter let the synth tests check the walls and floor alone",
+    "trainer.pretrain(resume)": "continues a saved run bit for bit; the resume test uses it",
+    "trainer.probe(max_pairs_per_sequence)": "the probe's sample size; the tests raise it",
+    **{
+        f"trainer.ContrastivePretrainer.{name}": "the scikit-learn estimator convention"
+        for name in (
+            "__init__(steps)", "__init__(batch_size)", "__init__(learning_rate)", "__init__(seed)",
+            "__init__(t)", "__init__(dtype)", "__init__(model)", "get_params(deep)", "fit_transform(y)",
+        )
+    },
+}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -208,3 +228,65 @@ def test_no_dataclass_field_src_never_reads():
         if fld not in read
     ]
     assert unread == []
+
+
+def uncalled_defaults(sources: dict[str, str], callers: list[str]) -> list[str]:
+    """``module.function(parameter)`` for each defaulted parameter of a
+    function or method in ``sources`` (module name -> source) that no call in
+    ``callers`` passes, by keyword, by position or through ``*``/``**``.
+    Calls match by the called name alone: ``f(...)`` and ``obj.f(...)`` call
+    every ``f``, and ``C(...)`` calls ``C.__init__``."""
+    calls = defaultdict(list)
+    for source in callers:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                func = node.func
+                calls[func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)].append(node)
+    found = []
+    for module, source in sources.items():
+        tree = ast.parse(source)
+        owner = {id(sub): node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef) for sub in node.body}
+        for fn in ast.walk(tree):
+            if not isinstance(fn, ast.FunctionDef):
+                continue
+            cls = owner.get(id(fn))
+            positional = fn.args.posonlyargs + fn.args.args
+            if cls and not any(isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list):
+                positional = positional[1:]  # self or cls: calls pass the others
+            first = len(positional) - len(fn.args.defaults)
+            params = [(i, a.arg) for i, a in enumerate(positional) if i >= first]
+            params += [(None, a.arg) for a, d in zip(fn.args.kwonlyargs, fn.args.kw_defaults) if d is not None]
+            callee = cls if fn.name == "__init__" else fn.name
+            for index, name in params:
+                if not any(
+                    any(isinstance(a, ast.Starred) for a in call.args)
+                    or any(k.arg in (None, name) for k in call.keywords)
+                    or (index is not None and len(call.args) > index)
+                    for call in calls[callee]
+                ):
+                    found.append(f"{module}.{cls + '.' if cls else ''}{fn.name}({name})")
+    return found
+
+
+def test_detects_a_defaulted_parameter_no_call_passes():
+    source = (
+        "def f(a, b=1, *, c=2):\n    pass\n"
+        "def g(a=0, b=0):\n    pass\n"
+        "class C:\n    def __init__(self, x=0):\n        pass\n"
+        "    def m(self, y=0, z=0):\n        pass\n"
+        "    @staticmethod\n    def s(w=0):\n        pass\n"
+    )
+    calls = "f(1, c=3)\ng(*args)\nC()\nobj.m(1)\nC.s(**kw)\n"
+    assert sorted(uncalled_defaults({"mod": source}, [source, calls])) == ["mod.C.__init__(x)", "mod.C.m(z)", "mod.f(b)"]
+    assert uncalled_defaults({"mod": source}, [calls + "f(0, 1)\nC(x=1)\nobj.m(z=2)\n"]) == []
+
+
+def test_every_defaulted_parameter_has_a_caller():
+    """A defaulted parameter that no call in the package or the benchmark
+    passes is a setting that nothing sets: it goes, or it is listed with its
+    reason in `UNCALLED_DEFAULTS_ALLOWED`, and a listed one is still found."""
+    src = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    bench = [path.read_text() for path in sorted((ROOT / "seqbench").rglob("*.py"))]
+    found = set(uncalled_defaults(src, [*src.values(), *bench]))
+    assert sorted(found - UNCALLED_DEFAULTS_ALLOWED.keys()) == []
+    assert sorted(UNCALLED_DEFAULTS_ALLOWED.keys() - found) == []

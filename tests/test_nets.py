@@ -3,6 +3,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+from conftest import mul, sum_all
+
+from seqcontrast import autodiff as ad
 from seqcontrast import nets
 from seqcontrast import sparse as sp
 from seqcontrast.errors import ConfigError, EmptyInputError
@@ -123,7 +126,7 @@ class TestUNetForward:
         model = tiny_model()
         params = build_parameters(model, seed=1, dtype=np.float64)
         pts = rng.uniform(-2, 2, size=(200, 3))
-        x, _ = points_to_tensor(pts, model.voxel3d, dtype=np.float64)
+        x, _ = points_to_tensor(pts, model.voxel3d)
         out = unet_forward(x, params, model.unet3d)
         np.testing.assert_array_equal(out.coords, x.coords)
         assert out.feats.value.shape == (len(x), model.unet3d.channels[0])
@@ -136,7 +139,7 @@ class TestUNetForward:
         model = tiny_model()
         params = build_parameters(model, seed=2, dtype=np.float64)
         pts = rng.uniform(0, 3, size=(150, 3))
-        x, _ = points_to_tensor(pts, model.voxel3d, dtype=np.float64)
+        x, _ = points_to_tensor(pts, model.voxel3d)
         shifted = sp.SparseTensor(
             x.coords + np.array([0, 2, 2, 2]), x.feats.value.copy(), x.stride
         )
@@ -154,7 +157,7 @@ class TestUNetForward:
             p.value = np.zeros_like(p.value)
         params["proj3d.b"].value = np.full_like(params["proj3d.b"].value, 0.25)
         pts = np.array([[0.0, 0, 0], [1.0, 1, 1]])
-        x, _ = points_to_tensor(pts, model.voxel3d, dtype=np.float64)
+        x, _ = points_to_tensor(pts, model.voxel3d)
         h = unet_forward(x, params, model.unet3d)
         proj = sp.linear_1x1(h, params["proj3d.w"], params["proj3d.b"])
         np.testing.assert_array_equal(proj.feats.value, 0.25)
@@ -166,7 +169,45 @@ class TestUNetForward:
         model = tiny_model()
         params = build_parameters(model, seed=6, dtype=np.float64)
         seq = fake_sequence([rng.uniform(0, 4, size=(60, 3)) for _ in range(3)])
-        tensor, rows = sequence_to_4d(seq, voxel_size=model.voxel4d, dtype=np.float64)
+        tensor, rows = sequence_to_4d(seq, voxel_size=model.voxel4d)
         z = encode(tensor, params, model.unet4d)
         assert z.feats.value.shape == (len(tensor), model.unet4d.projection_width)
         np.testing.assert_array_equal(z.coords, tensor.coords)
+
+
+class TestKernelMapsTravelWithTheInput:
+    def test_each_map_is_built_once_per_voxelised_input(self, monkeypatch):
+        built = []
+        build = sp.build_kernel_map
+        monkeypatch.setattr(sp, "build_kernel_map", lambda *args: built.append(args) or build(*args))
+        model = tiny_model()
+        params = build_parameters(model, seed=1)
+        pts = np.random.default_rng(5).uniform(-2, 2, size=(200, 3))
+        x, _ = points_to_tensor(pts, model.voxel3d)
+        out = unet_forward(x, params, model.unet3d)
+        # sub and down at level 0, sub at level 1, up from level 1 to 0
+        assert len(built) == len(x.maps) == 4 and out.maps is x.maps
+        again = unet_forward(x, params, model.unet3d)
+        assert len(built) == 4
+        assert again.feats.value.tobytes() == out.feats.value.tobytes()
+        y, _ = points_to_tensor(pts, model.voxel3d)
+        assert y.maps == {} and y.maps is not x.maps
+        unet_forward(y, params, model.unet3d)
+        assert len(built) == 8 and len(x.maps) == len(y.maps) == 4
+
+    def test_float32_occupancy_matches_a_float64_input(self):
+        """The occupancy input is exactly 1 in every float type, so under
+        float64 parameters the float32 input gives the bits of a float64
+        one: features and parameter gradients."""
+        model = tiny_model()
+        params = build_parameters(model, seed=3, dtype=np.float64)
+        x, _ = points_to_tensor(np.random.default_rng(6).uniform(-2, 2, size=(200, 3)), model.voxel3d)
+        cast = sp.SparseTensor(x.coords, x.feats.value.astype(np.float64), x.stride)
+        assert x.feats.value.dtype == np.float32
+        a, b = encode(x, params, model.unet3d), encode(cast, params, model.unet3d)
+        assert a.feats.value.dtype == np.float64
+        assert a.feats.value.tobytes() == b.feats.value.tobytes()
+        weights = ad.Var(np.random.default_rng(7).normal(size=a.feats.value.shape))
+        ga, gb = ad.grad(sum_all(mul(a.feats, weights)), params), ad.grad(sum_all(mul(b.feats, weights)), params)
+        for name in params:
+            assert ga[name].tobytes() == gb[name].tobytes(), name

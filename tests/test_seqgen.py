@@ -584,6 +584,23 @@ class TestGenerateDataset:
         for path in tmp_path.glob("*.4dc"):
             assert len(read_sequence(path).frames) == 2
 
+    def test_each_sequence_is_written_before_the_next_is_made(self, small_room, small_object, tmp_path, monkeypatch):
+        """Memory stays bounded: with one worker a result is on disk before
+        the next task starts, so no sequence's bytes wait for the others."""
+        made, on_disk = [], []
+
+        def generate_one(task):
+            on_disk.append(len(list(tmp_path.glob("*.4dc"))))
+            made.append(generate(task))
+            return made[-1]
+
+        generate = seqgen._generate_one
+        monkeypatch.setattr(seqgen, "_generate_one", generate_one)
+        params = GenParams(t=3, object_sample=200, scene_cell=0.05)
+        stats = generate_dataset([small_room], [small_object], tmp_path, per_scene=3, seed=9, params=params)
+        accepted = np.cumsum([0] + [blob is not None for _, _, blob, _ in made[:-1]])
+        assert stats["written"] >= 1 and on_disk == accepted.tolist()
+
     def test_worker_count_invariance(self, small_room, small_object, tmp_path):
         params = GenParams(t=3, object_sample=200, scene_cell=0.05)
         a, b = tmp_path / "w1", tmp_path / "w2"

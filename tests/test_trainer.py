@@ -99,11 +99,10 @@ class TestConfigValidation:
 def gather_of_gather_loss(state, params, model, cfg):
     """Reference joint loss: per-point features are gathered from the voxel
     features frame by frame, and the losses gather from those."""
-    dtype = cfg.np_dtype
-    x3, rows3 = nets.frames_to_tensor(state.static_views, model.voxel3d, dtype=dtype)
+    x3, rows3 = nets.frames_to_tensor([f.static_view().points for f in state.seq.frames], model.voxel3d)
     z3v = nets.encode(x3, params, model.unet3d)
     p3v = nets.predict(z3v, params)
-    x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d, dtype=dtype)
+    x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d)
     z4v = nets.encode(x4, params, model.unet4d)
     p4v = nets.predict(z4v, params)
     # per-point features of all frames, stacked: frame i starts at row off[i]
@@ -149,6 +148,15 @@ class TestPretrain:
     def test_empty_dataset_rejected(self):
         with pytest.raises(EmptyInputError):
             pretrain([], tiny_cfg())
+
+    def test_unequal_projection_widths_need_no_3d4d_term(self, dataset):
+        from seqcontrast.losses import LossWeights
+
+        model = replace(tiny_model(), unet4d=UNetConfig(4, (3, 6), projection_width=4))
+        with pytest.raises(ConfigError, match="widths differ"):
+            pretrain(dataset, tiny_cfg(steps=0), model)
+        ckpt, reports = pretrain(dataset, tiny_cfg(steps=1, weights=LossWeights(1.0, 0.0, 1.0)), model)
+        assert len(reports) == 1 and ckpt.tensors["proj4d.w"].shape == (3, 4)
 
     def test_zero_steps_equals_initialization(self, dataset):
         cfg = tiny_cfg(steps=0)
@@ -335,7 +343,7 @@ class TestCheckpointIO:
         every = {k: ad.Var(v.astype(np.float32)) for k, v in tensors.items()}
         for points, got, only in zip(frames, projection_features(frames, ckpt), projection_features(frames, replace(ckpt, tensors=read))):
             x, rows = nets.points_to_tensor(points, model.voxel3d)
-            want = nets.encode(x, every, model.unet3d, cache={}).feats.value[rows]
+            want = nets.encode(x, every, model.unet3d).feats.value[rows]
             assert got.tobytes() == want.tobytes() == only.tobytes()
 
     def test_reexport_idempotent(self, dataset, tmp_path):
