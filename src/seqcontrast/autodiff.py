@@ -1,8 +1,12 @@
 """Minimal reverse-mode automatic differentiation over numpy arrays.
 
-Every op builds a `Var` holding its forward value, its parents, and a closure
-producing parent gradients from the output gradient. `backward` walks the
-graph once in reverse topological (creation) order, so accumulation order is
+Every op builds a `Var` holding its forward value. A node joins the graph
+only when it is live: `parameter` makes live leaves, and an op's output is
+live when any of its inputs is. A live node keeps its parents and a closure
+producing parent gradients from the output gradient; any other node keeps
+neither, so a pass over constants alone (inference) builds no graph and frees
+each intermediate as soon as nothing reads it. `backward` walks the graph
+once in reverse topological (creation) order, so accumulation order is
 deterministic. `stop_gradient` keeps the forward value and severs all
 gradient flow.
 """
@@ -19,14 +23,21 @@ _ids = itertools.count()
 
 
 class Var:
-    """A node in the autodiff graph."""
+    """A value, and a node of the autodiff graph when ``live``.
 
-    __slots__ = ("value", "parents", "_backward", "name", "uid")
+    A Var is live when it is a `parameter` or when any of its ``parents`` is
+    live. Only a live Var stores its parents and backward closure; any other
+    one is a constant with no parents, whatever it was computed from.
+    """
+
+    __slots__ = ("value", "parents", "_backward", "name", "uid", "live")
 
     def __init__(self, value, parents=(), backward=None, name=None):
+        parents = tuple(parents)
         self.value = np.asarray(value)
-        self.parents = tuple(parents)
-        self._backward = backward
+        self.live = any(p.live for p in parents)
+        self.parents = parents if self.live else ()
+        self._backward = backward if self.live else None
         self.name = name
         self.uid = next(_ids)
 
@@ -43,7 +54,10 @@ def as_var(x) -> Var:
 
 
 def parameter(value, name=None) -> Var:
-    return Var(np.asarray(value), name=name)
+    """A live leaf: the only kind of Var `grad` differentiates with respect to."""
+    v = Var(np.asarray(value), name=name)
+    v.live = True
+    return v
 
 
 class SGFreeze:
@@ -269,7 +283,14 @@ def backward(loss: Var) -> dict[int, np.ndarray]:
 
 
 def grad(loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
-    """Gradients of ``loss`` w.r.t. named parameters; zero if disconnected."""
+    """Gradients of ``loss`` w.r.t. named parameters; zero if disconnected.
+
+    Every Var in ``params`` must be live (a `parameter`): a constant records
+    no graph, so its gradient would silently read as zero.
+    """
+    for name, p in params.items():
+        if not p.live:
+            raise ValueError(f"cannot differentiate with respect to {name!r}: it is a constant, not a parameter")
     grads = backward(loss)
     return {
         name: grads.get(p.uid, np.zeros_like(p.value))

@@ -30,8 +30,12 @@ hit. Only the first offset of each run along the last axis is binary
 searched; a map without that property searches every offset.
 
 Kernel maps live in ``SparseTensor.maps``: one dict per voxelised input, shared
-by every tensor derived from it. Keys hold the coordinate bytes (and the target
-bytes of `transpose_conv`, which takes any target), not just kind and stride.
+by every tensor derived from it. An entry is keyed by kind, stride and row
+count (and the target's stride and row count for `transpose_conv`, which takes
+any target), and stores the coordinates it was built from: a lookup accepts it
+when they are the very arrays passed in, or else equal to them. Coordinate
+arrays are never modified in place once they belong to a tensor, so a map
+built from an array stays valid for as long as the array lives.
 
 Every convolution runs one gather -> GEMM -> scatter round per offset that
 has pairs, as in MinkowskiEngine; there is no dense fallback, since the maps
@@ -68,7 +72,11 @@ _COORD_BIAS = 1 << (_COORD_BITS - 1)
 
 @dataclass
 class SparseTensor:
-    """Batched N-D sparse feature field."""
+    """Batched N-D sparse feature field.
+
+    ``coords`` is never modified in place: the kernel maps in ``maps`` are
+    matched to the coordinate arrays they were built from.
+    """
 
     coords: np.ndarray   # (N, 1 + d) int64: batch index then d spatial coords
     feats: Var           # (N, C)
@@ -250,13 +258,21 @@ def build_kernel_map(
     return KernelMap(pairs, len(in_coords), len(out_coords), identity)
 
 
+def _same_coords(a: np.ndarray, b: np.ndarray) -> bool:
+    return a is b or np.array_equal(a, b)
+
+
 def _get_kernel_map(x: SparseTensor, kind: str, target=None):
     """Kernel map for submanifold / down / up convolutions, cached in ``x.maps``."""
-    key = (kind, x.stride, x.coords.shape[0], x.coords.tobytes())
+    key = (kind, x.stride, x.coords.shape[0])
     if kind == "up":
-        key += (target[0].shape[0], target[0].tobytes(), target[1])
-    if key in x.maps:
-        return x.maps[key]
+        key += (target[1], target[0].shape[0])
+    entry = x.maps.get(key)
+    if entry is not None:
+        coords, built = entry
+        # an up map's output coords are the target it was built onto
+        if _same_coords(coords, x.coords) and (target is None or _same_coords(built[1], target[0])):
+            return built
 
     dim = x.dim
     if kind == "sub":
@@ -278,8 +294,8 @@ def _get_kernel_map(x: SparseTensor, kind: str, target=None):
         out_coords, out_stride = fine_coords, fine_stride
     else:
         raise ValueError(kind)
-    x.maps[key] = kmap, out_coords, out_stride
-    return x.maps[key]
+    x.maps[key] = x.coords, (kmap, out_coords, out_stride)
+    return x.maps[key][1]
 
 
 def _row_items(a: np.ndarray) -> np.ndarray:
@@ -310,25 +326,27 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     `_scatter_add_rows`, both exact because each offset's index lists are
     unique (see the module docstring). `take` copies a non-contiguous source
     whole on every call, so the input and the output gradient are made
-    C-contiguous once. The gathered input rows are kept from the forward pass
-    so the backward pass reuses them for the weight gradient instead of
-    gathering again.
+    C-contiguous once. When the output is live (see `autodiff`), the gathered
+    input rows are kept from the forward pass so the backward pass reuses
+    them for the weight gradient instead of gathering again; over constants
+    alone each offset's rows are dropped as soon as its GEMM has read them.
     """
     xv, wv = np.ascontiguousarray(feats.value), weight.value
     c_out = wv.shape[2]
     out = np.zeros((kmap.n_out, c_out), dtype=xv.dtype)
     out_items = _row_items(out)
+    keep = feats.live or weight.live
     gathered: list[np.ndarray | None] = []
     for k, (ii, oi) in enumerate(kmap.pairs):
+        xg = None
         if k == kmap.identity:
             out += xv @ wv[k]
-            gathered.append(xv)
+            xg = xv
         elif len(ii):
             xg = xv.take(ii, axis=0)
             _scatter_add_rows(out, out_items, oi, xg @ wv[k])
+        if keep:
             gathered.append(xg)
-        else:
-            gathered.append(None)
 
     def bw(g):
         g = np.ascontiguousarray(g)

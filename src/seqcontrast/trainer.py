@@ -279,10 +279,11 @@ def pretrain(
     """SGD over the joint loss with the step-decay schedule.
 
     Deterministic given (sequence bytes, config): batch assembly and all RNG
-    use positional seeds. Aborts with a diagnostic if the loss goes
-    non-finite. With ``resume``, the run continues after ``resume.step`` from
-    its weights and momentum buffers, so a run saved and resumed matches an
-    uninterrupted one bit for bit.
+    use positional seeds. A non-finite loss raises `FloatingPointError`
+    naming the step, the sequence index and the non-finite terms. With
+    ``resume``, the run continues after ``resume.step`` from its weights and
+    momentum buffers, so a run saved and resumed matches an uninterrupted one
+    bit for bit.
     """
     if not sequences:
         raise EmptyInputError("dataset is empty")
@@ -325,9 +326,11 @@ def pretrain(
                     states[seq_idx] = _SequenceState(sequences[seq_idx], cfg, seq_idx)
                 loss, rep = sequence_loss(states[seq_idx], params, model, cfg)
                 if not np.isfinite(rep.total):
+                    terms = {"L3D": rep.l_3d, "L3D4D": rep.l_3d4d, "L4D": rep.l_4d}
+                    bad = [name for name, v in terms.items() if not np.isfinite(v)] or ["the weighted total"]
                     raise FloatingPointError(
-                        f"non-finite loss at step {step}: "
-                        f"L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d}"
+                        f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
+                        f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
                     )
                 grads = ad.grad(loss, params)
                 for k in grad_sum:

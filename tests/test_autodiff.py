@@ -137,7 +137,7 @@ class TestRelu:
         block.flat[: len(special)] = special
         for x in (block, np.asfortranarray(block), block[::2, 1:7], special):
             want = np.where(x > 0, x, 0.0)
-            out = ad.relu(ad.Var(x))
+            out = ad.relu(ad.parameter(x))
             assert out.value.dtype == want.dtype == dtype
             assert out.value.strides == want.strides
             assert out.value.tobytes() == want.tobytes()
@@ -232,3 +232,39 @@ class TestBackward:
 
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
+
+
+class TestGraphMembership:
+    def test_ops_over_constants_record_no_graph(self):
+        h = ad.relu(ad.matmul(ad.Var(RNG.normal(size=(5, 3))), ad.Var(RNG.normal(size=(3, 3)))))
+        assert not h.live and h.parents == () and h._backward is None
+        p = ad.parameter(RNG.normal(size=(3, 3)))
+        out = ad.matmul(h, p)
+        assert p.live and out.live and out.parents == (h, p) and out._backward is not None
+
+    def test_grad_of_a_constant_raises_naming_it(self):
+        p, c = ad.parameter(np.ones(3)), ad.Var(np.ones(3))
+        loss = sum_all(mul(p, c))
+        with pytest.raises(ValueError, match="'c'"):
+            ad.grad(loss, {"p": p, "c": c})
+
+    def test_constant_subtrees_leave_parameter_gradients_unchanged(self):
+        """A constant subtree read at several places gives the parameters the
+        gradient bytes it gives when its leaves are parameters, the form
+        in which every node joins the graph."""
+        rng = np.random.default_rng(3)
+        a0, b0, w0, v0 = (rng.normal(size=s) for s in ((6, 4), (4, 4), (4, 4), (8, 3)))
+        idx = np.array([5, 0, 0, 3, 2, 1])
+
+        def grads(leaf):
+            w, v = ad.parameter(w0), ad.parameter(v0)
+            c = ad.channel_norm(ad.relu(ad.matmul(leaf(a0), leaf(b0))))
+            h = ad.relu(ad.add(ad.matmul(c, w), c))
+            z = ad.matmul(ad.concat_cols(h, ad.rows(c, idx)), v)
+            loss = sum_all(ad.neg_cosine_rows(z, ad.matmul(ad.concat_cols(c, c), v)))
+            return loss, ad.grad(loss, {"w": w, "v": v})
+
+        (lc, gc), (lp, gp) = grads(ad.Var), grads(ad.parameter)
+        assert len(ad.topo_order(lc)) < len(ad.topo_order(lp))
+        for name in gc:
+            assert gc[name].tobytes() == gp[name].tobytes(), name

@@ -88,6 +88,23 @@ class TestExitCodes:
         assert err[-1].startswith("error:") and "3D 16, 4D 32" in err[-1]
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_non_finite_loss_is_4(self, tmp_path, assets, capsys):
+        """A learning rate that overflows the float32 weights in step 1 makes
+        every term of step 2 non-finite: the run exits 4, names the step, the
+        sequence index and the terms, and writes no checkpoint."""
+        *_, data, _ = assets
+        code = run(
+            "pretrain", "--data", str(data), "--out", str(tmp_path / "x"),
+            "--set", "learning_rate=1e30", "--set", "steps=3", "--set", "batch_size=2", "--set", "t=3",
+            "--set", "voxel3d=0.08", "--set", "voxel4d=0.16",
+            "--set", "unet3d_channels=4,8", "--set", "unet4d_channels=3,6",
+        )
+        assert code == EXIT_NUMERIC
+        err = capsys.readouterr().err.strip().splitlines()
+        assert re.match(r"error: numeric: non-finite loss at step 2, sequence \d+: L3D, L3D4D, L4D \(", err[-1]), err[-1]
+        assert not (tmp_path / "x").exists()
+
     def test_version_1_checkpoint_is_3(self, tmp_path, assets, capsys):
         *_, data, _ = assets
         ck = tmp_path / "v1.4dcw"

@@ -9,6 +9,7 @@ from seqcontrast import autodiff as ad
 from seqcontrast import nets
 from seqcontrast import sparse as sp
 from seqcontrast.errors import ConfigError, EmptyInputError
+from seqcontrast.trainer import Checkpoint, TrainConfig, _inference_params
 from seqcontrast.nets import (
     ModelConfig,
     UNetConfig,
@@ -211,3 +212,18 @@ class TestKernelMapsTravelWithTheInput:
         ga, gb = ad.grad(sum_all(mul(a.feats, weights)), params), ad.grad(sum_all(mul(b.feats, weights)), params)
         for name in params:
             assert ga[name].tobytes() == gb[name].tobytes(), name
+
+
+class TestInferenceBuildsNoGraph:
+    def test_unet_over_inference_params_records_no_graph(self):
+        """The float32 constants of a checkpoint give the features of the
+        float32 parameters they were saved from, as a Var with no parents
+        and no backward pass."""
+        model = tiny_model()
+        params = build_parameters(model, seed=1)
+        ckpt = Checkpoint({k: p.value for k, p in params.items()}, 0, model, TrainConfig())
+        x, _ = points_to_tensor(np.random.default_rng(8).uniform(-2, 2, size=(200, 3)), model.voxel3d)
+        out = unet_forward(x, _inference_params(ckpt, nets.BACKBONE), model.unet3d).feats
+        assert not out.live and out.parents == () and out._backward is None
+        trained = unet_forward(x, params, model.unet3d).feats
+        assert trained.live and out.value.tobytes() == trained.value.tobytes()

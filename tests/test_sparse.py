@@ -1,4 +1,5 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import strategies as st
 
 from conftest import mul, sum_all
 from seqcontrast import autodiff as ad
+from seqcontrast import sparse as sp
 from seqcontrast.autodiff import Var
 from seqcontrast.sparse import (
     KernelMap,
@@ -470,7 +472,7 @@ class TestConvApplyExact:
             xv = np.asfortranarray(rng.normal(size=(kmap.n_in, c_in)).astype(dtype))
             wv = w.astype(dtype, order="K")
             g = rng.normal(size=(kmap.n_out, c_out + 3)).astype(dtype)[:, 2:2 + c_out]
-            out = _conv_apply(Var(xv), Var(wv), kmap)
+            out = _conv_apply(ad.parameter(xv), ad.parameter(wv), kmap)
             dx, dw = out._backward(g)
             want_out, want_dx, want_dw = conv_apply_reference(xv, wv, kmap.pairs, kmap.n_out, g)
             assert out.value.dtype == dx.dtype == dw.dtype == dtype
@@ -522,3 +524,83 @@ class TestValidation:
         own = joint.coords[:, 0] == 0
         np.testing.assert_array_equal(joint.coords[own], solo.coords)
         np.testing.assert_allclose(joint.feats.value[own], solo.feats.value, atol=1e-12)
+
+
+class TestGraphFreeConv:
+    def test_constants_keep_no_gathered_rows(self):
+        """Over constants a conv holds one offset's gathered rows at a time and
+        records no backward pass; a live output keeps every offset's rows."""
+        coords = grid_tensor((12, 12, 12), 1, np.random.default_rng(0)).coords
+        kmap = build_kernel_map(coords, coords, kernel_offsets(3, 3), (1, 1, 1))
+        rng = np.random.default_rng(1)
+        xv, wv = rng.normal(size=(len(coords), 64)), rng.normal(size=(27, 64, 1))
+        gathered = sum(len(ii) for k, (ii, _) in enumerate(kmap.pairs) if k != kmap.identity) * xv[0].nbytes
+        outs, peaks = [], []
+        for leaf in (Var, ad.parameter):
+            tracemalloc.start()
+            try:
+                outs.append(_conv_apply(leaf(xv), Var(wv), kmap))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        const, live = outs
+        assert not const.live and const.parents == () and const._backward is None
+        assert live.live and const.value.tobytes() == live.value.tobytes()
+        assert peaks[0] < 2 * xv.nbytes < 10 * xv.nbytes < gathered < peaks[1]
+
+    def test_constant_subtree_leaves_parameter_gradients_unchanged(self):
+        """A conv over constants feeding live convs, a residual add and a skip
+        concat: the parameter gradients have the bytes they have when the
+        constants are parameters and every node joins the graph."""
+        rng = np.random.default_rng(2)
+        a = grid_tensor((4, 4, 3), 2, rng)
+        wc0, w0, wd0 = rng.normal(size=(27, 2, 3)), rng.normal(size=(27, 3, 3)), rng.normal(size=(8, 3, 3))
+        mixer = Var(rng.normal(size=(len(a), 6)))
+
+        def grads(leaf):
+            w, wd = ad.parameter(w0), ad.parameter(wd0)
+            c = sp.relu(sparse_conv(SparseTensor(a.coords, leaf(a.feats.value), a.stride), leaf(wc0), stride=1))
+            h = sp.add(sparse_conv(c, w, stride=1), c)
+            up = transpose_conv(sparse_conv(h, wd, stride=2), wd, h.coords, h.stride)
+            loss = sum_all(mul(sp.concat(up, c).feats, mixer))
+            return ad.grad(loss, {"w": w, "wd": wd})
+
+        gc, gp = grads(Var), grads(ad.parameter)
+        for name in gc:
+            assert gc[name].tobytes() == gp[name].tobytes(), name
+
+
+class TestKernelMapCache:
+    @pytest.mark.parametrize("op", ["stride1", "stride2", "transpose"])
+    def test_other_coords_with_the_same_row_count_never_hit(self, op):
+        """The same rows in another order share the first tensor's ``maps``,
+        its kind, stride and row count (and, for the transpose, the target's
+        stride and row count): each conv still gives a fresh tensor's bytes."""
+        rng = np.random.default_rng(3)
+        a = grid_tensor((3, 4, 3), 2, rng)
+        perm = rng.permutation(len(a))
+        w, w2 = Var(rng.normal(size=(27, 2, 2))), Var(rng.normal(size=(8, 2, 2)))
+        if op == "transpose":
+            coarse = sparse_conv(a, w2, stride=2)
+            conv = lambda x, target: transpose_conv(x, w2, target, a.stride)
+            first, second = (coarse, a.coords), (coarse, a.coords[perm])
+            fresh = (SparseTensor(coarse.coords, coarse.feats, coarse.stride), a.coords[perm])
+        else:
+            conv = lambda x, _: sparse_conv(x, w, stride=1) if op == "stride1" else sparse_conv(x, w2, stride=2)
+            b = SparseTensor(a.coords[perm], a.feats.value[perm], a.stride, a.maps)
+            first, second, fresh = (a, None), (b, None), (SparseTensor(b.coords, b.feats, b.stride), None)
+        want_first, want = conv(*first), conv(*fresh)
+        got = conv(*second)
+        assert got.coords.tobytes() == want.coords.tobytes()
+        assert got.feats.value.tobytes() == want.feats.value.tobytes()
+        assert conv(*first).feats.value.tobytes() == want_first.feats.value.tobytes()
+
+    def test_equal_coords_in_another_array_hit(self, monkeypatch):
+        built = []
+        build = sp.build_kernel_map
+        monkeypatch.setattr(sp, "build_kernel_map", lambda *args: built.append(args) or build(*args))
+        a = grid_tensor((3, 3, 3), 2, np.random.default_rng(4))
+        w = Var(np.random.default_rng(5).normal(size=(27, 2, 2)))
+        out = sparse_conv(a, w, stride=1)
+        again = sparse_conv(SparseTensor(a.coords.copy(), a.feats, a.stride, a.maps), w, stride=1)
+        assert len(built) == 1 and again.feats.value.tobytes() == out.feats.value.tobytes()

@@ -220,6 +220,18 @@ class TestPretrain:
             with pytest.raises(ConfigError, match="voxel sizes differ"):
                 pretrain(dataset, tiny_cfg(**bad), tiny_model())
 
+    def test_non_finite_loss_names_step_sequence_and_terms(self, dataset):
+        """Resumed from a checkpoint with a NaN in the 3D projection, step 2
+        stops at its first sequence, in the two terms that read the 3D branch."""
+        model, cfg = tiny_model(), tiny_cfg(steps=2)
+        ckpt, _ = pretrain(dataset, tiny_cfg(steps=1), model)
+        ckpt.tensors["proj3d.w"][0, 0] = np.nan
+        rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, 2)))
+        first = int(rng.choice(len(dataset), size=cfg.batch_size, replace=len(dataset) < cfg.batch_size)[0])
+        want = rf"^non-finite loss at step 2, sequence {first}: L3D, L3D4D \(L3D=nan L3D4D=nan L4D=-?\d"
+        with pytest.raises(FloatingPointError, match=want):
+            pretrain(dataset, cfg, model, resume=ckpt)
+
     def test_log_file_format(self, dataset, tmp_path):
         log = tmp_path / "train.log"
         pretrain(dataset, tiny_cfg(steps=2), tiny_model(), log_path=log)
