@@ -5,14 +5,16 @@ only when it is live: `parameter` makes live leaves, and an op's output is
 live when any of its inputs is. A live node keeps its parents and a closure
 producing parent gradients from the output gradient; any other node keeps
 neither, so a pass over constants alone (inference) builds no graph and frees
-each intermediate as soon as nothing reads it. `backward` walks the graph
-once in reverse topological (creation) order, so accumulation order is
-deterministic. `stop_gradient` keeps the forward value and severs all
-gradient flow.
+each intermediate as soon as nothing reads it. `grad` is the one reverse
+pass: it walks the graph once in reverse topological (creation) order, so
+accumulation order is deterministic, and drops each inner node's gradient as
+soon as its closure has used it. `stop_gradient` returns a constant holding
+the forward value, so no gradient flows through it.
 """
 
 from __future__ import annotations
 
+import contextlib
 import itertools
 
 import numpy as np
@@ -49,10 +51,6 @@ class Var:
         return f"Var(shape={self.value.shape}, name={self.name})"
 
 
-def as_var(x) -> Var:
-    return x if isinstance(x, Var) else Var(x)
-
-
 def parameter(value, name=None) -> Var:
     """A live leaf: the only kind of Var `grad` differentiates with respect to."""
     v = Var(np.asarray(value), name=name)
@@ -60,64 +58,62 @@ def parameter(value, name=None) -> Var:
     return v
 
 
+_stop_hook = None  # maps each stop_gradient value while an SGFreeze phase runs
+
+
 class SGFreeze:
     """Records stop-gradient values once, then replays them verbatim.
 
     Finite differences of a forward pass containing stop-gradient only agree
     with reverse-mode gradients if the stopped branches are held constant.
-    Record a baseline forward pass, then replay it around each perturbed pass;
-    both passes must execute the same stop-gradient calls in the same order.
+    Record a baseline forward pass inside ``recording()``, then run each
+    perturbed pass inside its own ``replaying()``, which starts again from the
+    first recorded value; both passes must execute the same stop-gradient
+    calls in the same order.
     """
 
     def __init__(self):
         self.values: list[np.ndarray] = []
-        self._mode: str | None = None
-        self._cursor = 0
 
+    @contextlib.contextmanager
     def recording(self):
-        return _SGPhase(self, "record")
+        self.values.clear()
 
+        def record(value):
+            self.values.append(value)
+            return value
+
+        with _hooked(record):
+            yield self
+
+    @contextlib.contextmanager
     def replaying(self):
-        return _SGPhase(self, "replay")
+        recorded = iter(self.values)
+
+        def replay(_):
+            value = next(recorded, None)
+            if value is None:
+                raise RuntimeError("stop-gradient replay ran past the recorded pass")
+            return value
+
+        with _hooked(replay):
+            yield self
 
 
-class _SGPhase:
-    def __init__(self, freeze: SGFreeze, mode: str):
-        self.freeze = freeze
-        self.mode = mode
-
-    def __enter__(self):
-        global _active_freeze
-        if self.mode == "record":
-            self.freeze.values.clear()
-        self.freeze._mode = self.mode
-        self.freeze._cursor = 0
-        _active_freeze = self.freeze
-        return self.freeze
-
-    def __exit__(self, *exc):
-        global _active_freeze
-        self.freeze._mode = None
-        _active_freeze = None
-        return False
-
-
-_active_freeze: SGFreeze | None = None
+@contextlib.contextmanager
+def _hooked(hook):
+    global _stop_hook
+    _stop_hook = hook
+    try:
+        yield
+    finally:
+        _stop_hook = None
 
 
 def stop_gradient(x: Var) -> Var:
-    """Forward identity; contributes zero gradient to every ancestor."""
-    value = x.value
-    fr = _active_freeze
-    if fr is not None:
-        if fr._mode == "record":
-            fr.values.append(value)
-        elif fr._mode == "replay":
-            if fr._cursor >= len(fr.values):
-                raise RuntimeError("stop-gradient replay ran past the recorded pass")
-            value = fr.values[fr._cursor]
-            fr._cursor += 1
-    return Var(value, parents=(x,), backward=lambda g: (None,))
+    """A constant holding ``x``'s value: no gradient reaches ``x`` through it.
+    Inside an `SGFreeze` phase the value is recorded or replayed."""
+    return Var(x.value if _stop_hook is None else _stop_hook(x.value))
 
 
 # ---------------------------------------------------------------------------
@@ -125,7 +121,6 @@ def stop_gradient(x: Var) -> Var:
 
 
 def add(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
     if a.value.shape != b.value.shape:
         raise ValueError(f"add shape mismatch: {a.value.shape} vs {b.value.shape}")
     return Var(a.value + b.value, (a, b), lambda g: (g, g))
@@ -136,19 +131,16 @@ def scale(a: Var, c: float) -> Var:
 
 
 def matmul(x: Var, w: Var) -> Var:
-    x, w = as_var(x), as_var(w)
     xv, wv = x.value, w.value
     return Var(xv @ wv, (x, w), lambda g: (g @ wv.T, xv.T @ g))
 
 
 def add_bias(x: Var, b: Var) -> Var:
     """Row-broadcast bias add: (N, C) + (C,)."""
-    x, b = as_var(x), as_var(b)
     return Var(x.value + b.value, (x, b), lambda g: (g, g.sum(axis=0)))
 
 
 def relu(x: Var) -> Var:
-    x = as_var(x)
     mask = x.value > 0
     # the bytes of np.where(mask, x, 0.0) at a fraction of its cost: fmax maps
     # NaN and -0.0 to +0.0 as that form does, where np.maximum propagates NaN
@@ -157,7 +149,6 @@ def relu(x: Var) -> Var:
 
 def rows(x: Var, idx: np.ndarray) -> Var:
     """Gather rows by index; the backward pass scatter-adds."""
-    x = as_var(x)
     idx = np.asarray(idx, dtype=np.int64)
 
     def bw(g):
@@ -169,7 +160,6 @@ def rows(x: Var, idx: np.ndarray) -> Var:
 
 
 def concat_cols(a: Var, b: Var) -> Var:
-    a, b = as_var(a), as_var(b)
     na = a.value.shape[1]
     return Var(
         np.concatenate([a.value, b.value], axis=1),
@@ -180,7 +170,6 @@ def concat_cols(a: Var, b: Var) -> Var:
 
 def weighted_sum(x: Var, w: np.ndarray) -> Var:
     """Scalar ``sum_r w[r] * x[r]`` of a vector; ``w`` is a constant."""
-    x = as_var(x)
     w = np.asarray(w, dtype=x.value.dtype)
     return Var(np.asarray(x.value @ w), (x,), lambda g: (g * w,))
 
@@ -193,7 +182,6 @@ def vsum(terms: list[Var]) -> Var:
 
 def channel_norm(x: Var, eps: float = 1e-5) -> Var:
     """Standardize each column over the rows: zero mean, unit variance."""
-    x = as_var(x)
     xv = x.value
     # one deviation serves the variance and the output: the same bits as
     # xv.var, which subtracts the mean again
@@ -215,7 +203,6 @@ def neg_cosine_rows(p: Var, z: Var) -> Var:
     The norms are floored at ``COSINE_EPS``, so a zero row gives 0 rather
     than NaN. Scale-invariant in each row of each argument.
     """
-    p, z = as_var(p), as_var(z)
     pv, zv = p.value, z.value
     if pv.shape != zv.shape or pv.ndim != 2:
         raise ValueError(f"expected matching (R, C) matrices, got {pv.shape} and {zv.shape}")
@@ -258,40 +245,32 @@ def topo_order(root: Var) -> list[Var]:
     return order
 
 
-def backward(loss: Var) -> dict[int, np.ndarray]:
-    """Reverse-mode gradients of a scalar loss, keyed by Var.uid.
-
-    Every reachable node is visited exactly once; the gradient of any node,
-    leaf or intermediate, can be looked up afterwards.
-    """
-    if loss.value.shape != ():
-        raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
-    grads: dict[int, np.ndarray] = {loss.uid: np.asarray(1.0, dtype=loss.value.dtype)}
-    for node in reversed(topo_order(loss)):
-        g = grads.get(node.uid)
-        if g is None or node._backward is None:
-            continue
-        parent_grads = node._backward(g)
-        for parent, pg in zip(node.parents, parent_grads):
-            if pg is None:
-                continue
-            if parent.uid in grads:
-                grads[parent.uid] = grads[parent.uid] + pg
-            else:
-                grads[parent.uid] = pg
-    return grads
-
-
 def grad(loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
-    """Gradients of ``loss`` w.r.t. named parameters; zero if disconnected.
+    """Gradients of a scalar ``loss`` w.r.t. named parameters; zero if
+    disconnected.
 
+    One walk in reverse topological order: each node's closure runs once,
+    and an inner node's gradient is dropped as soon as its closure has read
+    it, so at most the gradients on the walk's frontier are held at a time.
     Every Var in ``params`` must be live (a `parameter`): a constant records
     no graph, so its gradient would silently read as zero.
     """
     for name, p in params.items():
         if not p.live:
             raise ValueError(f"cannot differentiate with respect to {name!r}: it is a constant, not a parameter")
-    grads = backward(loss)
+    if loss.value.shape != ():
+        raise ValueError(f"loss must be scalar, got shape {loss.value.shape}")
+    grads: dict[int, np.ndarray] = {loss.uid: np.asarray(1.0, dtype=loss.value.dtype)}
+    for node in reversed(topo_order(loss)):
+        if node._backward is None:
+            continue  # a leaf keeps its entry: the parameters are leaves
+        # every child of a node comes before it in this walk: its gradient is
+        # complete here, and nothing reads it once its closure has
+        for parent, pg in zip(node.parents, node._backward(grads.pop(node.uid))):
+            if parent.uid in grads:
+                grads[parent.uid] = grads[parent.uid] + pg
+            else:
+                grads[parent.uid] = pg
     return {
         name: grads.get(p.uid, np.zeros_like(p.value))
         for name, p in params.items()

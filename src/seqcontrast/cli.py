@@ -89,7 +89,8 @@ def cmd_pretrain(args) -> int:
     ckpt, reports = pretrain(sequences, cfg.train, cfg.model, log_path=log_path)
     save_checkpoint(args.out, ckpt)
     dump_config(cfg, str(args.out) + ".config.txt")
-    print(f"pretrain: {len(reports)} steps, final total loss {reports[-1].total:.6f}, checkpoint {args.out}")
+    final = f", final total loss {reports[-1].total:.6f}" if reports else ""
+    print(f"pretrain: {len(reports)} steps{final}, checkpoint {args.out}")
     return EXIT_OK
 
 

@@ -47,6 +47,8 @@ class UNetConfig:
     def __post_init__(self):
         if len(self.channels) < 1 or any(c < 1 for c in self.channels):
             raise ConfigError("need at least one level of positive channel width")
+        if self.projection_width < 1:
+            raise ConfigError(f"projection width must be >= 1, got {self.projection_width}")
 
     @property
     def levels(self) -> int:

@@ -57,6 +57,13 @@ class TrainConfig:
             raise ConfigError("momentum must be in [0, 1)")
         if self.dtype not in ("float32", "float64"):
             raise ConfigError(f"dtype must be float32 or float64, got {self.dtype!r}")
+        if self.steps < 0:
+            raise ConfigError(f"steps must be >= 0, got {self.steps}")
+        if self.decay_interval < 1:
+            raise ConfigError(f"decay interval must be >= 1, got {self.decay_interval}")
+        for name in ("max_corr_per_pair", "max_points_3d4d"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0 (0: no cap), got {getattr(self, name)}")
 
     @property
     def np_dtype(self):
@@ -333,6 +340,9 @@ def pretrain(
                         f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
                     )
                 grads = ad.grad(loss, params)
+                # the loss holds this sequence's whole graph: let it go before
+                # the next sequence's forward pass builds another
+                del loss
                 for k in grad_sum:
                     grad_sum[k] += grads[k]
                 step_report.l_3d += rep.l_3d / len(batch)

@@ -20,14 +20,12 @@ from seqcontrast.synth import object_footprint_radius
 def mul(a, b):
     """Elementwise product with its gradient, to turn op outputs into scalar
     test losses (sum_all(mul(out, weights)))."""
-    a, b = ad.as_var(a), ad.as_var(b)
     av, bv = a.value, b.value
     return ad.Var(av * bv, (a, b), lambda g: (g * bv, g * av))
 
 
 def sum_all(x):
     """Sum of every entry, with its gradient."""
-    x = ad.as_var(x)
     return ad.Var(np.asarray(x.value.sum()), (x,), lambda g: (np.broadcast_to(g, x.value.shape).copy(),))
 
 

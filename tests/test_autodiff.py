@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -194,6 +196,23 @@ class TestStopGradient:
             out = sum_all(mul(ad.stop_gradient(q), q)).value
         assert out == pytest.approx(6.0)  # frozen branch kept at 2.0
 
+    def test_output_is_a_constant(self):
+        p = ad.parameter(np.arange(3.0))
+        out = ad.stop_gradient(mul(p, p))
+        assert not out.live and out.parents == () and out._backward is None
+        np.testing.assert_array_equal(out.value, np.arange(3.0) ** 2)
+
+    def test_each_replay_starts_from_the_first_value(self):
+        freeze = ad.SGFreeze()
+        with freeze.recording():
+            first = ad.stop_gradient(ad.Var(np.array([1.0]))).value
+            second = ad.stop_gradient(ad.Var(np.array([2.0]))).value
+        for _ in range(2):
+            with freeze.replaying():
+                assert ad.stop_gradient(ad.Var(np.array([5.0]))).value is first
+                assert ad.stop_gradient(ad.Var(np.array([6.0]))).value is second
+        assert ad.stop_gradient(ad.Var(np.array([7.0]))).value[0] == 7.0  # no phase, no hook
+
     def test_replay_past_recording_raises(self):
         freeze = ad.SGFreeze()
         with freeze.recording():
@@ -208,7 +227,7 @@ class TestBackward:
     def test_requires_scalar(self):
         p = ad.parameter(np.ones(3))
         with pytest.raises(ValueError):
-            ad.backward(mul(p, p))
+            ad.grad(mul(p, p), {"p": p})
 
     def test_shared_subexpression_accumulates(self):
         p = ad.parameter(np.array(3.0))
@@ -232,6 +251,25 @@ class TestBackward:
 
         a, b = run(), run()
         np.testing.assert_array_equal(a, b)
+
+    def test_inner_gradients_are_freed_during_the_walk(self):
+        """Along a chain of 40 ops only the gradients on the walk's frontier
+        are alive at once; holding every node's would take 40 times the
+        parameter's size."""
+        p = ad.parameter(np.ones(250_000))
+        x = p
+        for _ in range(40):
+            x = ad.scale(x, 1.0)
+        loss = sum_all(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = ad.grad(loss, {"p": p})["p"]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_array_equal(g, 1.0)
+        assert peak < 4 * p.value.nbytes, peak
 
 
 class TestGraphMembership:

@@ -78,6 +78,26 @@ class TestExitCodes:
         assert err[-1].startswith("error:") and named in err[-1]
         assert not (tmp_path / "x").exists()
 
+    @pytest.mark.parametrize("setting,named", [
+        ("steps=-3", "steps"), ("decay_interval=0", "decay interval"),
+        ("max_corr_per_pair=-1", "max_corr_per_pair"), ("max_points_3d4d=-1", "max_points_3d4d"),
+        ("unet3d_projection_width=0", "projection width"), ("unet4d_projection_width=0", "projection width"),
+    ])
+    def test_out_of_range_training_key_is_3(self, setting, named, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--set", setting)
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err[-1].startswith("error:") and named in err[-1]
+        assert not list(tmp_path.iterdir())
+
+    def test_zero_steps_writes_the_initial_checkpoint(self, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        out = tmp_path / "x"
+        assert run("pretrain", "--data", str(data), "--out", str(out), "--set", "steps=0") == EXIT_OK
+        assert capsys.readouterr().out.startswith(f"pretrain: 0 steps, checkpoint {out}")
+        assert out.exists()
+
     def test_unequal_projection_widths_are_3(self, tmp_path, assets, capsys):
         """The 3D-4D loss compares the two projections row by row, so the run
         stops on unequal widths before it writes anything."""

@@ -1,10 +1,11 @@
+import tracemalloc
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
 
 from seqcontrast import autodiff as ad
-from seqcontrast import nets
+from seqcontrast import nets, trainer
 from seqcontrast.errors import ConfigError, EmptyInputError
 from seqcontrast.losses import loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
@@ -167,6 +168,27 @@ class TestPretrain:
         assert set(ckpt.tensors) == set(init)
         for k in init:
             np.testing.assert_array_equal(ckpt.tensors[k], init[k].value)
+
+    def test_a_sequence_graph_is_gone_before_the_next_is_built(self, dataset, monkeypatch):
+        """At the start of a step's second sequence, the traced memory has
+        grown by the first sequence's cached views, not by its whole graph."""
+        traced = []
+
+        def sequence_loss_traced(*args):
+            traced.append(tracemalloc.get_traced_memory()[0])
+            out = sequence_loss(*args)
+            traced.append(tracemalloc.get_traced_memory()[0])
+            return out
+
+        monkeypatch.setattr(trainer, "sequence_loss", sequence_loss_traced)
+        tracemalloc.start()
+        try:
+            pretrain(dataset[:2], tiny_cfg(steps=1, batch_size=2), tiny_model())
+        finally:
+            tracemalloc.stop()
+        start1, graph1, start2 = traced[:3]
+        assert len(traced) == 4
+        assert start2 - start1 < (graph1 - start1) / 2, [t / 1e6 for t in traced]
 
     def test_loss_decreases_and_reports_consistent(self, dataset):
         ckpt, reports = pretrain(dataset, tiny_cfg(steps=3), tiny_model())
