@@ -252,7 +252,7 @@ def grad(loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
     One walk in reverse topological order: each node's closure runs once,
     and an inner node's gradient is dropped as soon as its closure has read
     it, so at most the gradients on the walk's frontier are held at a time.
-    Every Var in ``params`` must be live (a `parameter`): a constant records
+    A closure's gradient for a constant parent is dropped unread. Every Var in ``params`` must be live (a `parameter`): a constant records
     no graph, so its gradient would silently read as zero.
     """
     for name, p in params.items():
@@ -267,6 +267,8 @@ def grad(loss: Var, params: dict[str, Var]) -> dict[str, np.ndarray]:
         # every child of a node comes before it in this walk: its gradient is
         # complete here, and nothing reads it once its closure has
         for parent, pg in zip(node.parents, node._backward(grads.pop(node.uid))):
+            if not parent.live:
+                continue  # a constant: nothing reads its gradient
             if parent.uid in grads:
                 grads[parent.uid] = grads[parent.uid] + pg
             else:

@@ -4,6 +4,13 @@ A sequence composites a rigid object, traveling along a sampled floor
 trajectory, into a static scene. Every point carries a provenance id naming
 its canonical source point, so correspondences between any two frames are
 exact by construction.
+
+Every frame of a sequence holds the canonical scene in its first rows, so
+`make_sequence` finds those rows and the constants `augment_scene` reads from
+them (`SceneRows`) once per sequence. Most attempts fail validation; once an
+attempt's frames so far fail a test that more frames cannot pass, its
+remaining frames only make their random draws, so the written bytes and the
+generator state stay those of building every frame.
 """
 
 from __future__ import annotations
@@ -228,6 +235,12 @@ def sample_scene_canonical(scene: PointCloud, rng: np.random.Generator, cell: fl
     return PointCloud(scene.points[chosen], np.arange(len(chosen), dtype=np.int64))
 
 
+def _object_pick(n_points: int, object_sample: int, rng: np.random.Generator) -> np.ndarray:
+    """`compose_frame`'s one draw: at most ``object_sample`` of ``n_points``
+    object rows, uniformly without replacement, in ascending order."""
+    return np.sort(rng.choice(n_points, size=min(object_sample, n_points), replace=False))
+
+
 def compose_frame(
     scene: PointCloud,
     obj: PointCloud,
@@ -248,8 +261,7 @@ def compose_frame(
     pos, heading = waypoint
     pose = SimilarityTransform.from_yaw(float(heading), (float(pos[0]), float(pos[1]), floor_height))
 
-    n = min(object_sample, len(obj))
-    pick = np.sort(rng.choice(len(obj), size=n, replace=False))
+    pick = _object_pick(len(obj), object_sample, rng)
     obj_pts = pose.apply(obj.points[pick])
     obj_prov = pick.astype(np.int64) + OBJECT_ID_OFFSET
 
@@ -258,34 +270,74 @@ def compose_frame(
     return SequenceFrame(PointCloud(pts, prov), pose, SimilarityTransform.identity())
 
 
-def augment_scene(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
+@dataclass(frozen=True)
+class SceneRows:
+    """A frame's background scene rows and the constants `augment_scene`
+    reads from them.
+
+    Every frame `make_sequence` builds holds the canonical scene in its first
+    rows, so one `SceneRows` made from its first frame serves every frame of
+    every attempt.
+    """
+
+    rows: np.ndarray   # (N,) indices of the scene rows in the frame
+    cols: np.ndarray   # (3, N) their coordinates, one contiguous column per axis
+    lo: np.ndarray     # (3,) per-axis bounds of the chunk centres
+    hi: np.ndarray
+    extent: float      # longest side of the scene's bounding box
+
+    @classmethod
+    def of(cls, frame: SequenceFrame) -> "SceneRows":
+        rows = np.flatnonzero(~frame.is_object())
+        cols = frame.cloud.points.T.take(rows, axis=1)
+        # a frame without scene rows draws no chunks, so its bounds are never read
+        lo, hi = cols.min(axis=1, initial=np.inf), cols.max(axis=1, initial=-np.inf)
+        return cls(rows, cols, lo, hi, float(np.max(hi - lo)))
+
+
+def _scene_draws(scene: SceneRows, rng: np.random.Generator) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
+    """`augment_scene`'s draws, in order: one keep uniform per scene row, then
+    the chunk count and each chunk's edge and centre. Returns the kept mask
+    over the scene rows and the (edge, centre) of each chunk."""
+    kept = rng.uniform(0.0, 1.0, size=len(scene.rows)) < SCENE_KEEP_PROB
+    chunks = []
+    if len(scene.rows):
+        for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
+            edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * scene.extent
+            chunks.append((edge, rng.uniform(scene.lo, scene.hi)))
+    return kept, chunks
+
+
+def augment_scene(frame: SequenceFrame, rng: np.random.Generator, scene: SceneRows | None = None) -> SequenceFrame:
     """Per-frame scene variation: random resampling plus cubic chunk removal.
 
     Only background scene points are candidates for removal; object points
-    always survive.
+    always survive. ``scene`` is the frame's `SceneRows` when the caller
+    already holds them (its frames share their scene rows); without it they
+    are found in ``frame``, whatever its row order.
     """
-    scene = np.flatnonzero(~frame.is_object())
-    kept = rng.uniform(0.0, 1.0, size=len(scene)) < SCENE_KEEP_PROB
-
-    if len(scene):
-        # One contiguous column per axis: a chunk tests x on every scene row,
-        # then y and z only on the rows still inside.
-        cols = frame.cloud.points.T.take(scene, axis=1)
-        lo, hi = cols.min(axis=1), cols.max(axis=1)
-        extent = float(np.max(hi - lo))
-        for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
-            edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * extent
-            center = rng.uniform(lo, hi)
-            inside = np.flatnonzero(np.abs(cols[0] - center[0]) <= edge / 2)
-            for axis in (1, 2):
-                inside = inside[np.abs(cols[axis, inside] - center[axis]) <= edge / 2]
-            kept[inside] = False
+    if scene is None:
+        scene = SceneRows.of(frame)
+    kept, chunks = _scene_draws(scene, rng)
+    # a chunk tests x on every scene row, then y and z only on the rows still inside
+    for edge, center in chunks:
+        inside = np.flatnonzero(np.abs(scene.cols[0] - center[0]) <= edge / 2)
+        for axis in (1, 2):
+            inside = inside[np.abs(scene.cols[axis, inside] - center[axis]) <= edge / 2]
+        kept[inside] = False
 
     keep = np.ones(len(frame.cloud), dtype=bool)
-    keep[scene] = kept
+    keep[scene.rows] = kept
     rows = np.flatnonzero(keep)
     cloud = PointCloud(frame.cloud.points.take(rows, axis=0), frame.cloud.provenance.take(rows))
     return replace(frame, cloud=cloud)
+
+
+def _static_draws(rng: np.random.Generator) -> tuple[float, np.ndarray, float]:
+    """`augment_frame_static`'s draws, in order: yaw, translation, scale."""
+    yaw = rng.uniform(0.0, 2 * np.pi)
+    translation = rng.uniform(-STATIC_AUG_TRANSLATION, STATIC_AUG_TRANSLATION, size=3)
+    return yaw, translation, rng.uniform(*STATIC_AUG_SCALE)
 
 
 def augment_frame_static(frame: SequenceFrame, rng: np.random.Generator) -> SequenceFrame:
@@ -293,10 +345,7 @@ def augment_frame_static(frame: SequenceFrame, rng: np.random.Generator) -> Sequ
 
     The stored cloud (the 4D sequence view) is untouched.
     """
-    yaw = rng.uniform(0.0, 2 * np.pi)
-    translation = rng.uniform(-STATIC_AUG_TRANSLATION, STATIC_AUG_TRANSLATION, size=3)
-    scale = rng.uniform(*STATIC_AUG_SCALE)
-    return replace(frame, static_aug=SimilarityTransform.from_yaw(yaw, translation, scale))
+    return replace(frame, static_aug=SimilarityTransform.from_yaw(*_static_draws(rng)))
 
 
 def _sorted_unique(ids: np.ndarray) -> np.ndarray:
@@ -424,9 +473,25 @@ def make_sequence(
     object_id: int = 0,
 ) -> Sequence:
     """Generate one validated sequence; raises TrajectoryFailure when the
-    rejection budget runs out."""
+    rejection budget runs out.
+
+    Each attempt samples a trajectory and builds its frames through
+    `compose_frame`, `augment_scene` and `augment_frame_static`, then ends in
+    one `validate_sequence` call, which alone accepts or rejects it. The
+    scene rows of every frame are the canonical scene, so their `SceneRows`
+    are found once per sequence. After each frame the attempt checks
+    `validate_sequence`'s retention test and, as a running mask over the
+    canonical rows, its scene-consistency test. Both can only keep failing
+    as frames are added, so once either fails the attempt is lost: each
+    remaining frame then makes only its random draws, in the same order, and
+    the frames built so far go to `validate_sequence`, which rejects them for
+    the reason it would have found on all of them. The bytes written and the
+    generator state after each attempt are those of building every frame.
+    """
     canonical = sample_scene_canonical(scene, rng, params.scene_cell)
     object_ref = min(params.object_sample, len(obj))
+    pre_count = len(canonical) + object_ref
+    scene_rows = None
 
     for _ in range(SEQUENCE_ATTEMPTS):
         traj = None
@@ -439,15 +504,31 @@ def make_sequence(
         if traj is None:
             raise TrajectoryFailure("no feasible trajectory found")
 
-        frames = []
+        frames, lost = [], False
+        common = np.ones(len(canonical), dtype=bool)  # canonical rows kept in every frame so far
         for k in range(params.t):
+            if lost:  # make the draws that building the frame would make
+                _object_pick(len(obj), params.object_sample, rng)
+                _scene_draws(scene_rows, rng)
+                _static_draws(rng)
+                continue
             frame = compose_frame(
                 canonical, obj, (traj.positions[k], traj.headings[k]), rng,
                 floor_height=floor_height, object_sample=params.object_sample,
             )
-            frame = augment_scene(frame, rng)
+            if scene_rows is None:
+                scene_rows = SceneRows.of(frame)
+            frame = augment_scene(frame, rng, scene_rows)
             frame = augment_frame_static(frame, rng)
             frames.append(frame)
+            ids = frame.cloud.provenance
+            present = np.zeros(len(canonical), dtype=bool)
+            present[ids[ids < OBJECT_ID_OFFSET]] = True
+            common &= present
+            lost = (
+                len(frame.cloud) / pre_count < MIN_RETENTION
+                or np.count_nonzero(common) / len(canonical) < MIN_CONSISTENT
+            )
         seq = Sequence(
             frames, scene_id, object_id, traj,
             scene_ref_points=len(canonical), object_ref_points=object_ref,

@@ -88,11 +88,11 @@ def learning_rate_at(step: int, cfg: TrainConfig) -> float:
 class _SequenceState:
     """Static per-sequence structures reused across steps: correspondences
     (optionally subsampled), and in ``views`` the voxelised views built by
-    `_voxel_views`, whose tensors keep their kernel maps."""
+    `_voxel_views` on first use, whose tensors keep their kernel maps."""
 
     def __init__(self, seq: Sequence, cfg: TrainConfig, seq_key: int):
         self.seq = seq
-        self.views: dict = {}
+        self.views: tuple | None = None
         rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 977, seq_key)))
         self.pair_maps = {}
         for key, (ia, ib) in sorted(build_correspondences(seq).items()):
@@ -114,17 +114,17 @@ def _voxel_views(state: _SequenceState, model: ModelConfig) -> tuple:
     Point indices are composed with each view's point-to-voxel rows once, so
     the losses gather straight from the per-voxel features: the 3D and 4D
     pair maps, and per frame the (3D rows, 4D rows) pairs of the 3D-4D term.
-    Cached in ``state.views``, keyed by the voxel sizes.
+    Cached in ``state.views``: a state serves one run, whose voxel sizes are
+    fixed.
     """
-    key = (model.voxel3d, model.voxel4d)
-    if key not in state.views:
+    if state.views is None:
         x3, rows3 = nets.frames_to_tensor([f.static_view().points for f in state.seq.frames], model.voxel3d)
         x4, rows4 = nets.sequence_to_4d(state.seq, model.voxel4d)
         pairs3 = {(i, j): (rows3[i][ia], rows3[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
         pairs4 = {(i, j): (rows4[i][ia], rows4[j][ib]) for (i, j), (ia, ib) in state.pair_maps.items()}
         frames34 = [(rows3[i][idx], rows4[i][idx]) for i, idx in enumerate(state.per_frame)]
-        state.views[key] = (x3, x4, pairs3, pairs4, frames34)
-    return state.views[key]
+        state.views = (x3, x4, pairs3, pairs4, frames34)
+    return state.views
 
 
 def sequence_loss(

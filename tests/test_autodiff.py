@@ -272,6 +272,28 @@ class TestBackward:
         assert peak < 4 * p.value.nbytes, peak
 
 
+    def test_constant_gradients_are_not_kept(self):
+        """A constant's gradient has no reader, so the walk keeps no entry
+        for it. Along a chain of 20 ``matmul(constant, param)`` terms,
+        keeping each constant's gradient would take 20 times a constant's
+        size."""
+        rng = np.random.default_rng(4)
+        p = ad.parameter(rng.normal(size=(4, 4)))
+        consts = [ad.Var(rng.normal(size=(25_000, 4))) for _ in range(20)]
+        x = ad.matmul(consts[0], p)
+        for c in consts[1:]:
+            x = ad.add(ad.matmul(c, p), x)
+        loss = sum_all(x)
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            g = ad.grad(loss, {"p": p})["p"]
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        np.testing.assert_allclose(g, sum(c.value.sum(axis=0) for c in consts)[:, None] * np.ones(4), rtol=1e-12)
+        assert peak < 5 * consts[0].value.nbytes, peak
+
 class TestGraphMembership:
     def test_ops_over_constants_record_no_graph(self):
         h = ad.relu(ad.matmul(ad.Var(RNG.normal(size=(5, 3))), ad.Var(RNG.normal(size=(3, 3)))))

@@ -1,10 +1,11 @@
+import hashlib
 import struct
 import zlib
 
 import numpy as np
 import pytest
 
-from seqcontrast import seqgen
+from seqcontrast import seqgen, synth
 from seqcontrast.errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFailure
 from seqcontrast.formats import read_sidecar
 from seqcontrast.geom import FLOOR_BAND, MAP_CELL, OBJECT_ID_OFFSET, PointCloud, SimilarityTransform, height_accumulate
@@ -36,6 +37,7 @@ from seqcontrast.seqgen import (
     validate_sequence,
     write_sequence,
 )
+from seqcontrast.synth import object_footprint_radius
 
 
 # Loop forms of the array code in `seqgen`, kept as references: the array
@@ -126,6 +128,57 @@ def validate_sequence_loop(seq):
     n_scene = int(np.sum(common < OBJECT_ID_OFFSET))
     n_obj = len(common) - n_scene
     return n_scene / seq.scene_ref_points >= MIN_CONSISTENT and n_obj / seq.object_ref_points >= MIN_CONSISTENT
+
+
+def make_sequence_loop(scene, obj, candidates, floor_height, rng, params, scene_id=0, object_id=0):
+    """`make_sequence` building every frame of every attempt, through
+    `augment_scene` without its `SceneRows`, before `validate_sequence`
+    (looked up on the module) judges the attempt."""
+    canonical = sample_scene_canonical(scene, rng, params.scene_cell)
+    object_ref = min(params.object_sample, len(obj))
+    for _ in range(seqgen.SEQUENCE_ATTEMPTS):
+        traj = None
+        for _ in range(seqgen.START_ATTEMPTS):
+            try:
+                traj = sample_trajectory(candidates, params.t, rng)
+                break
+            except TrajectoryFailure:
+                continue
+        if traj is None:
+            raise TrajectoryFailure("no feasible trajectory found")
+        frames = []
+        for k in range(params.t):
+            frame = compose_frame(
+                canonical, obj, (traj.positions[k], traj.headings[k]), rng,
+                floor_height=floor_height, object_sample=params.object_sample,
+            )
+            frames.append(augment_frame_static(augment_scene(frame, rng), rng))
+        seq = Sequence(frames, scene_id, object_id, traj, scene_ref_points=len(canonical), object_ref_points=object_ref)
+        if seqgen.validate_sequence(seq):
+            return seq
+    raise TrajectoryFailure(f"no valid sequence after {seqgen.SEQUENCE_ATTEMPTS} attempts")
+
+
+def assert_same_transform(a, b):
+    np.testing.assert_array_equal(a.rotation, b.rotation, strict=True)
+    np.testing.assert_array_equal(a.translation, b.translation, strict=True)
+    assert a.scale == b.scale
+
+
+def assert_same_sequence(got, want):
+    """Equal ids, reference counts, trajectory, and per frame equal points,
+    provenance, object pose and static augmentation, bit for bit."""
+    assert (got.scene_id, got.object_id, got.scene_ref_points, got.object_ref_points) == (
+        want.scene_id, want.object_id, want.scene_ref_points, want.object_ref_points
+    )
+    np.testing.assert_array_equal(got.trajectory.positions, want.trajectory.positions, strict=True)
+    np.testing.assert_array_equal(got.trajectory.headings, want.trajectory.headings, strict=True)
+    assert len(got.frames) == len(want.frames)
+    for a, b in zip(got.frames, want.frames):
+        np.testing.assert_array_equal(a.cloud.points, b.cloud.points, strict=True)
+        np.testing.assert_array_equal(a.cloud.provenance, b.cloud.provenance, strict=True)
+        assert_same_transform(a.object_pose, b.object_pose)
+        assert_same_transform(a.static_aug, b.static_aug)
 
 
 def is_identity(transform) -> bool:
@@ -430,6 +483,57 @@ class TestValidation:
         assert MIN_CONSISTENT == 0.30 and MIN_RETENTION == 0.50
 
 
+class TestMakeSequence:
+    def test_matches_loop_reference(self, small_object, monkeypatch):
+        """On 120 seeded small rooms, `make_sequence` returns the sequence of
+        the loop reference, or fails as it does, leaves the generator in the
+        same state, and makes the same `validate_sequence` calls with the same
+        verdicts. Among them are attempts lost after frames 1, 2 and 3, some
+        by retention, and rooms that sample 250 of the object's 300 points,
+        so that the object picks differ from frame to frame. The first room
+        samples 150, too few to stay consistent over four frames, so its
+        every attempt is judged on all four frames and the budget runs out."""
+        judged = []  # (frames judged, accepted, last frame under retention) per call
+        validate = seqgen.validate_sequence
+
+        def counted(seq):
+            ok = validate(seq)
+            under = len(seq.frames[-1].cloud) / (seq.scene_ref_points + seq.object_ref_points) < MIN_RETENTION
+            judged.append((len(seq.frames), ok, under))
+            return ok
+
+        monkeypatch.setattr(seqgen, "validate_sequence", counted)
+        radius = object_footprint_radius(small_object)
+        lost_after, lost_by_retention, failed = set(), 0, 0
+        for seed in range(120):
+            room = synth.make_room(np.random.default_rng(seed), size=2.6 + seed % 3 * 0.2, spacing=0.08)
+            occ = height_accumulate(room)
+            candidates = valid_positions(occ, radius)
+            params = GenParams(t=4, object_sample=150 if seed == 0 else 250 if seed % 2 else 300, scene_cell=0.1)
+            results = []
+            for make in (seqgen.make_sequence, make_sequence_loop):
+                rng = np.random.default_rng(1000 + seed)
+                first = len(judged)
+                try:
+                    seq = make(room, small_object, candidates, occ.floor_height, rng, params, scene_id=seed, object_id=3)
+                except TrajectoryFailure as exc:
+                    seq = str(exc)
+                results.append((seq, rng.bit_generator.state, judged[first:]))
+            (got, got_state, got_calls), (want, want_state, want_calls) = results
+            assert got_state == want_state, seed
+            assert [ok for _, ok, _ in got_calls] == [ok for _, ok, _ in want_calls], seed
+            if isinstance(want, str):
+                assert got == want, seed
+                failed += 1
+            else:
+                assert_same_sequence(got, want)
+            lost = [(n, ok, under) for n, ok, under in got_calls if n < params.t]
+            assert not any(ok for _, ok, _ in lost), seed
+            lost_after.update(n for n, _, _ in lost)
+            lost_by_retention += sum(under for _, _, under in lost)
+        assert lost_after == {1, 2, 3} and lost_by_retention > 0 and failed == 1, (lost_after, lost_by_retention, failed)
+
+
 class TestCorrespondences:
     def test_partial_bijection_and_symmetry(self, small_sequence):
         corr = build_correspondences(small_sequence)
@@ -561,6 +665,17 @@ class TestGenerateDataset:
                 object_ref_points=int(side["object_ref_points"]),
             )
             assert validate_sequence(full)
+
+    def test_pinned_digest(self, small_dataset):
+        """The bytes of one small fixed run (three tasks, t=4) are pinned as
+        the sha256 over its sorted file names and contents. A change that
+        moves any written byte updates this value, and says so."""
+        digest = hashlib.sha256()
+        for path in sorted(small_dataset.iterdir()):
+            digest.update(path.name.encode())
+            digest.update(path.read_bytes())
+        assert len(list(small_dataset.glob("*.4dc"))) == 3
+        assert digest.hexdigest() == "fc15eaa037c3fa9a3022d3b98c86fb8e9d8f28f1d6d90f3d375fbd4ce0802b67"
 
     def test_empty_inputs_rejected(self, tmp_path):
         with pytest.raises(EmptyInputError):
