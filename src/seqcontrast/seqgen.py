@@ -580,6 +580,9 @@ def generate_dataset(
     Output is a pure function of (inputs, seed): per-sequence RNG seeds are
     positional, so neither worker count nor completion order matters.
     ``per_scene`` and ``t``, when given, override those of ``params``.
+    Raises `ConfigError`, before anything is written, for an object whose
+    ``object_sample`` is too small a share of its points for any sequence of
+    ``t`` frames to pass the object consistency test on average.
     """
     if not scenes or not objects:
         raise EmptyInputError("need at least one scene and one object")
@@ -588,6 +591,16 @@ def generate_dataset(
     params = params or GenParams()
     params = replace(params, per_scene=params.per_scene if per_scene is None else per_scene,
                      t=params.t if t is None else t)
+    for obj_idx, obj in enumerate(objects):
+        # each frame samples its own points, so a sampled point is in all t
+        # frames with probability (sample / n)^(t - 1)
+        kept = (min(params.object_sample, len(obj)) / max(len(obj), 1)) ** (params.t - 1)
+        if kept < MIN_CONSISTENT:
+            raise ConfigError(
+                f"object {obj_idx}: object_sample={params.object_sample} of its {len(obj)} points keeps an "
+                f"expected {kept:.3f} of them in all t={params.t} frames, below the {MIN_CONSISTENT} "
+                "object consistency a sequence needs"
+            )
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
 

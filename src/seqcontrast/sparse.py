@@ -44,15 +44,18 @@ The identity offset skips the gather and the scatter: its GEMM reads the
 input rows in place and adds straight into the output, the same operands in
 the same order as the round would use. The transposed convolution runs the
 same rounds on the stride-2 map with each offset's pairs swapped and its
-weight matrix transposed.
+weight matrix transposed. The gathered rows live only for their round: the
+backward pass gathers them again for the offset's weight gradient, so a
+training graph holds a conv's input and weights, not a copy of every pair's
+input row.
 
 Rows move as whole items. Gathers are `take` along axis 0, which copies the
-same values as fancy indexing. A scatter takes the destination rows, adds
-the GEMM result to them (the same operands in the same order as
-``dst[idx] += rows``) and stores each sum row as one `np.void` item of width
-``itemsize * C``. Within one offset the index lists are unique on both
-sides, so no row is written twice in a round, and each store writes exactly
-the sums the fancy-indexed accumulation would.
+same values as fancy indexing. A scatter is `autodiff.scatter_add_rows`: it
+takes the destination rows, adds the GEMM result to them (the same operands
+in the same order as ``dst[idx] += rows``) and stores each sum row as one
+`np.void` item of width ``itemsize * C``. Within one offset the index lists
+are unique on both sides, so no row is written twice in a round, and each
+store writes exactly the sums the fancy-indexed accumulation would.
 """
 
 from __future__ import annotations
@@ -298,60 +301,32 @@ def _get_kernel_map(x: SparseTensor, kind: str, target=None):
     return x.maps[key][1]
 
 
-def _row_items(a: np.ndarray) -> np.ndarray:
-    """A C-contiguous (N, C) array viewed as N items of C values each."""
-    return a.view(np.dtype((np.void, a.itemsize * a.shape[1])))
-
-
-def _scatter_add_rows(dst: np.ndarray, dst_items: np.ndarray, idx: np.ndarray, rows: np.ndarray) -> None:
-    """``dst[idx] += rows`` for unique ``idx``; ``dst_items`` is
-    ``_row_items(dst)``.
-
-    The sums form in a C-ordered copy of the destination rows, with the same
-    operands, order and output dtype as the fancy-indexed form; each sum row
-    is then stored as one item, which NumPy moves far faster than a row of C
-    scalars.
-    """
-    acc = dst.take(idx, axis=0)
-    acc += rows
-    dst_items.put(idx, acc.view(dst_items.dtype))
-
-
 def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
     """out[o] += x[i] @ W[k] over kernel-map pairs; autodiff-aware.
 
     One gather -> GEMM -> scatter round per offset; offsets without pairs are
     skipped, and the identity offset reads and writes whole arrays in place.
     Gathers are row `take`s and scatters row-item stores through
-    `_scatter_add_rows`, both exact because each offset's index lists are
-    unique (see the module docstring). `take` copies a non-contiguous source
-    whole on every call, so the input and the output gradient are made
-    C-contiguous once. When the output is live (see `autodiff`), the gathered
-    input rows are kept from the forward pass so the backward pass reuses
-    them for the weight gradient instead of gathering again; over constants
-    alone each offset's rows are dropped as soon as its GEMM has read them.
+    `autodiff.scatter_add_rows`, both exact because each offset's index
+    lists are unique (see the module docstring). `take` copies a
+    non-contiguous source whole on every call, so the input and the output
+    gradient are made C-contiguous once. No gathered rows outlive their
+    GEMM: the backward pass gathers each offset's input rows again for the
+    weight gradient, the same values in the same product.
     """
     xv, wv = np.ascontiguousarray(feats.value), weight.value
-    c_out = wv.shape[2]
-    out = np.zeros((kmap.n_out, c_out), dtype=xv.dtype)
-    out_items = _row_items(out)
-    keep = feats.live or weight.live
-    gathered: list[np.ndarray | None] = []
+    out = np.zeros((kmap.n_out, wv.shape[2]), dtype=xv.dtype)
+    out_items = ad.row_items(out)
     for k, (ii, oi) in enumerate(kmap.pairs):
-        xg = None
         if k == kmap.identity:
             out += xv @ wv[k]
-            xg = xv
         elif len(ii):
-            xg = xv.take(ii, axis=0)
-            _scatter_add_rows(out, out_items, oi, xg @ wv[k])
-        if keep:
-            gathered.append(xg)
+            ad.scatter_add_rows(out, out_items, oi, xv.take(ii, axis=0) @ wv[k])
 
     def bw(g):
         g = np.ascontiguousarray(g)
         dx = np.zeros(xv.shape, xv.dtype)
-        dx_items = _row_items(dx)
+        dx_items = ad.row_items(dx)
         dw = np.zeros_like(wv)
         for k, (ii, oi) in enumerate(kmap.pairs):
             if k == kmap.identity:
@@ -359,8 +334,8 @@ def _conv_apply(feats: Var, weight: Var, kmap: KernelMap) -> Var:
                 dw[k] = xv.T @ g
             elif len(ii):
                 go = g.take(oi, axis=0)
-                _scatter_add_rows(dx, dx_items, ii, go @ wv[k].T)
-                dw[k] = gathered[k].T @ go
+                ad.scatter_add_rows(dx, dx_items, ii, go @ wv[k].T)
+                dw[k] = xv.take(ii, axis=0).T @ go
         return (dx, dw)
 
     return Var(out, (feats, weight), bw)
@@ -427,8 +402,8 @@ def relu(x: SparseTensor) -> SparseTensor:
 
 
 def linear_1x1(x: SparseTensor, weight: Var, bias: Var) -> SparseTensor:
-    """1x...x1 convolution: a per-coordinate affine map."""
-    return SparseTensor(x.coords, ad.add_bias(ad.matmul(x.feats, weight), bias), x.stride, x.maps)
+    """1x...x1 convolution: a per-coordinate affine map, one `autodiff.linear` node."""
+    return SparseTensor(x.coords, ad.linear(x.feats, weight, bias), x.stride, x.maps)
 
 
 def add(x: SparseTensor, y: SparseTensor) -> SparseTensor:

@@ -34,18 +34,25 @@ def check_against_fd(build, x0, atol=1e-7, rtol=1e-5):
 RNG = np.random.default_rng(42)
 
 
+def matmul(x, w):
+    """``x @ w`` as one `ad.linear` node with a constant zero bias."""
+    return ad.linear(x, w, ad.Var(np.zeros(w.value.shape[1])))
+
+
 class TestOpGradients:
     def test_matmul(self):
-        w = RNG.normal(size=(4, 3))
-        check_against_fd(lambda p: sum_all(ad.matmul(p, ad.Var(w))), RNG.normal(size=(5, 4)))
+        """`linear`'s input side."""
+        w, b = RNG.normal(size=(4, 3)), RNG.normal(size=3)
+        check_against_fd(lambda p: sum_all(ad.linear(p, ad.Var(w), ad.Var(b))), RNG.normal(size=(5, 4)))
 
     def test_matmul_weight_side(self):
-        x = RNG.normal(size=(5, 4))
-        check_against_fd(lambda p: sum_all(ad.matmul(ad.Var(x), p)), RNG.normal(size=(4, 3)))
+        x, b = RNG.normal(size=(5, 4)), RNG.normal(size=3)
+        check_against_fd(lambda p: sum_all(ad.linear(ad.Var(x), p, ad.Var(b))), RNG.normal(size=(4, 3)))
 
     def test_add_bias(self):
-        x = RNG.normal(size=(6, 3))
-        check_against_fd(lambda p: sum_all(mul(ad.add_bias(ad.Var(x), p), ad.Var(x))), RNG.normal(size=3))
+        """`linear`'s bias side."""
+        x, w = RNG.normal(size=(6, 3)), RNG.normal(size=(3, 3))
+        check_against_fd(lambda p: sum_all(mul(ad.linear(ad.Var(x), ad.Var(w), p), ad.Var(x))), RNG.normal(size=3))
 
     def test_relu(self):
         check_against_fd(
@@ -83,6 +90,55 @@ class TestOpGradients:
         check_against_fd(lambda p: sum_all(ad.neg_cosine_rows(p, ad.Var(z))), RNG.normal(size=(5, 4)))
         p0 = RNG.normal(size=(5, 4))
         check_against_fd(lambda v: sum_all(ad.neg_cosine_rows(ad.Var(p0), v)), RNG.normal(size=(5, 4)))
+
+
+class TestRows:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize(
+        "idx",
+        [
+            np.array([4, 0, 4, 2, 4, 0, 7, 4, 1, 0]),
+            np.array([3, 1, 0, 6, 2]),
+            np.array([], dtype=np.int64),
+        ],
+        ids=["duplicates", "unique", "empty"],
+    )
+    def test_backward_matches_add_at_byte_for_byte(self, dtype, idx):
+        """The layered scatter gives ``np.add.at``'s sums: the same order per
+        destination row, from the same zero start, so a row of -0.0
+        gradients lands as +0.0 and wide-range values round alike."""
+        rng = np.random.default_rng(len(idx))
+        x = ad.parameter(rng.normal(size=(8, 5)).astype(dtype))
+        g = (rng.normal(size=(len(idx), 5)) * 10.0 ** rng.integers(-8, 9, size=(len(idx), 1))).astype(dtype)
+        g[::3] = -0.0
+        (dx,) = ad.rows(x, idx)._backward(g)
+        want = np.zeros_like(x.value)
+        np.add.at(want, idx, g)
+        assert dx.dtype == dtype and dx.tobytes() == want.tobytes()
+
+
+class TestLinear:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_product_plus_bias_byte_for_byte(self, dtype):
+        """One node with the bytes of ``x @ w + b`` forward and of the
+        product's and the bias add's gradients backward."""
+        x, w, b, g = (RNG.normal(size=s).astype(dtype) for s in ((30, 6), (6, 4), (4,), (30, 4)))
+        out = ad.linear(ad.parameter(x), ad.parameter(w), ad.parameter(b))
+        dx, dw, db = out._backward(g)
+        assert out.value.tobytes() == (x @ w + b).tobytes()
+        assert dx.tobytes() == (g @ w.T).tobytes()
+        assert dw.tobytes() == (x.T @ g).tobytes()
+        assert db.tobytes() == g.sum(axis=0).tobytes()
+
+    def test_constant_sides_get_no_gradient(self):
+        """`linear` computes no input gradient for a constant input, and
+        `neg_cosine_rows` none for a stop-gradient side."""
+        x, w, b = (RNG.normal(size=s) for s in ((5, 3), (3, 3), (3,)))
+        dx, dw, db = ad.linear(ad.Var(x), ad.parameter(w), ad.parameter(b))._backward(np.ones((5, 3)))
+        assert dx is None and dw.shape == (3, 3) and db.shape == (3,)
+        p = ad.parameter(x)
+        dp, dz = ad.neg_cosine_rows(p, ad.stop_gradient(p))._backward(np.ones(5))
+        assert dp.shape == (5, 3) and dz is None
 
 
 class TestNegCosine:
@@ -245,7 +301,7 @@ class TestBackward:
         def run():
             rng = np.random.default_rng(9)
             p = ad.parameter(rng.normal(size=(6, 4)))
-            h = ad.relu(ad.matmul(p, ad.Var(rng.normal(size=(4, 4)))))
+            h = ad.relu(matmul(p, ad.Var(rng.normal(size=(4, 4)))))
             loss = sum_all(ad.neg_cosine_rows(h, ad.channel_norm(p)))
             return ad.grad(loss, {"p": p})["p"]
 
@@ -274,15 +330,15 @@ class TestBackward:
 
     def test_constant_gradients_are_not_kept(self):
         """A constant's gradient has no reader, so the walk keeps no entry
-        for it. Along a chain of 20 ``matmul(constant, param)`` terms,
+        for it. Along a chain of 20 ``linear(constant, param, bias)`` terms,
         keeping each constant's gradient would take 20 times a constant's
         size."""
         rng = np.random.default_rng(4)
         p = ad.parameter(rng.normal(size=(4, 4)))
         consts = [ad.Var(rng.normal(size=(25_000, 4))) for _ in range(20)]
-        x = ad.matmul(consts[0], p)
+        x = matmul(consts[0], p)
         for c in consts[1:]:
-            x = ad.add(ad.matmul(c, p), x)
+            x = ad.add(matmul(c, p), x)
         loss = sum_all(x)
         tracemalloc.start()
         try:
@@ -296,11 +352,11 @@ class TestBackward:
 
 class TestGraphMembership:
     def test_ops_over_constants_record_no_graph(self):
-        h = ad.relu(ad.matmul(ad.Var(RNG.normal(size=(5, 3))), ad.Var(RNG.normal(size=(3, 3)))))
+        h = ad.relu(matmul(ad.Var(RNG.normal(size=(5, 3))), ad.Var(RNG.normal(size=(3, 3)))))
         assert not h.live and h.parents == () and h._backward is None
         p = ad.parameter(RNG.normal(size=(3, 3)))
-        out = ad.matmul(h, p)
-        assert p.live and out.live and out.parents == (h, p) and out._backward is not None
+        out = matmul(h, p)
+        assert p.live and out.live and out.parents[:2] == (h, p) and out._backward is not None
 
     def test_grad_of_a_constant_raises_naming_it(self):
         p, c = ad.parameter(np.ones(3)), ad.Var(np.ones(3))
@@ -318,10 +374,10 @@ class TestGraphMembership:
 
         def grads(leaf):
             w, v = ad.parameter(w0), ad.parameter(v0)
-            c = ad.channel_norm(ad.relu(ad.matmul(leaf(a0), leaf(b0))))
-            h = ad.relu(ad.add(ad.matmul(c, w), c))
-            z = ad.matmul(ad.concat_cols(h, ad.rows(c, idx)), v)
-            loss = sum_all(ad.neg_cosine_rows(z, ad.matmul(ad.concat_cols(c, c), v)))
+            c = ad.channel_norm(ad.relu(matmul(leaf(a0), leaf(b0))))
+            h = ad.relu(ad.add(matmul(c, w), c))
+            z = matmul(ad.concat_cols(h, ad.rows(c, idx)), v)
+            loss = sum_all(ad.neg_cosine_rows(z, matmul(ad.concat_cols(c, c), v)))
             return loss, ad.grad(loss, {"w": w, "v": v})
 
         (lc, gc), (lp, gp) = grads(ad.Var), grads(ad.parameter)

@@ -481,6 +481,17 @@ class TestConfigRoundtrip:
             "--set", setting,
         ) == EXIT_DATA
 
+    def test_gen_with_an_undersampled_object_is_3(self, assets, tmp_path, capsys):
+        """150 of the 300-point object's points over 4 frames: no sequence
+        could pass, so `gen` names the object and exits 3 before generating."""
+        _, rooms, objs, *_ = assets
+        assert run(
+            "gen", "--scenes", str(rooms), "--objects", str(objs), "--out", str(tmp_path / "x"),
+            "--frames", "4", "--set", "object_sample=150",
+        ) == EXIT_DATA
+        assert "object 0: object_sample=150 of its 300 points" in capsys.readouterr().err
+        assert not (tmp_path / "x").exists()
+
     def test_readme_set_keys_are_valid(self):
 
         readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()

@@ -687,6 +687,19 @@ class TestGenerateDataset:
             generate_dataset([small_room], [small_object], tmp_path, per_scene=1, workers=workers)
         assert not list(tmp_path.glob("*.4dc"))
 
+    @pytest.mark.parametrize("t,sample,kept", [(4, 150, "0.125"), (4, 200, "0.296"), (3, 150, "0.250")])
+    def test_an_undersampled_object_is_a_config_error(self, small_room, small_object, tmp_path, t, sample, kept):
+        """Each frame samples its own object points, so a sampled point is in
+        all t frames with probability (sample / n)^(t - 1). Below the 0.3
+        consistency bar every attempt would fail; the run is refused before
+        anything is written, naming the object. Object 0 (all its points
+        sampled) is fine."""
+        whole = synth.make_object(np.random.default_rng(3), n_points=sample)
+        params = GenParams(t=t, object_sample=sample, scene_cell=0.05)
+        with pytest.raises(ConfigError, match=f"object 1: object_sample={sample} of its 300 points keeps an expected {kept}"):
+            generate_dataset([small_room], [whole, small_object], tmp_path / "out", per_scene=1, params=params)
+        assert not (tmp_path / "out").exists()
+
     def test_caller_params_unchanged(self, small_room, small_object, tmp_path):
         params = GenParams(per_scene=20, t=4, object_sample=200, scene_cell=0.05)
         generate_dataset([small_room], [small_object], tmp_path, per_scene=1, t=3, seed=9, params=params)

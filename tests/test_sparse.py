@@ -528,8 +528,9 @@ class TestValidation:
 
 class TestGraphFreeConv:
     def test_constants_keep_no_gathered_rows(self):
-        """Over constants a conv holds one offset's gathered rows at a time and
-        records no backward pass; a live output keeps every offset's rows."""
+        """A conv holds one offset's gathered rows at a time, live or not:
+        over constants it records no backward pass, and a live output keeps
+        no offset's gathered rows, which its backward pass gathers again."""
         coords = grid_tensor((12, 12, 12), 1, np.random.default_rng(0)).coords
         kmap = build_kernel_map(coords, coords, kernel_offsets(3, 3), (1, 1, 1))
         rng = np.random.default_rng(1)
@@ -546,7 +547,7 @@ class TestGraphFreeConv:
         const, live = outs
         assert not const.live and const.parents == () and const._backward is None
         assert live.live and const.value.tobytes() == live.value.tobytes()
-        assert peaks[0] < 2 * xv.nbytes < 10 * xv.nbytes < gathered < peaks[1]
+        assert max(peaks) < 2 * xv.nbytes < 10 * xv.nbytes < gathered
 
     def test_constant_subtree_leaves_parameter_gradients_unchanged(self):
         """A conv over constants feeding live convs, a residual add and a skip
@@ -568,6 +569,18 @@ class TestGraphFreeConv:
         gc, gp = grads(Var), grads(ad.parameter)
         for name in gc:
             assert gc[name].tobytes() == gp[name].tobytes(), name
+
+
+class TestLinear1x1:
+    def test_is_one_affine_node(self):
+        """A 1x1 conv is one `autodiff.linear` node over the features, the
+        weight and the bias: the product before the bias add is not a node."""
+        rng = np.random.default_rng(5)
+        x = grid_tensor((3, 3, 2), 4, rng)
+        w, b = ad.parameter(rng.normal(size=(4, 6))), ad.parameter(rng.normal(size=6))
+        out = sp.linear_1x1(x, w, b).feats
+        assert out.parents == (x.feats, w, b)
+        assert out.value.tobytes() == (x.feats.value @ w.value + b.value).tobytes()
 
 
 class TestKernelMapCache:

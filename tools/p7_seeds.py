@@ -9,6 +9,8 @@ those of ``tests/test_acceptance.py`` (imported from it, not copied); only
 temporary directory. Each seed prints one JSON line: the trained and untrained
 probe margins, the ten 50-step window means of the total loss, whether they
 fall monotonically, the gap closure towards -3, and the training minutes.
+A last JSON line sums the run up for ROADMAP item 1's rule: the median
+margin over the seeds and the seeds whose windows do not fall monotonically.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import argparse
 import inspect
 import json
 import os
+import statistics
 import sys
 import tempfile
 import time
@@ -35,6 +38,18 @@ def parse_args(argv=None):
     if args.threads is not None and args.threads < 1:
         ap.error("--threads must be at least 1")
     return args
+
+
+def summarize(records: list[dict]) -> dict:
+    """The run's summary line from its per-seed records."""
+    return {
+        "summary": True,
+        "dtype": records[0]["dtype"],
+        "threads": records[0]["threads"],
+        "seeds": [r["seed"] for r in records],
+        "median_margin": round(statistics.median(r["margin"] for r in records), 4),
+        "non_monotone_seeds": [r["seed"] for r in records if not r["monotone"]],
+    }
 
 
 def main(argv=None) -> int:
@@ -60,6 +75,7 @@ def main(argv=None) -> int:
 
         out, _, _ = inspect.unwrap(p7.toy_dataset)(Factory())
         sequences = load_dataset(out)
+        records = []
         for seed in args.seeds:
             cfg = replace(p7.toy_train_config(), seed=seed, dtype=args.dtype)
             init = build_parameters(model, seed=cfg.seed)
@@ -70,7 +86,7 @@ def main(argv=None) -> int:
             totals = np.array([r.total for r in reports])
             windows = [float(totals[i : i + 50].mean()) for i in range(0, len(totals), 50)]
             trained = probe(ckpt, sequences, seed=3)
-            print(json.dumps({
+            records.append({
                 "seed": seed,
                 "dtype": args.dtype,
                 "threads": args.threads,
@@ -80,7 +96,9 @@ def main(argv=None) -> int:
                 "monotone": all(b < a for a, b in zip(windows, windows[1:])),
                 "closure": round(float((totals[-1] - totals[0]) / (-3.0 - totals[0])), 4),
                 "minutes": round(minutes, 2),
-            }), flush=True)
+            })
+            print(json.dumps(records[-1]), flush=True)
+    print(json.dumps(summarize(records)), flush=True)
     return 0
 
 
