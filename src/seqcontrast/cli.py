@@ -74,10 +74,14 @@ def cmd_gen(args) -> int:
     objects = [read_point_cloud(p) for p in object_paths]
     stats = generate_dataset(scenes, objects, args.out, seed=cfg.train.seed, workers=args.workers, params=cfg.gen)
     dump_config(cfg, Path(args.out) / "effective_config.txt")
-    print(f"gen: wrote {stats['written']} sequences, rejected {stats['rejected']}")
+    print(f"gen: wrote {stats['written']} sequences, rejected {stats['rejected']}, skipped {stats['skipped']}")
     requested = len(scenes) * cfg.gen.per_scene
     if stats["written"] < requested:
-        print(f"gen: wrote {stats['written']} of {requested} requested; {stats['rejected']} trajectories gave up", file=sys.stderr)
+        print(
+            f"gen: wrote {stats['written']} of {requested} requested; {stats['rejected']} trajectories gave up; "
+            f"{stats['skipped']} skipped in scenes with no valid floor position",
+            file=sys.stderr,
+        )
         return EXIT_DATA
     return EXIT_OK
 

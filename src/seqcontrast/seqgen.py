@@ -6,11 +6,15 @@ its canonical source point, so correspondences between any two frames are
 exact by construction.
 
 Every frame of a sequence holds the canonical scene in its first rows, so
-`make_sequence` finds those rows and the constants `augment_scene` reads from
-them (`SceneRows`) once per sequence. Most attempts fail validation; once an
-attempt's frames so far fail a test that more frames cannot pass, its
-remaining frames only make their random draws, so the written bytes and the
-generator state stay those of building every frame.
+`make_sequence` finds those rows, sorted by x, and the constants
+`augment_scene` reads from them (`SceneRows`) once per sequence. A frame's
+scene augmentation draws its chunks as one block of uniforms and tests each
+chunk only on the x window of rows that can lie inside it; both give the
+draws and the rows kept of one `uniform` call per value and a scan of every
+row. Most attempts fail validation; once an attempt's frames so far fail a
+test that more frames cannot pass, its remaining frames only make their
+random draws, so the written bytes and the generator state stay those of
+building every frame.
 """
 
 from __future__ import annotations
@@ -272,16 +276,19 @@ def compose_frame(
 
 @dataclass(frozen=True)
 class SceneRows:
-    """A frame's background scene rows and the constants `augment_scene`
-    reads from them.
+    """A frame's background scene rows, sorted by x, and the constants
+    `augment_scene` reads from them.
 
     Every frame `make_sequence` builds holds the canonical scene in its first
     rows, so one `SceneRows` made from its first frame serves every frame of
-    every attempt.
+    every attempt. ``cols[:, i]`` holds the coordinates of frame row
+    ``rows[order[i]]``; the stable sort by x lets a chunk test only the
+    contiguous window of rows whose x can pass.
     """
 
     rows: np.ndarray   # (N,) indices of the scene rows in the frame
-    cols: np.ndarray   # (3, N) their coordinates, one contiguous column per axis
+    order: np.ndarray  # (N,) the stable argsort of the scene rows by x
+    cols: np.ndarray   # (3, N) their coordinates in x order, one contiguous column per axis
     lo: np.ndarray     # (3,) per-axis bounds of the chunk centres
     hi: np.ndarray
     extent: float      # longest side of the scene's bounding box
@@ -289,23 +296,28 @@ class SceneRows:
     @classmethod
     def of(cls, frame: SequenceFrame) -> "SceneRows":
         rows = np.flatnonzero(~frame.is_object())
-        cols = frame.cloud.points.T.take(rows, axis=1)
-        # a frame without scene rows draws no chunks, so its bounds are never read
+        order = np.argsort(frame.cloud.points[rows, 0], kind="stable")
+        cols = frame.cloud.points.T.take(rows[order], axis=1)
+        # a frame without scene rows draws no chunks, so its infinite bounds place none
         lo, hi = cols.min(axis=1, initial=np.inf), cols.max(axis=1, initial=-np.inf)
-        return cls(rows, cols, lo, hi, float(np.max(hi - lo)))
+        return cls(rows, order, cols, lo, hi, float(np.max(hi - lo)))
 
 
-def _scene_draws(scene: SceneRows, rng: np.random.Generator) -> tuple[np.ndarray, list[tuple[float, np.ndarray]]]:
-    """`augment_scene`'s draws, in order: one keep uniform per scene row, then
-    the chunk count and each chunk's edge and centre. Returns the kept mask
-    over the scene rows and the (edge, centre) of each chunk."""
-    kept = rng.uniform(0.0, 1.0, size=len(scene.rows)) < SCENE_KEEP_PROB
-    chunks = []
-    if len(scene.rows):
-        for _ in range(int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1))):
-            edge = rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * scene.extent
-            chunks.append((edge, rng.uniform(scene.lo, scene.hi)))
-    return kept, chunks
+def _scene_draws(scene: SceneRows, rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`augment_scene`'s draws: one keep uniform per scene row, the chunk
+    count, then one (n_chunks, 4) block of uniforms, each chunk's edge
+    fraction and centre in turn. Returns the kept mask over the scene rows
+    and the (n_chunks,) edges and (n_chunks, 3) centres.
+
+    ``uniform(low, high)`` returns ``low + (high - low) * u`` for the next
+    double ``u`` of ``random``, so these are the same doubles, through the
+    same arithmetic, as one ``uniform`` call per row, edge and centre.
+    """
+    kept = rng.random(len(scene.rows)) < SCENE_KEEP_PROB
+    n_chunks = int(rng.integers(CHUNKS_MIN, CHUNKS_MAX + 1)) if len(scene.rows) else 0
+    u = rng.random((n_chunks, 4))
+    edges = (CHUNK_FRACTION_MIN + (CHUNK_FRACTION_MAX - CHUNK_FRACTION_MIN) * u[:, 0]) * scene.extent
+    return kept, edges, scene.lo + (scene.hi - scene.lo) * u[:, 1:]
 
 
 def augment_scene(frame: SequenceFrame, rng: np.random.Generator, scene: SceneRows | None = None) -> SequenceFrame:
@@ -315,16 +327,28 @@ def augment_scene(frame: SequenceFrame, rng: np.random.Generator, scene: SceneRo
     always survive. ``scene`` is the frame's `SceneRows` when the caller
     already holds them (its frames share their scene rows); without it they
     are found in ``frame``, whatever its row order.
+
+    A chunk removes the scene rows with ``|col - centre| <= edge / 2`` on
+    every axis. ``fl(x - c)`` never decreases as x grows, so the rows that
+    pass on x are one run of the x-sorted rows: each chunk tests only the
+    window that two `searchsorted` calls find, widened by a slack far above
+    the rounding error, and the rows it removes map back to frame order once.
     """
     if scene is None:
         scene = SceneRows.of(frame)
-    kept, chunks = _scene_draws(scene, rng)
-    # a chunk tests x on every scene row, then y and z only on the rows still inside
-    for edge, center in chunks:
-        inside = np.flatnonzero(np.abs(scene.cols[0] - center[0]) <= edge / 2)
-        for axis in (1, 2):
-            inside = inside[np.abs(scene.cols[axis, inside] - center[axis]) <= edge / 2]
-        kept[inside] = False
+    kept, edges, centres = _scene_draws(scene, rng)
+    half = edges / 2
+    slack = 1e-9 * (np.abs(centres[:, 0]) + half)
+    starts = np.searchsorted(scene.cols[0], centres[:, 0] - half - slack, side="left")
+    stops = np.searchsorted(scene.cols[0], centres[:, 0] + half + slack, side="right")
+    removed = np.zeros(len(scene.rows), dtype=bool)
+    for h, c, start, stop in zip(half, centres, starts, stops):
+        window = scene.cols[:, start:stop]
+        inside = np.abs(window[0] - c[0]) <= h
+        inside &= np.abs(window[1] - c[1]) <= h
+        inside &= np.abs(window[2] - c[2]) <= h
+        removed[start:stop] |= inside
+    kept[scene.order[removed]] = False
 
     keep = np.ones(len(frame.cloud), dtype=bool)
     keep[scene.rows] = kept
@@ -580,6 +604,10 @@ def generate_dataset(
     Output is a pure function of (inputs, seed): per-sequence RNG seeds are
     positional, so neither worker count nor completion order matters.
     ``per_scene`` and ``t``, when given, override those of ``params``.
+    Returns the counts of sequences ``written``, of trajectories ``rejected``
+    and of trajectories ``skipped``, unattempted because their scene has no
+    valid floor position for any object; the three add up to scenes times
+    ``per_scene``.
     Raises `ConfigError`, before anything is written, for an object whose
     ``object_sample`` is too small a share of its points for any sequence of
     ``t`` frames to pass the object consistency test on average.
@@ -606,12 +634,13 @@ def generate_dataset(
 
     object_radii = [object_footprint_radius(o) for o in objects]
 
-    tasks = []
+    tasks, skipped = [], 0
     for scene_idx, scene in enumerate(scenes):
         occ = height_accumulate(scene)
         candidates_by_radius = [valid_positions(occ, r) for r in object_radii]
         if not any(len(c) for c in candidates_by_radius):
             log.warning("scene %d has no valid positions; skipped", scene_idx)
+            skipped += params.per_scene
             continue
         for traj_idx in range(params.per_scene):
             tasks.append((scene, objects, scene_idx, traj_idx, seed, params, occ.floor_height, candidates_by_radius))
@@ -629,4 +658,4 @@ def generate_dataset(
             (out_dir / f"{stem}.4dc").write_bytes(blob)
             write_sidecar(out_dir / f"{stem}.txt", info)
             written += 1
-    return {"written": written, "rejected": rejected}
+    return {"written": written, "rejected": rejected, "skipped": skipped}

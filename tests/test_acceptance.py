@@ -14,6 +14,7 @@ import pytest
 
 import conftest
 from seqcontrast import autodiff as ad
+from seqcontrast import seqgen
 from seqcontrast import sparse as sp
 from seqcontrast import synth
 from seqcontrast.autodiff import Var
@@ -294,7 +295,7 @@ class TestP4LossAlgebra:
 
 
 class TestP5GenerationConstraints:
-    def test_p5(self, toy_dataset):
+    def test_p5(self, toy_dataset, monkeypatch):
         out, rooms, _ = toy_dataset
         # 1000 fresh trajectories across the synthetic rooms
         rng = np.random.default_rng(11)
@@ -329,41 +330,29 @@ class TestP5GenerationConstraints:
             if n_scene / scene_ref < MIN_CONSISTENT or (len(common) - n_scene) / obj_ref < MIN_CONSISTENT:
                 persisted_ok = False
 
-        # augmentation parameters, observed through a recording generator
-        class SpyRng:
-            def __init__(self, inner):
-                self.inner = inner
-                self.chunks = []
-                self.fracs = []
+        # augmentation parameters, observed where `augment_scene` draws them;
+        # rounding is monotone, so an edge fraction in range gives an edge
+        # between the rounded products of the extent with the range's ends
+        draws = []
 
-            def integers(self, low, high=None, **kw):
-                out = self.inner.integers(low, high, **kw)
-                if low == CHUNKS_MIN and high == CHUNKS_MAX + 1:
-                    self.chunks.append(int(out))
-                return out
+        def recording_draws(scene, rng):
+            out = scene_draws(scene, rng)
+            draws.append((scene.extent, out[1]))
+            return out
 
-            def uniform(self, low=0.0, high=1.0, **kw):
-                out = self.inner.uniform(low, high, **kw)
-                if (
-                    np.isscalar(low)
-                    and np.isscalar(high)
-                    and low == CHUNK_FRACTION_MIN
-                    and high == CHUNK_FRACTION_MAX
-                ):
-                    self.fracs.append(float(out))
-                return out
-
-        spy = SpyRng(np.random.default_rng(12))
+        scene_draws = seqgen._scene_draws
+        monkeypatch.setattr(seqgen, "_scene_draws", recording_draws)
+        rng = np.random.default_rng(12)
         canon = sample_scene_canonical(rooms[0], np.random.default_rng(13), 0.02)
         obj = synth.make_object(np.random.default_rng(14), kind="box", n_points=300)
         frame = compose_frame(canon, obj, (np.zeros(2), 0.0), np.random.default_rng(15), object_sample=300)
         for _ in range(1000):
-            augment_scene(frame, spy)
-        aug_ok = (
-            len(spy.chunks) == 1000
-            and all(CHUNKS_MIN <= n <= CHUNKS_MAX for n in spy.chunks)
-            and len(spy.fracs) == sum(spy.chunks)
-            and all(CHUNK_FRACTION_MIN <= f <= CHUNK_FRACTION_MAX for f in spy.fracs)
+            augment_scene(frame, rng)
+        aug_ok = len(draws) == 1000 and all(
+            CHUNKS_MIN <= len(edges) <= CHUNKS_MAX
+            and np.all(CHUNK_FRACTION_MIN * extent <= edges)
+            and np.all(edges <= CHUNK_FRACTION_MAX * extent)
+            for extent, edges in draws
         )
         ok = violations == 0 and persisted_ok and aug_ok
         record(

@@ -1,4 +1,5 @@
 import re
+import shutil
 import struct
 import zlib
 from pathlib import Path
@@ -10,7 +11,8 @@ from seqcontrast import seqgen
 from seqcontrast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqcontrast.config import KEYS, RunConfig, dump_config, load_config
 from seqcontrast.errors import ConfigError, TrajectoryFailure
-from seqcontrast.formats import read_checkpoint, read_ply, read_xyz, write_checkpoint
+from seqcontrast.formats import read_checkpoint, read_ply, read_xyz, write_checkpoint, write_xyz
+from seqcontrast.geom import PointCloud
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
 from seqcontrast.trainer import Checkpoint, TrainConfig, save_checkpoint
 
@@ -293,6 +295,27 @@ class TestGen:
         assert code == EXIT_DATA
         assert "wrote 1 of 2 requested; 1 trajectories gave up" in capsys.readouterr().err
         assert len(list((tmp_path / "d").glob("*.4dc"))) == 1
+
+    def test_a_scene_without_floor_is_counted_as_skipped(self, assets, tmp_path, capsys):
+        """A scene where no object's footprint fits on the floor gets no
+        tasks. They are counted as skipped, so the shortfall is explained,
+        and `gen` still exits 3."""
+        _, rooms, objs, *_ = assets
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        shutil.copy(rooms / "room_0000.xyz", scenes)
+        blob = np.random.default_rng(0).uniform(0.0, 0.3, size=(500, 3))  # sorts after the room: scene 1
+        write_xyz(scenes / "zblob.xyz", PointCloud(blob))
+        code = run(
+            "gen", "--scenes", str(scenes), "--objects", str(objs), "--out", str(tmp_path / "d"),
+            "--per-scene", "1", "--frames", "3", "--seed", "5",
+            "--set", "object_sample=300", "--set", "scene_cell=0.05",
+        )
+        assert code == EXIT_DATA
+        out, err = capsys.readouterr()
+        assert "gen: wrote 1 sequences, rejected 0, skipped 1" in out
+        assert "wrote 1 of 2 requested; 0 trajectories gave up; 1 skipped in scenes with no valid floor position" in err
+        assert [p.name for p in (tmp_path / "d").glob("*.4dc")] == ["seq_0000_0000.4dc"]
 
     def test_inspect_reports_counts(self, assets, capsys):
         *_, seqs = assets

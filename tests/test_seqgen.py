@@ -117,6 +117,37 @@ def augment_scene_loop(frame, rng):
     return keep
 
 
+def scene_draws_loop(scene, rng):
+    """`seqgen._scene_draws` with one `uniform` call per row draw, per edge
+    fraction and per centre."""
+    kept = rng.uniform(0.0, 1.0, size=len(scene.rows)) < SCENE_KEEP_PROB
+    edges, centres = [], []
+    if len(scene.rows):
+        for _ in range(int(rng.integers(seqgen.CHUNKS_MIN, seqgen.CHUNKS_MAX + 1))):
+            edges.append(rng.uniform(CHUNK_FRACTION_MIN, CHUNK_FRACTION_MAX) * scene.extent)
+            centres.append(rng.uniform(scene.lo, scene.hi))
+    return kept, np.array(edges, dtype=np.float64), np.array(centres, dtype=np.float64).reshape(-1, 3)
+
+
+def chunk_removed_loop(points, edges, centres):
+    """The full-scan chunk test: the rows within ``edge / 2`` of a chunk's
+    centre on every axis, for any chunk."""
+    removed = np.zeros(len(points), dtype=bool)
+    for edge, centre in zip(edges, centres):
+        removed |= np.all(np.abs(points - centre) <= edge / 2, axis=1)
+    return removed
+
+
+def scene_frame(scene_points, rng, n_object=20):
+    """A frame of the given scene rows with ``n_object`` object rows, in a
+    shuffled row order."""
+    pts = np.vstack([scene_points, rng.normal(size=(n_object, 3))])
+    prov = np.concatenate([np.arange(len(scene_points)), OBJECT_ID_OFFSET + np.arange(n_object)])
+    order = rng.permutation(len(pts))
+    identity = SimilarityTransform.identity()
+    return SequenceFrame(PointCloud(pts[order], prov[order]), identity, identity)
+
+
 def validate_sequence_loop(seq):
     pre_count = seq.scene_ref_points + seq.object_ref_points
     common = None
@@ -393,6 +424,85 @@ class TestAugmentation:
             assert rng_a.bit_generator.state == rng_b.bit_generator.state
             removed += len(frame.cloud) - int(keep.sum())
         assert removed > 0
+
+    @pytest.mark.parametrize("chunks", [(CHUNKS_MIN, CHUNKS_MAX), (0, 0)])
+    def test_scene_draws_match_one_uniform_call_each(self, monkeypatch, chunks):
+        """Over many seeds and scene extents, and scenes without rows, the
+        block draws give the kept mask, edges and centres of one `uniform`
+        call per row, edge and centre, bit for bit, and leave the generator
+        in the same state."""
+        monkeypatch.setattr(seqgen, "CHUNKS_MIN", chunks[0])
+        monkeypatch.setattr(seqgen, "CHUNKS_MAX", chunks[1])
+        drawn = 0
+        for seed in range(120):
+            rng = np.random.default_rng(seed)
+            scale = 10.0 ** rng.uniform(-3, 3)
+            n = 0 if seed % 15 == 0 else int(rng.integers(1, 400))
+            scene = seqgen.SceneRows.of(scene_frame(scale * rng.normal(rng.uniform(-5, 5, 3), 1.0, (n, 3)), rng))
+            rng_a, rng_b = np.random.default_rng(seed + 1000), np.random.default_rng(seed + 1000)
+            got, want = seqgen._scene_draws(scene, rng_a), scene_draws_loop(scene, rng_b)
+            for a, b in zip(got, want):
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert rng_a.bit_generator.state == rng_b.bit_generator.state
+            drawn += len(got[1])
+        assert (drawn > 0) == (chunks[1] > 0)
+
+    def test_windowed_chunks_match_the_full_scan(self, monkeypatch):
+        """Each chunk tests only the x-sorted window of rows that can pass;
+        it removes the rows a scan of every row removes. The scene has rows
+        within a few ulps of each face of 30 chunks (``x - c`` rounds, so a
+        row just outside ``c - edge / 2`` can pass), hundreds of rows sharing
+        an x, grid rows whose coordinates tie, and a gap in x. Chunks are
+        tested one at a time and in sets; among them are a chunk of zero
+        edge, chunks reaching past the bounding box, and chunks whose window
+        is empty."""
+        rng = np.random.default_rng(5)
+        faced = [(h, c) for h, c in zip(rng.uniform(0.01, 1.5, 30), rng.uniform(-2, 2, (30, 3)))]
+        near_faces = []
+        for h, c in faced:
+            for axis in range(3):
+                for face in (c[axis] - h, c[axis] + h):
+                    for ulps in range(-3, 4):
+                        row = c.copy()
+                        row[axis] = face + ulps * np.spacing(face)
+                        near_faces.append(row)
+        h, c = faced[0]
+        same_x = [
+            np.column_stack([np.full(300, x), rng.uniform(c[1] - 2 * h, c[1] + 2 * h, 300), rng.uniform(c[2] - 2 * h, c[2] + 2 * h, 300)])
+            for x in (c[0] - h, c[0] + h)
+        ]
+        grid = rng.integers(-40, 41, size=(3000, 3)) * 0.05
+        gap = rng.uniform([5.0, -2.0, -2.0], [6.0, 2.0, 2.0], size=(200, 3))
+        points = np.vstack([np.array(near_faces), *same_x, grid, gap])
+        frame = scene_frame(points, rng)
+        scene = seqgen.SceneRows.of(frame)
+        chunks = [(2 * h, c) for h, c in faced] + [
+            (0.0, c),
+            (0.0, np.array([0.15, 0.35, -0.1])),             # zero edge on a grid point
+            (0.1, np.array([0.15, 0.35, -0.1])),             # faces on grid coordinates
+            (2 * scene.extent, scene.lo - 0.2),              # past the box, covers every row
+            (0.5, scene.hi + 0.1),                           # past the box, empty window
+            (0.6, np.array([3.5, 0.0, 0.0])),                # inside the gap in x, empty window
+            (2.0, np.array([-100.0, 0.0, 0.0])),             # before every x, empty window
+        ]
+        assert not np.any(np.abs(points[:, 0] - 3.5) <= 0.3 + 1e-6)
+        chunk_sets = [[chunk] for chunk in chunks] + [chunks[:15], chunks[30:]]
+        chunk_sets += [  # random chunks centred on grid points, edges whole grid steps
+            [(0.05 * rng.integers(0, 20), 0.05 * rng.integers(-40, 41, 3).astype(np.float64)) for _ in range(5)]
+            for _ in range(40)
+        ]
+        is_scene = ~frame.is_object()
+        removed_total = 0
+        for chunk_set in chunk_sets:
+            edges = np.array([edge for edge, _ in chunk_set])
+            centres = np.array([centre for _, centre in chunk_set])
+            monkeypatch.setattr(seqgen, "_scene_draws", lambda scene, rng: (np.ones(len(scene.rows), dtype=bool), edges, centres))
+            got = augment_scene(frame, rng, scene)
+            keep = ~(is_scene & chunk_removed_loop(frame.cloud.points, edges, centres))
+            np.testing.assert_array_equal(got.cloud.points, frame.cloud.points[keep], strict=True)
+            np.testing.assert_array_equal(got.cloud.provenance, frame.cloud.provenance[keep], strict=True)
+            removed_total += int((~keep).sum())
+        assert removed_total > 0
 
     def test_chunk_parameters_in_range(self):
         # the sampled chunk count and edge fraction always fall in the

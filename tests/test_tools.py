@@ -1,6 +1,7 @@
 """Checks of the scripts in tools/ that run no training."""
 
 import importlib.util
+import json
 from pathlib import Path
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
@@ -30,3 +31,16 @@ def test_p7_seeds_summary_gives_the_median_margin_and_the_non_monotone_seeds():
         "median_margin": 0.1626,
         "non_monotone_seeds": [4],
     }
+
+
+def test_gen_digest_is_the_same_across_worker_counts_and_runs(capsys):
+    """On one small room the digests at one and at two workers agree, and a
+    second run prints the same line."""
+    argv = ["--seeds", "4", "--rooms", "1", "--objects", "1", "--per-scene", "2", "--room-size", "3.0", "--spacing", "0.08"]
+    lines = []
+    for _ in range(2):
+        assert load_tool("gen_digest").main(argv) == 0
+        lines.append(capsys.readouterr().out)
+    record = json.loads(lines[0])
+    assert lines[0] == lines[1]
+    assert record["files"] == 4 and record["sha256"]["1"] == record["sha256"]["2"]
