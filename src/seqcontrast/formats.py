@@ -24,25 +24,42 @@ CHECKPOINT_DTYPES = ("<f4", "<f8", "|u1")
 # ASCII point clouds
 
 
+def finite_points(path, pts: np.ndarray, offset_of) -> np.ndarray:
+    """``pts``, or `DataFormatError` at byte ``offset_of(k)`` for the first non-finite point k."""
+    if not np.isfinite(pts).all():
+        k = int(np.argmin(np.isfinite(pts).all(axis=1)))
+        raise DataFormatError(f"{path}: non-finite coordinate in point {k}", offset_of(k))
+    return pts
+
+
 def read_xyz(path: str | Path) -> PointCloud:
     """Read an ASCII XYZ file: one "x y z" triple per line."""
+
+    def at(k: int) -> int:  # the byte offset of point k's line, found only for an error
+        offset = 0
+        with open(path, "rb") as f:
+            for raw in f:
+                line = raw.decode("ascii", errors="replace").strip()
+                k -= bool(line and not line.startswith("#"))
+                if k < 0:
+                    return offset
+                offset += len(raw)
+
     pts = []
-    offset = 0
     with open(path, "rb") as f:
         for raw in f:
             line = raw.decode("ascii", errors="replace").strip()
             if line and not line.startswith("#"):
                 parts = line.split()
                 if len(parts) < 3:
-                    raise DataFormatError(f"{path}: expected 3 coordinates, got {len(parts)}", offset)
+                    raise DataFormatError(f"{path}: expected 3 coordinates, got {len(parts)}", at(len(pts)))
                 try:
                     pts.append([float(parts[0]), float(parts[1]), float(parts[2])])
                 except ValueError:
-                    raise DataFormatError(f"{path}: non-numeric coordinate", offset) from None
-            offset += len(raw)
+                    raise DataFormatError(f"{path}: non-numeric coordinate", at(len(pts))) from None
     if not pts:
         raise DataFormatError(f"{path}: no points", 0)
-    return PointCloud(np.array(pts, dtype=np.float64))
+    return PointCloud(finite_points(path, np.array(pts, dtype=np.float64), at))
 
 
 def write_xyz(path: str | Path, cloud: PointCloud) -> None:
@@ -60,51 +77,51 @@ def read_ply(path: str | Path) -> PointCloud:
     if not lines or lines[0].strip() != b"ply":
         raise DataFormatError(f"{path}: missing 'ply' magic", 0)
 
+    def at(i: int) -> int:  # the byte offset of line i, found only for an error
+        return sum(len(line) + 1 for line in lines[:i])
+
     n_vertex = None
     props: list[str] = []
     in_vertex = False
     header_end = None
-    offset = 0
     for i, raw in enumerate(lines):
         line = raw.strip().decode("ascii", errors="replace")
         if line.startswith("format"):
             if "ascii" not in line:
-                raise DataFormatError(f"{path}: only ASCII PLY supported", offset)
+                raise DataFormatError(f"{path}: only ASCII PLY supported", at(i))
         elif line.startswith("element"):
             parts = line.split()
             in_vertex = parts[1:2] == ["vertex"]
             if in_vertex:
                 if len(parts) != 3 or not parts[2].isdigit():
-                    raise DataFormatError(f"{path}: vertex count is not a non-negative integer: {line!r}", offset)
+                    raise DataFormatError(f"{path}: vertex count is not a non-negative integer: {line!r}", at(i))
                 n_vertex = int(parts[2])
         elif line.startswith("property") and in_vertex:
             props.append(line.split()[-1])
         elif line == "end_header":
             header_end = i
             break
-        offset += len(raw) + 1
     if header_end is None or n_vertex is None:
-        raise DataFormatError(f"{path}: incomplete PLY header", offset)
+        raise DataFormatError(f"{path}: incomplete PLY header", len(data) if header_end is None else at(i))
     try:
         ix, iy, iz = props.index("x"), props.index("y"), props.index("z")
     except ValueError:
-        raise DataFormatError(f"{path}: vertex element lacks x/y/z", offset) from None
+        raise DataFormatError(f"{path}: vertex element lacks x/y/z", at(i)) from None
 
-    offset += len(lines[header_end]) + 1  # past end_header: the first vertex line
-    body = lines[header_end + 1 : header_end + 1 + n_vertex]
+    first = header_end + 1  # the first vertex line
+    body = lines[first : first + n_vertex]
     if len(body) < n_vertex:
         raise DataFormatError(f"{path}: {n_vertex} vertices declared, {len(body)} lines follow the header", len(data))
     pts = np.empty((n_vertex, 3), dtype=np.float64)
     for k, raw in enumerate(body):
         parts = raw.split()
         if len(parts) < len(props):
-            raise DataFormatError(f"{path}: truncated vertex {k}", offset)
+            raise DataFormatError(f"{path}: truncated vertex {k}", at(first + k))
         try:
             pts[k] = [float(parts[ix]), float(parts[iy]), float(parts[iz])]
         except ValueError:
-            raise DataFormatError(f"{path}: non-numeric value in vertex {k}", offset) from None
-        offset += len(raw) + 1
-    return PointCloud(pts)
+            raise DataFormatError(f"{path}: non-numeric value in vertex {k}", at(first + k)) from None
+    return PointCloud(finite_points(path, pts, lambda k: at(first + k)))
 
 
 def write_ply(path: str | Path, cloud: PointCloud, colors: np.ndarray | None = None) -> None:

@@ -1,6 +1,10 @@
 """Point-cloud primitives: similarity transforms, voxelization, 2D occupancy maps.
 
 All geometry is float64 internally and in meters. The up axis is +z.
+`PointCloud` and `SimilarityTransform` check nothing. Data is checked where it
+enters: the readers reject non-finite points and ".4dc" poses, `generate_dataset`
+and `ContrastivePretrainer.transform` non-finite library clouds, and `synth`
+out-of-range room and object arguments. Every rotation is `rotation_about_up`'s.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ FLOOR_QUANTILE = 0.25       # fraction of lowest columns used for the floor fit
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Points with optional per-point provenance ids.
+    """Finite float64 (N, 3) points with optional int64 (N,) provenance ids.
 
     Provenance identifies the canonical source point (scene or object) so that
     exact correspondences across frames can be recovered; ``None`` for raw
@@ -33,27 +37,8 @@ class PointCloud:
     points: np.ndarray                   # (N, 3) float64
     provenance: np.ndarray | None = None  # (N,) int64 or None
 
-    def __post_init__(self):
-        pts = np.asarray(self.points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != 3:
-            raise ValueError(f"points must be (N, 3), got {pts.shape}")
-        if not np.all(np.isfinite(pts)):
-            raise ValueError("points contain non-finite coordinates")
-        object.__setattr__(self, "points", pts)
-        if self.provenance is not None:
-            prov = np.asarray(self.provenance, dtype=np.int64)
-            if prov.shape != (len(pts),):
-                raise ValueError("provenance length must match points")
-            object.__setattr__(self, "provenance", prov)
-
     def __len__(self) -> int:
         return len(self.points)
-
-
-_EYE3 = np.eye(3)
-# np.allclose(R @ R.T, I, atol=1e-9) written out: |a - b| <= atol + rtol * |b|
-# with numpy's default rtol, so the same matrices pass and fail.
-_ORTHONORMAL_TOL = 1e-9 + 1e-5 * np.abs(_EYE3)
 
 
 def rotation_about_up(yaw: float) -> np.ndarray:
@@ -64,27 +49,16 @@ def rotation_about_up(yaw: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SimilarityTransform:
-    """p' = scale * R @ p + translation."""
+    """p' = scale * R @ p + translation: R from `rotation_about_up`, a float64
+    (3,) translation and a positive float scale."""
 
     rotation: np.ndarray = field(default_factory=lambda: np.eye(3))
     translation: np.ndarray = field(default_factory=lambda: np.zeros(3))
     scale: float = 1.0
 
-    def __post_init__(self):
-        R = np.asarray(self.rotation, dtype=np.float64)
-        if R.shape != (3, 3):
-            raise ValueError("rotation must be a 3x3 matrix")
-        if abs(np.linalg.det(R) - 1.0) > 1e-9 or not np.all(np.abs(R @ R.T - _EYE3) <= _ORTHONORMAL_TOL):
-            raise ValueError("rotation must be orthonormal with determinant +1")
-        if not self.scale > 0:
-            raise ValueError("scale must be positive")
-        object.__setattr__(self, "rotation", R)
-        object.__setattr__(self, "translation", np.asarray(self.translation, dtype=np.float64).reshape(3))
-        object.__setattr__(self, "scale", float(self.scale))
-
     @classmethod
     def from_yaw(cls, yaw: float, translation=(0.0, 0.0, 0.0), scale: float = 1.0) -> "SimilarityTransform":
-        return cls(rotation_about_up(yaw), np.asarray(translation, dtype=np.float64), scale)
+        return cls(rotation_about_up(yaw), np.asarray(translation, dtype=np.float64), float(scale))
 
     @classmethod
     def identity(cls) -> "SimilarityTransform":

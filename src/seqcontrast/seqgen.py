@@ -29,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import ConfigError, DataFormatError, EmptyInputError, TrajectoryFailure
-from .formats import seal, unseal, write_sidecar
+from .formats import finite_points, seal, unseal, write_sidecar
 from .geom import (
     FLOOR_BAND,
     MAP_CELL,
@@ -425,21 +425,13 @@ def build_correspondences(seq: Sequence) -> dict[tuple[int, int], tuple[np.ndarr
 # Sequence file format ("4DC1")
 
 
-def _transform_fields(tr: SimilarityTransform) -> tuple[float, ...]:
-    return (tr.yaw, tr.scale, *tr.translation)
-
-
-def _transform_from_fields(yaw, scale, tx, ty, tz) -> SimilarityTransform:
-    return SimilarityTransform.from_yaw(float(yaw), (float(tx), float(ty), float(tz)), float(scale))
-
-
 def sequence_to_bytes(seq: Sequence) -> bytes:
     """Seal the u32 frame count and u64 scene and object ids, then per frame the
     u32 point count, float32 points, u32 provenance ids and the float32 yaw,
     scale and translation of the object pose and of the static augmentation."""
     body = [struct.pack("<IQQ", len(seq.frames), seq.scene_id, seq.object_id)]
     for frame in seq.frames:
-        fields = _transform_fields(frame.object_pose) + _transform_fields(frame.static_aug)
+        fields = [v for tr in (frame.object_pose, frame.static_aug) for v in (tr.yaw, tr.scale, *tr.translation)]
         body += [struct.pack("<I", len(frame.cloud)), frame.cloud.points.astype("<f4", order="C"),
                  frame.cloud.provenance.astype("<u4"), struct.pack("<10f", *fields)]
     return seal(SEQUENCE_MAGIC, SEQUENCE_VERSION, body)
@@ -450,18 +442,18 @@ def write_sequence(path: str | Path, seq: Sequence) -> None:
 
 
 def read_sequence(path: str | Path) -> Sequence:
+    """`DataFormatError` at the byte offset of a non-finite point or pose field or a scale <= 0."""
     cur = unseal(path, SEQUENCE_MAGIC, SEQUENCE_VERSION, "sequence")
     t, scene_id, object_id = cur.unpack("<IQQ")
     frames = []
     for _ in range(t):
         (n,) = cur.unpack("<I")
-        pts = cur.array("<f4", 3 * n).reshape(n, 3).astype(np.float64)
+        pts = finite_points(path, cur.array("<f4", 3 * n).reshape(n, 3).astype(np.float64), lambda k: cur.offset - 12 * (n - k))
         prov = cur.array("<u4", n).astype(np.int64)
         fields = cur.unpack("<10f")
-        try:
-            pose, aug = _transform_from_fields(*fields[:5]), _transform_from_fields(*fields[5:])
-        except ValueError as exc:
-            raise DataFormatError(f"{path}: bad frame pose: {exc}", cur.offset - 40) from None
+        if not (np.isfinite(fields).all() and fields[1] > 0 and fields[6] > 0):
+            raise DataFormatError(f"{path}: bad frame pose: need finite fields and scales > 0, got {fields}", cur.offset - 40)
+        pose, aug = (SimilarityTransform.from_yaw(f[0], f[2:], f[1]) for f in (fields[:5], fields[5:]))
         frames.append(SequenceFrame(PointCloud(pts, prov), pose, aug))
     cur.close()
     return Sequence(frames, scene_id, object_id)
@@ -608,14 +600,19 @@ def generate_dataset(
     and of trajectories ``skipped``, unattempted because their scene has no
     valid floor position for any object; the three add up to scenes times
     ``per_scene``.
-    Raises `ConfigError`, before anything is written, for an object whose
-    ``object_sample`` is too small a share of its points for any sequence of
-    ``t`` frames to pass the object consistency test on average.
+    Raises, before anything is written, `ValueError` naming a scene or object
+    whose points are not a finite float64 (N, 3) array, and `ConfigError` for
+    an object whose ``object_sample`` is too small a share of its points for
+    any sequence of ``t`` frames to pass object consistency on average.
     """
     if not scenes or not objects:
         raise EmptyInputError("need at least one scene and one object")
     if workers < 1:
         raise ConfigError(f"workers must be >= 1, got {workers}")
+    for kind, clouds in (("scene", scenes), ("object", objects)):
+        for i, pts in enumerate(c.points for c in clouds):
+            if not (isinstance(pts, np.ndarray) and pts.dtype == np.float64 and pts.shape[1:] == (3,) and np.isfinite(pts).all()):
+                raise ValueError(f"{kind} {i}: points must be a finite float64 (N, 3) array, got {np.shape(pts)}")
     params = params or GenParams()
     params = replace(params, per_scene=params.per_scene if per_scene is None else per_scene,
                      t=params.t if t is None else t)

@@ -10,9 +10,11 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import ConfigError
 from .geom import PointCloud
 
 OBJECT_KINDS = ("box", "cylinder", "lshape", "torus")
+CLUTTER_MARGIN = 0.35  # m, clutter stays this far from the ends of its wall
 
 
 def _jittered_grid(rng, nx, ny, sx, sy, jitter):
@@ -39,6 +41,10 @@ def make_room(
     n_clutter: int | None = None,
 ) -> PointCloud:
     """One rectangular room with floor, walls, and wall-adjacent clutter."""
+    if size is not None and not (np.isfinite(size) and size >= 2 * CLUTTER_MARGIN):
+        raise ConfigError(f"room size must be finite and at least {2 * CLUTTER_MARGIN} m, got {size}")
+    if not (np.isfinite(wall_height) and wall_height > 0 and np.isfinite(spacing) and spacing > 0):
+        raise ConfigError(f"wall_height and spacing must be finite and positive, got {wall_height} and {spacing}")
     if size is None:
         size = rng.uniform(3.0, 4.0)
     w = d = float(size)
@@ -57,11 +63,10 @@ def make_room(
 
     if n_clutter is None:
         n_clutter = int(rng.integers(1, 4))
-    margin = 0.35
     for _ in range(n_clutter):
         side = int(rng.integers(0, 4))
-        along = rng.uniform(margin, (w if side < 2 else d) - margin)
-        depth_off = rng.uniform(0.15, margin)
+        along = rng.uniform(CLUTTER_MARGIN, (w if side < 2 else d) - CLUTTER_MARGIN)
+        depth_off = rng.uniform(0.15, CLUTTER_MARGIN)
         if side == 0:
             cx, cy = along, depth_off
         elif side == 1:
@@ -123,6 +128,8 @@ def make_object(
     scale: float | None = None,
 ) -> PointCloud:
     """A primitive object in canonical pose: base at z=0, footprint at origin."""
+    if n_points < 2:
+        raise ConfigError(f"an object needs at least 2 points, got {n_points}")
     if kind is None:
         kind = OBJECT_KINDS[int(rng.integers(0, len(OBJECT_KINDS)))]
     if scale is None:

@@ -493,6 +493,9 @@ class ContrastivePretrainer:
         if not hasattr(self, "checkpoint_"):
             raise RuntimeError("ContrastivePretrainer is not fitted")
         points = X.points if isinstance(X, PointCloud) else np.asarray(X, dtype=np.float64)
+        bad = np.flatnonzero(~np.isfinite(points).all(axis=1))
+        if len(bad):
+            raise ValueError(f"{len(bad)} points have non-finite coordinates, the first at rows {bad[:5].tolist()}")
         return projection_features([points], self.checkpoint_)[0]
 
     def fit_transform(self, X, y=None) -> np.ndarray:

@@ -200,6 +200,14 @@ class TestExitCodes:
         assert run("gen", "--scenes", str(scenes), "--objects", str(objs), "--out", str(tmp_path / "x")) == EXIT_DATA
         assert "non-numeric value in vertex 1" in capsys.readouterr().err
 
+    def test_gen_over_non_finite_xyz_is_3(self, tmp_path, assets, capsys):
+        _, _, objs, *_ = assets
+        scenes = tmp_path / "scenes"
+        scenes.mkdir()
+        (scenes / "room.xyz").write_text("0 0 0\n1 nan 2\n")
+        assert run("gen", "--scenes", str(scenes), "--objects", str(objs), "--out", str(tmp_path / "x")) == EXIT_DATA
+        assert "non-finite coordinate in point 1 (byte offset 6)" in capsys.readouterr().err
+
     def test_bad_config_key_is_3(self, tmp_path, assets):
         _, rooms, objs, *_ = assets
         code = run(
@@ -224,6 +232,24 @@ class TestSynth:
         run("synth", "--rooms", "1", "--objects", "0", "--out", str(a), "--seed", "2")
         run("synth", "--rooms", "3", "--objects", "0", "--out", str(b), "--seed", "2")
         assert (a / "room_0000.xyz").read_bytes() == (b / "room_0000.xyz").read_bytes()
+
+    @pytest.mark.parametrize("flag,value,named", [
+        ("--room-size", "nan", "room size"), ("--room-size", "-3", "room size"), ("--room-size", "0.69", "room size"),
+        ("--room-size", "0.71", None), ("--spacing", "0", "spacing"), ("--wall-height", "inf", "wall_height"),
+        ("--object-points", "0", "2 points"), ("--object-points", "1", "2 points"), ("--object-points", "2", None),
+    ])
+    def test_argument_bounds(self, tmp_path, capsys, flag, value, named):
+        """A room at least twice the 0.35 m clutter margin across, a finite
+        positive wall height and spacing, and at least 2 object points; an
+        argument outside these bounds exits 3 and names itself."""
+        rooms, objects = ("0", "1") if flag == "--object-points" else ("1", "0")
+        code = run("synth", "--rooms", rooms, "--objects", objects, "--out", str(tmp_path), flag, value)
+        if named is None:
+            assert code == EXIT_OK and read_xyz(next(tmp_path.glob("*.xyz"))).points.shape[1] == 3
+        else:
+            assert code == EXIT_DATA
+            err = capsys.readouterr().err.strip().splitlines()
+            assert err[-1].startswith("error:") and named in err[-1]
 
     def test_files_parse(self, assets):
         _, rooms, objs, *_ = assets

@@ -35,11 +35,15 @@ class TestXYZ:
         np.testing.assert_allclose(back.points, cloud.points, atol=1e-6)
 
     def test_bad_line_reports_offset(self, tmp_path):
+        """A short line, or a coordinate that parses to nan or inf, is a data
+        error at the byte offset of its line; blank and comment lines count."""
         path = tmp_path / "bad.xyz"
-        path.write_text("0 0 0\n1 2\n")
-        with pytest.raises(DataFormatError) as err:
-            read_xyz(path)
-        assert err.value.offset == 6
+        for bad in ("1 2", "1 nan 2", "-inf 0 0", "0 1e999 0"):
+            text = f"0 0 0\n\n# a comment\n{bad}\n3 3 3\n"
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match="coordinate") as err:
+                read_xyz(path)
+            assert err.value.offset == text.index(bad)
 
     def test_non_numeric_rejected(self, tmp_path):
         path = tmp_path / "bad.xyz"
@@ -89,7 +93,9 @@ class TestPLY:
         ("1e3", "0 0 0\n"),
         ("3", "0 0 0\n1 1 1"),
         ("99999999999999", "0 0 0\n"),
-    ], ids=["non-numeric", "no-count", "negative", "fraction", "exponent", "short-no-newline", "huge"])
+        ("2", "0 0 0\n1 nan 2\n"),
+        ("2", "0 0 0\n1 2 inf\n"),
+    ], ids=["non-numeric", "no-count", "negative", "fraction", "exponent", "short-no-newline", "huge", "nan", "inf"])
     def test_malformed_vertex_data_is_a_data_format_error(self, tmp_path, count, body):
         path = tmp_path / "bad.ply"
         path.write_text(
@@ -101,14 +107,15 @@ class TestPLY:
 
     def test_bad_vertex_reports_its_offset(self, tmp_path):
         path = tmp_path / "bad.ply"
-        text = (
-            "ply\nformat ascii 1.0\nelement vertex 2\nproperty float x\nproperty float y\n"
-            "property float z\nend_header\n0 0 0\n1 a 2\n"
-        )
-        path.write_text(text)
-        with pytest.raises(DataFormatError) as err:
-            read_ply(path)
-        assert err.value.offset == text.index("1 a 2")
+        for bad in ("1 a 2", "1 nan 2"):
+            text = (
+                "ply\nformat ascii 1.0\nelement vertex 3\nproperty float x\nproperty float y\n"
+                f"property float z\nend_header\n0 0 0\n{bad}\n2 2 2\n"
+            )
+            path.write_text(text)
+            with pytest.raises(DataFormatError, match="vertex 1|point 1") as err:
+                read_ply(path)
+            assert err.value.offset == text.index(bad)
 
 
 class TestCheckpoint:

@@ -109,45 +109,6 @@ class TestSimilarityTransform:
         out = apply_transform(c, SimilarityTransform.from_yaw(0.3, (1, 2, 3), 1.5))
         np.testing.assert_array_equal(out.provenance, [7, 8, 9])
 
-    def test_invalid_rotation_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityTransform(rotation=np.eye(3) * 2)
-        with pytest.raises(ValueError, match="3x3"):
-            SimilarityTransform(rotation=0.5)  # a yaw goes through from_yaw
-
-    def test_skewed_rotation_rejected(self):
-        """A shear keeps the determinant at 1, so only the orthonormality test
-        can reject it: 1e-8 off orthonormal fails, 1e-10 passes."""
-        for skew, ok in ((1e-8, False), (-1e-8, False), (1e-10, True)):
-            R = np.eye(3)
-            R[0, 1] = skew
-            if ok:
-                SimilarityTransform(rotation=R)
-            else:
-                with pytest.raises(ValueError, match="orthonormal"):
-                    SimilarityTransform(rotation=R)
-
-    def test_rotation_check_matches_allclose(self):
-        rng = np.random.default_rng(3)
-        verdicts = set()
-        for _ in range(300):
-            R = rotation_about_up(rng.uniform(0, 2 * np.pi))
-            R = R + rng.normal(size=(3, 3)) * 10.0 ** rng.uniform(-12, -7)
-            R = R / np.cbrt(np.linalg.det(R))  # back to determinant ~1
-            want = abs(np.linalg.det(R) - 1.0) <= 1e-9 and np.allclose(R @ R.T, np.eye(3), atol=1e-9)
-            try:
-                SimilarityTransform(rotation=R)
-                got = True
-            except ValueError:
-                got = False
-            assert got == want
-            verdicts.add(got)
-        assert verdicts == {True, False}
-
-    def test_nonpositive_scale_rejected(self):
-        with pytest.raises(ValueError):
-            SimilarityTransform(scale=0.0)
-
     @settings(max_examples=50, deadline=None)
     @given(
         yaw=st.floats(0, 2 * np.pi),

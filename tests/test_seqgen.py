@@ -738,15 +738,24 @@ class TestSequenceFormat:
         ("frame-count", "<I", 9, "truncated sequence"),
         ("point-count", "<I", 1 << 30, "truncated sequence"),
         ("first-pose-scale", "<f", 0.0, "bad frame pose"),
+        ("first-point", "<f", float("nan"), "non-finite coordinate in point 0"),
+        ("first-pose-translation", "<f", float("nan"), "bad frame pose: need finite fields"),
+        ("first-pose-yaw", "<f", float("nan"), "bad frame pose: need finite fields"),
     ])
     def test_crc_valid_malformed_rejected(self, small_sequence, tmp_path, field, fmt, value, message):
+        """The first frame's point count is at byte 28, its points at 32, and
+        its ten pose fields (yaw, scale, translation, twice) at 32 + 16 n."""
         n = len(small_sequence.frames[0].cloud)
-        offset = {"frame-count": 8, "point-count": 28, "first-pose-scale": 36 + 16 * n}[field]
+        fields = 32 + 16 * n
+        offset = {"frame-count": 8, "point-count": 28, "first-point": 32, "first-pose-yaw": fields,
+                  "first-pose-scale": fields + 4, "first-pose-translation": fields + 12}[field]
         path = tmp_path / "bad.4dc"
         path.write_bytes(self.resealed(small_sequence, offset, fmt, value))
         with pytest.raises(DataFormatError, match=message) as err:
             read_sequence(path)
         assert 0 <= err.value.offset <= path.stat().st_size - 4
+        if field.startswith("first-"):
+            assert err.value.offset == (32 if field == "first-point" else fields)
 
     def test_trailing_bytes_rejected(self, small_sequence, tmp_path):
         raw = sequence_to_bytes(small_sequence)[:-4] + bytes(8)
@@ -808,6 +817,21 @@ class TestGenerateDataset:
         params = GenParams(t=t, object_sample=sample, scene_cell=0.05)
         with pytest.raises(ConfigError, match=f"object 1: object_sample={sample} of its 300 points keeps an expected {kept}"):
             generate_dataset([small_room], [whole, small_object], tmp_path / "out", per_scene=1, params=params)
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("which,points,named", [
+        ("scene", np.array([[0.0, 0.0, 0.0], [1.0, np.nan, 2.0]]), "scene 1"),
+        ("scene", np.zeros((4, 2)), "scene 1"),
+        ("object", np.array([[0.0, np.inf, 0.0]]), "object 1"),
+        ("object", np.zeros((4, 3), dtype=np.float32), "object 1"),
+    ], ids=["nan-scene", "flat-scene", "inf-object", "float32-object"])
+    def test_bad_clouds_rejected_before_writing(self, small_room, small_object, tmp_path, which, points, named):
+        """A library caller's clouds are checked before anything is written,
+        and the error names the bad one."""
+        scenes, objects = [small_room, small_room], [small_object, small_object]
+        (scenes if which == "scene" else objects)[1] = PointCloud(points)
+        with pytest.raises(ValueError, match=f"{named}: points must be a finite float64"):
+            generate_dataset(scenes, objects, tmp_path / "out", per_scene=1)
         assert not (tmp_path / "out").exists()
 
     def test_caller_params_unchanged(self, small_room, small_object, tmp_path):

@@ -464,6 +464,18 @@ class TestEstimatorFacade:
         assert feats.shape == (len(pts), tiny_model().unet3d.projection_width)
         np.testing.assert_array_equal(feats, est.transform(pts))
 
+    def test_transform_rejects_non_finite_points(self):
+        """Named by row, instead of failing deep in the voxel key packing."""
+        model = tiny_model()
+        est = ContrastivePretrainer(model=model)
+        params = build_parameters(model, seed=0)
+        est.checkpoint_ = Checkpoint({k: p.value for k, p in params.items()}, 0, model, tiny_cfg())
+        pts = np.random.default_rng(0).uniform(0, 2, size=(20, 3))
+        assert est.transform(pts).shape == (20, model.unet3d.projection_width)
+        pts[[3, 7], [0, 2]] = [np.nan, np.inf]
+        with pytest.raises(ValueError, match=r"2 points have non-finite coordinates, the first at rows \[3, 7\]"):
+            est.transform(pts)
+
     def test_transform_before_fit_rejected(self):
         with pytest.raises(RuntimeError):
             ContrastivePretrainer().transform(np.zeros((3, 3)))
