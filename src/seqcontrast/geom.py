@@ -83,8 +83,8 @@ def apply_transform(cloud: PointCloud, transform: SimilarityTransform) -> PointC
 
 def voxel_indices(points: np.ndarray, cell_size: float) -> np.ndarray:
     """Integer cell index floor(p / cell_size) per point, shape (N, d)."""
-    if cell_size <= 0:
-        raise ValueError("cell_size must be positive")
+    if not 0 < cell_size < np.inf:
+        raise ValueError(f"cell_size must be finite and positive, got {cell_size}")
     if len(points) == 0:
         raise EmptyInputError("cannot voxelize an empty cloud")
     return np.floor(np.asarray(points, dtype=np.float64) / cell_size).astype(np.int64)

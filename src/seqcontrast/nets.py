@@ -72,8 +72,8 @@ class ModelConfig:
 
     def __post_init__(self):
         for name in ("voxel3d", "voxel4d"):
-            if getattr(self, name) <= 0:
-                raise ConfigError(f"{name} must be positive, got {getattr(self, name)}")
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if (self.unet3d.dim, self.unet4d.dim) != (3, 4):
             raise ConfigError(f"the U-Nets must be 3D and 4D, got {self.unet3d.dim}D and {self.unet4d.dim}D")
 

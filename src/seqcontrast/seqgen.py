@@ -474,8 +474,8 @@ class GenParams:
         for name in ("per_scene", "t", "object_sample"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.scene_cell <= 0:
-            raise ConfigError(f"scene_cell must be positive, got {self.scene_cell}")
+        if not 0 < self.scene_cell < np.inf:
+            raise ConfigError(f"scene_cell must be finite and positive, got {self.scene_cell}")
 
 
 def make_sequence(

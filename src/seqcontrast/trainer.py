@@ -7,8 +7,15 @@ desk-scale stand-in for downstream evaluation.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import json
 import logging
+import multiprocessing
+import os
+import signal
+import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -47,8 +54,11 @@ class TrainConfig:
     max_points_3d4d: int = 512
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ConfigError("learning rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ConfigError(f"learning rate must be finite and positive, got {self.learning_rate}")
+        for name in ("voxel3d", "voxel4d"):
+            if not 0 < getattr(self, name) < np.inf:
+                raise ConfigError(f"{name} must be finite and positive, got {getattr(self, name)}")
         if self.batch_size < 1:
             raise ConfigError("batch size must be >= 1")
         if not (0 < self.decay_factor <= 1):
@@ -276,6 +286,225 @@ def load_dataset(data_dir: str | Path) -> list[Sequence]:
     return [read_sequence(p) for p in paths]
 
 
+@functools.cache
+def _blas_threads():
+    """The thread-count getter and setter of numpy's bundled OpenBLAS, found
+    through the BLAS that `np.show_config` names and its library in the
+    ``numpy.libs`` directory; None, with one warning, for any other BLAS."""
+    try:
+        name = np.show_config(mode="dicts")["Build Dependencies"]["blas"]["name"].replace("-", "_")
+        path = next((Path(np.__file__).parent.parent / "numpy.libs").glob(f"lib{name}*"))
+        lib = ctypes.CDLL(str(path))
+        return getattr(lib, f"{name}_get_num_threads64_"), getattr(lib, f"{name}_set_num_threads64_")
+    except (KeyError, TypeError, AttributeError, StopIteration, OSError):
+        log.warning(
+            "numpy's BLAS has no scipy-openblas thread setter: training runs at the BLAS's "
+            "own thread count, so its weights may depend on OPENBLAS_NUM_THREADS"
+        )
+        return None
+
+
+@contextmanager
+def _one_blas_thread():
+    """Run the block with numpy's OpenBLAS at one thread, then restore the
+    previous count. How OpenBLAS splits a product over threads changes its
+    float sums, so one thread makes training independent of
+    ``OPENBLAS_NUM_THREADS`` (not of the CPU model: ``DYNAMIC_ARCH`` picks
+    the kernels by CPU)."""
+    api = _blas_threads()
+    if api is None:
+        yield
+        return
+    get, set_ = api
+    before = get()
+    set_(1)
+    try:
+        yield
+    finally:
+        set_(before)
+
+
+MIN_PARALLEL_STEPS = 4  # a worker takes ~0.25 s to start: shorter runs stay in one process
+
+
+def _process_count(cfg: TrainConfig, steps: int) -> int:
+    """Processes that share each batch, this one included: one per usable
+    core up to the batch size, or one for a run of fewer than
+    `MIN_PARALLEL_STEPS` steps."""
+    if steps < MIN_PARALLEL_STEPS:
+        return 1
+    return min(cfg.batch_size, len(os.sched_getaffinity(0)))
+
+
+def _sequence_gradients(
+    states: dict[int, _SequenceState],
+    sequences,
+    seq_idx: int,
+    step: int,
+    params: dict[str, Var],
+    model: ModelConfig,
+    cfg: TrainConfig,
+) -> tuple[dict[str, np.ndarray], LossReport]:
+    """One batch position: the gradients and report of sequence ``seq_idx``,
+    whose state ``states`` caches by index (built from ``sequences`` on first
+    use). A non-finite loss raises `FloatingPointError` naming the step, the
+    sequence and the non-finite terms. The loss, which holds the sequence's
+    whole graph, is gone when this returns, before the next forward pass."""
+    if seq_idx not in states:
+        states[seq_idx] = _SequenceState(sequences[seq_idx], cfg, seq_idx)
+    loss, rep = sequence_loss(states[seq_idx], params, model, cfg)
+    if not np.isfinite(rep.total):
+        terms = {"L3D": rep.l_3d, "L3D4D": rep.l_3d4d, "L4D": rep.l_4d}
+        bad = [name for name, v in terms.items() if not np.isfinite(v)] or ["the weighted total"]
+        raise FloatingPointError(
+            f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
+            f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
+        )
+    return ad.grad(loss, params), rep
+
+
+def _positions(batch, process: int, processes: int) -> range:
+    """The batch positions that ``process`` of ``processes`` computes (the
+    parent is process 0): ``process``, ``process + processes``, ..."""
+    return range(process, len(batch), processes)
+
+
+def _worker(conn, model: ModelConfig, cfg: TrainConfig) -> None:
+    """A worker process's loop. Each message is a step's (step, parameter
+    values, [(sequence index, the sequence the first time it is sent, else
+    None), ...]); the answer lists each position's (gradients, report) in
+    that order, ending early with the exception of the first that fails.
+    Ends when the parent closes its end of ``conn``."""
+    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+    states: dict[int, _SequenceState] = {}
+    sequences: dict[int, Sequence] = {}
+    with _one_blas_thread():
+        while True:
+            try:
+                step, values, work = conn.recv()
+            except EOFError:
+                return
+            params = {k: ad.parameter(v, name=k) for k, v in values.items()}
+            out = []
+            for seq_idx, seq in work:
+                if seq is not None:
+                    sequences[seq_idx] = seq
+                try:
+                    out.append(_sequence_gradients(states, sequences, seq_idx, step, params, model, cfg))
+                except Exception as exc:
+                    out.append(exc)
+                    break
+            conn.send(out)
+
+
+class _Workers:
+    """The processes besides this one that share each batch. With ``n``
+    processes, worker ``w`` (1 .. n-1) computes the positions `_positions`
+    gives it, the same at every step whatever the timing. Each keeps its own
+    sequence states and gets a sequence the first time it needs it. Every
+    worker is joined on leaving the ``with`` block; after an error they are
+    terminated first."""
+
+    def __init__(self, processes: int, sequences, model: ModelConfig, cfg: TrainConfig):
+        self.processes, self.sequences = processes, sequences
+        self.model, self.cfg = model, cfg
+        self.procs, self.conns, self.sent = [], [], []
+
+    def __enter__(self):
+        ctx = multiprocessing.get_context("spawn")
+        try:
+            for _ in range(self.processes - 1):
+                here, there = ctx.Pipe()
+                self.conns.append(here)
+                self.sent.append(set())
+                self.procs.append(ctx.Process(target=_worker, args=(there, self.model, self.cfg), daemon=True))
+                self.procs[-1].start()
+                there.close()
+        except BaseException:
+            self.__exit__(*sys.exc_info())
+            raise
+        return self
+
+    def __exit__(self, exc_type, exc, tb):
+        for proc, conn in zip(self.procs, self.conns):
+            if exc_type is not None and proc.is_alive():
+                proc.terminate()
+            conn.close()  # an idle worker's next read ends its loop
+        for proc in self.procs:
+            if proc.pid is not None:
+                proc.join()
+        return False
+
+    def send(self, step: int, params: dict[str, Var], batch) -> None:
+        values = {k: p.value for k, p in params.items()}
+        for w, (conn, sent) in enumerate(zip(self.conns, self.sent), start=1):
+            work = []
+            for pos in _positions(batch, w, self.processes):
+                seq_idx = int(batch[pos])
+                work.append((seq_idx, None if seq_idx in sent else self.sequences[seq_idx]))
+                sent.add(seq_idx)
+            conn.send((step, values, work))
+
+    def receive(self, batch) -> dict[int, object]:
+        """Each worker's results by batch position."""
+        results = {}
+        for w, (proc, conn) in enumerate(zip(self.procs, self.conns), start=1):
+            try:
+                out = conn.recv()
+            except EOFError:
+                raise RuntimeError(f"training worker {w} (pid {proc.pid}) stopped") from None
+            results.update(zip(_positions(batch, w, self.processes), out))
+        return results
+
+
+def _batch_gradients(
+    step: int,
+    batch,
+    sequences,
+    states: dict[int, _SequenceState],
+    params: dict[str, Var],
+    model: ModelConfig,
+    cfg: TrainConfig,
+    workers: _Workers,
+) -> tuple[dict[str, np.ndarray], LossReport]:
+    """The batch's summed gradients and mean report. Every position's terms
+    are added in batch order, whichever process computed them, so any
+    process count gives the serial bits. Each process stops at its first
+    failing position, so the error raised is the one at the earliest
+    position, as in one process."""
+    workers.send(step, params, batch)
+    grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
+    step_report = LossReport(weights=cfg.weights)
+    results: dict[int, object] = {}
+    added = 0
+
+    def add_ready() -> None:
+        nonlocal added
+        while added in results:
+            res = results.pop(added)
+            if isinstance(res, Exception):
+                raise res
+            grads, rep = res
+            for k in grad_sum:
+                grad_sum[k] += grads[k]
+            step_report.l_3d += rep.l_3d / len(batch)
+            step_report.l_3d4d += rep.l_3d4d / len(batch)
+            step_report.l_4d += rep.l_4d / len(batch)
+            step_report.total += rep.total / len(batch)
+            added += 1
+
+    for pos in _positions(batch, 0, workers.processes):
+        try:
+            results[pos] = _sequence_gradients(states, sequences, int(batch[pos]), step, params, model, cfg)
+        except Exception as exc:
+            results[pos] = exc
+            break
+        add_ready()
+    results |= workers.receive(batch)
+    add_ready()
+    return grad_sum, step_report
+
+
 def pretrain(
     sequences: list[Sequence],
     cfg: TrainConfig,
@@ -286,11 +515,13 @@ def pretrain(
     """SGD over the joint loss with the step-decay schedule.
 
     Deterministic given (sequence bytes, config): batch assembly and all RNG
-    use positional seeds. A non-finite loss raises `FloatingPointError`
-    naming the step, the sequence index and the non-finite terms. With
-    ``resume``, the run continues after ``resume.step`` from its weights and
-    momentum buffers, so a run saved and resumed matches an uninterrupted one
-    bit for bit.
+    use positional seeds, and numpy's OpenBLAS runs at one thread for the
+    run. Each batch is shared by `_process_count` processes; their results
+    are added in batch order, so the bits do not depend on the process
+    count. A non-finite loss raises `FloatingPointError` naming the step, the
+    sequence index and the non-finite terms. With ``resume``, the run
+    continues after ``resume.step`` from its weights and momentum buffers,
+    so a run saved and resumed matches an uninterrupted one bit for bit.
     """
     if not sequences:
         raise EmptyInputError("dataset is empty")
@@ -318,53 +549,31 @@ def pretrain(
         first = resume.step + 1
     states: dict[int, _SequenceState] = {}
     reports: list[LossReport] = []
+    processes = _process_count(cfg, cfg.steps - first + 1)
 
     log_file = open(log_path, "w") if log_path else None
     try:
-        for step in range(first, cfg.steps + 1):
-            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
-            batch = rng.choice(len(sequences), size=cfg.batch_size, replace=len(sequences) < cfg.batch_size)
+        with _one_blas_thread(), _Workers(processes, sequences, model, cfg) as workers:
+            for step in range(first, cfg.steps + 1):
+                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
+                batch = rng.choice(len(sequences), size=cfg.batch_size, replace=len(sequences) < cfg.batch_size)
+                grad_sum, step_report = _batch_gradients(step, batch, sequences, states, params, model, cfg, workers)
 
-            grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
-            step_report = LossReport(weights=cfg.weights)
-            for seq_idx in batch:
-                seq_idx = int(seq_idx)
-                if seq_idx not in states:
-                    states[seq_idx] = _SequenceState(sequences[seq_idx], cfg, seq_idx)
-                loss, rep = sequence_loss(states[seq_idx], params, model, cfg)
-                if not np.isfinite(rep.total):
-                    terms = {"L3D": rep.l_3d, "L3D4D": rep.l_3d4d, "L4D": rep.l_4d}
-                    bad = [name for name, v in terms.items() if not np.isfinite(v)] or ["the weighted total"]
-                    raise FloatingPointError(
-                        f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
-                        f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
+                lr = learning_rate_at(step, cfg)
+                inv_b = 1.0 / len(batch)
+                for k, p in params.items():
+                    g = grad_sum[k] * inv_b
+                    if cfg.momentum:
+                        velocity[k] = cfg.momentum * velocity[k] + g
+                        g = velocity[k]
+                    p.value = p.value - (lr * g).astype(dtype)
+                reports.append(step_report)
+                if log_file:
+                    log_file.write(
+                        f"{step}\t{lr:.8g}\t{step_report.l_3d:.8g}\t{step_report.l_3d4d:.8g}"
+                        f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\n"
                     )
-                grads = ad.grad(loss, params)
-                # the loss holds this sequence's whole graph: let it go before
-                # the next sequence's forward pass builds another
-                del loss
-                for k in grad_sum:
-                    grad_sum[k] += grads[k]
-                step_report.l_3d += rep.l_3d / len(batch)
-                step_report.l_3d4d += rep.l_3d4d / len(batch)
-                step_report.l_4d += rep.l_4d / len(batch)
-                step_report.total += rep.total / len(batch)
-
-            lr = learning_rate_at(step, cfg)
-            inv_b = 1.0 / len(batch)
-            for k, p in params.items():
-                g = grad_sum[k] * inv_b
-                if cfg.momentum:
-                    velocity[k] = cfg.momentum * velocity[k] + g
-                    g = velocity[k]
-                p.value = p.value - (lr * g).astype(dtype)
-            reports.append(step_report)
-            if log_file:
-                log_file.write(
-                    f"{step}\t{lr:.8g}\t{step_report.l_3d:.8g}\t{step_report.l_3d4d:.8g}"
-                    f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\n"
-                )
-                log_file.flush()
+                    log_file.flush()
     finally:
         if log_file:
             log_file.close()

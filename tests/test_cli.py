@@ -71,6 +71,8 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("setting,named", [
         ("dtype=float16", "dtype"), ("learning_rate=0", "learning rate"), ("voxel3d=0", "voxel3d"),
+        ("learning_rate=nan", "learning rate"), ("scene_cell=nan", "scene_cell"), ("voxel3d=nan", "voxel3d"),
+        ("voxel4d=inf", "voxel4d"),
     ])
     def test_bad_config_value_is_3(self, setting, named, tmp_path, assets, capsys):
         *_, data, _ = assets
@@ -520,7 +522,7 @@ class TestConfigRoundtrip:
 
     @pytest.mark.parametrize("setting", [
         "learning_rate=0", "unet3d_channels=0", "object_points=300",
-        "per_scene=-3", "t=0", "object_sample=0", "scene_cell=0", "map_cell=0",
+        "per_scene=-3", "t=0", "object_sample=0", "scene_cell=0", "scene_cell=nan", "map_cell=0",
         *(f"{key}={value}" for key, value in sorted(REMOVED_KEYS.items())),
     ])
     def test_gen_with_invalid_or_old_key_is_3(self, assets, tmp_path, setting):

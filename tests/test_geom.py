@@ -69,6 +69,11 @@ class TestVoxelize:
         with pytest.raises(ValueError):
             voxel_indices(cloud((0, 0, 0)).points, 0.0)
 
+    @pytest.mark.parametrize("cell", [np.nan, np.inf])
+    def test_non_finite_cell_rejected(self, cell):
+        with pytest.raises(ValueError, match="finite and positive"):
+            voxel_indices(cloud((0, 0, 0)).points, cell)
+
     def test_idempotent_on_voxel_centers(self):
         rng = np.random.default_rng(0)
         pts = rng.uniform(-3, 3, size=(200, 3))

@@ -15,18 +15,17 @@ def load_tool(name: str):
 
 
 def test_p7_seeds_summary_gives_the_median_margin_and_the_non_monotone_seeds():
-    """The float32 one-thread margins of seeds 0-4 recorded for ROADMAP
-    item 1 (only seed 4 non-monotone); the input's seed order is kept."""
+    """The float32 margins of seeds 0-4 recorded for ROADMAP item 1 (only
+    seed 4 non-monotone); the input's seed order is kept."""
     margins = {0: 0.2229, 1: 0.2104, 2: 0.1626, 3: 0.1599, 4: 0.1399}
     records = [
-        {"seed": seed, "dtype": "float32", "threads": 1, "margin": m, "monotone": seed != 4}
+        {"seed": seed, "dtype": "float32", "margin": m, "monotone": seed != 4}
         for seed, m in margins.items()
     ]
     summary = load_tool("p7_seeds").summarize(records[::-1])
     assert summary == {
         "summary": True,
         "dtype": "float32",
-        "threads": 1,
         "seeds": [4, 3, 2, 1, 0],
         "median_margin": 0.1626,
         "non_monotone_seeds": [4],

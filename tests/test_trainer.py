@@ -1,3 +1,9 @@
+import hashlib
+import logging
+import multiprocessing
+import os
+import subprocess
+import sys
 import tracemalloc
 from dataclasses import fields, replace
 
@@ -9,6 +15,7 @@ from seqcontrast import nets, trainer
 from seqcontrast.errors import ConfigError, EmptyInputError
 from seqcontrast.losses import loss_3d, loss_3d4d, loss_4d, loss_total
 from seqcontrast.nets import ModelConfig, UNetConfig, build_parameters
+from seqcontrast.seqgen import GenParams
 from seqcontrast.trainer import (
     Checkpoint,
     ContrastivePretrainer,
@@ -95,6 +102,19 @@ class TestConfigValidation:
                 TrainConfig(**bad)
         assert TrainConfig(dtype="float64", momentum=0.9).np_dtype is np.float64
         assert TrainConfig().np_dtype is np.float32
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_sizes_and_rates_must_be_finite(self, value):
+        """NaN fails every comparison, so a check written as ``x <= 0`` would
+        let it through."""
+        for name in ("learning_rate", "voxel3d", "voxel4d"):
+            with pytest.raises(ConfigError, match="finite and positive"):
+                TrainConfig(**{name: value})
+            if name != "learning_rate":
+                with pytest.raises(ConfigError, match="finite and positive"):
+                    ModelConfig(**{name: value})
+        with pytest.raises(ConfigError, match="finite and positive"):
+            GenParams(scene_cell=value)
 
 
 def gather_of_gather_loss(state, params, model, cfg):
@@ -198,6 +218,8 @@ class TestPretrain:
             traced.append(tracemalloc.get_traced_memory()[0])
             return out
 
+        # a worker process would not see the patch: every position runs here
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
         monkeypatch.setattr(trainer, "sequence_loss", sequence_loss_traced)
         tracemalloc.start()
         try:
@@ -298,6 +320,145 @@ class TestPretrain:
                 moved += 1
         assert moved > 0  # encoders did train
 
+
+def _digest(ckpt: Checkpoint, reports) -> str:
+    h = hashlib.sha256()
+    for arrays in (ckpt.tensors, ckpt.velocity):
+        for k in sorted(arrays):
+            h.update(k.encode() + arrays[k].tobytes())
+    h.update(repr([(r.l_3d, r.l_3d4d, r.l_4d, r.total) for r in reports]).encode())
+    return h.hexdigest()
+
+
+def _batch(n_sequences: int, cfg: TrainConfig, step: int) -> list[int]:
+    """The sequence indices of a step's batch, drawn as `pretrain` draws them."""
+    rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
+    return rng.choice(n_sequences, size=cfg.batch_size, replace=n_sequences < cfg.batch_size).tolist()
+
+
+class TestProcesses:
+    """Each batch is shared by several processes; the parent adds every
+    position's terms in batch order, so the process count changes no bit."""
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_weights_velocities_and_reports_equal_at_1_2_and_3_processes(self, dataset, monkeypatch, dtype):
+        cfg, model = tiny_cfg(steps=3, batch_size=4, momentum=0.9, dtype=dtype), tiny_model()
+        digests = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: n)
+            digests.append(_digest(*pretrain(dataset, cfg, model)))
+            assert multiprocessing.active_children() == []
+        assert digests == [digests[0]] * 3
+
+    def test_the_earliest_non_finite_position_is_named_whichever_process_ran_it(self, dataset, monkeypatch):
+        """A float32 stem weight near the overflow limit makes the loss
+        non-finite only for the sequences with the most voxels. At a step
+        whose batch starts with a finite sequence and goes on with one of
+        those, a worker computes position 1 at 2 and 3 processes; the error
+        names it in the words one process uses, and no worker is left."""
+        model = tiny_model()
+        params = build_parameters(model, seed=0)
+        states = [_SequenceState(seq, tiny_cfg(), i) for i, seq in enumerate(dataset)]
+        for scale in np.geomspace(1e35, 1e36, 25):
+            params["unet3d.stem.w"].value = np.full_like(params["unet3d.stem.w"].value, scale)
+            totals = [sequence_loss(state, params, model, tiny_cfg())[1].total for state in states]
+            bad = {i for i, total in enumerate(totals) if not np.isfinite(total)}
+            if 0 < len(bad) < len(states):
+                break
+        else:
+            pytest.fail("no stem scale makes only some sequences overflow")
+        cfg = next(
+            c for c in (tiny_cfg(steps=1, batch_size=4, seed=seed) for seed in range(200))
+            if _batch(len(dataset), c, 1)[0] not in bad and _batch(len(dataset), c, 1)[1] in bad
+        )
+        resume = Checkpoint({k: p.value for k, p in params.items()}, 0, model, cfg)
+        errors = []
+        for n in (1, 2, 3):
+            monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: n)
+            with pytest.raises(FloatingPointError) as exc:
+                pretrain(dataset, cfg, model, resume=resume)
+            errors.append(str(exc.value))
+            assert multiprocessing.active_children() == []
+        assert errors[0].startswith(f"non-finite loss at step 1, sequence {_batch(len(dataset), cfg, 1)[1]}: L3D, L3D4D (")
+        assert errors == [errors[0]] * 3
+
+    def test_long_runs_use_a_process_per_core_up_to_the_batch(self):
+        cores = len(os.sched_getaffinity(0))
+        assert trainer._process_count(tiny_cfg(batch_size=64), trainer.MIN_PARALLEL_STEPS) == min(64, cores)
+        assert trainer._process_count(tiny_cfg(batch_size=2), 500) == min(2, cores)
+        assert trainer._process_count(tiny_cfg(batch_size=64), trainer.MIN_PARALLEL_STEPS - 1) == 1
+
+
+_TRAIN_DIGESTS = """
+import hashlib, sys
+from seqcontrast.trainer import TrainConfig, load_dataset, pretrain
+from seqcontrast.nets import ModelConfig, UNetConfig
+model = ModelConfig(UNetConfig(3, (8, 16), projection_width=32), UNetConfig(4, (8, 16), projection_width=32), 0.06, 0.12)
+for dtype in ("float32", "float64"):
+    cfg = TrainConfig(steps=2, batch_size=2, voxel3d=0.06, voxel4d=0.12, max_corr_per_pair=64,
+                      max_points_3d4d=96, momentum=0.9, dtype=dtype)
+    ckpt, _ = pretrain(load_dataset(sys.argv[1]), cfg, model)
+    print(dtype, hashlib.sha256(b"".join(ckpt.tensors[k].tobytes() for k in sorted(ckpt.tensors))).hexdigest())
+"""
+
+
+class TestBlasThreads:
+    """`pretrain` runs numpy's OpenBLAS at one thread and puts the previous
+    count back afterwards."""
+
+    def test_weights_do_not_depend_on_openblas_num_threads(self, small_dataset):
+        """Two steps at the P7 widths, whose products are large enough for
+        OpenBLAS to split over two threads, give the same weights whatever
+        ``OPENBLAS_NUM_THREADS`` says."""
+        out = []
+        for threads in ("1", "2"):
+            env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
+            run = subprocess.run([sys.executable, "-c", _TRAIN_DIGESTS, str(small_dataset)],
+                                 env=env, capture_output=True, text=True, timeout=300)
+            assert run.returncode == 0, run.stderr
+            out.append(run.stdout)
+        assert len(out[0].splitlines()) == 2
+        assert out[0] == out[1]
+
+    def test_the_thread_count_is_restored_after_a_return_and_a_raise(self, dataset, monkeypatch):
+        if trainer._blas_threads() is None:
+            pytest.skip("numpy's BLAS has no scipy-openblas thread setter")
+        get, set_ = trainer._blas_threads()
+        original = get()
+        during = []
+
+        def learning_rate_at(step, cfg):
+            during.append(get())
+            return trainer_learning_rate_at(step, cfg)
+
+        trainer_learning_rate_at = trainer.learning_rate_at
+        monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
+        try:
+            set_(2)
+            before = get()
+            model = tiny_model()
+            ckpt, _ = pretrain(dataset, tiny_cfg(steps=1), model)
+            assert get() == before and during == [1]
+            ckpt.tensors["proj3d.w"][0, 0] = np.nan
+            with pytest.raises(FloatingPointError):
+                pretrain(dataset, tiny_cfg(steps=2), model, resume=ckpt)
+            assert get() == before
+        finally:
+            set_(original)
+
+    def test_without_the_thread_setter_training_warns_once_and_runs(self, dataset, monkeypatch, caplog):
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
+        monkeypatch.setattr(np, "show_config", lambda mode: {})
+        trainer._blas_threads.cache_clear()
+        try:
+            with caplog.at_level(logging.WARNING, logger="seqcontrast.trainer"):
+                for _ in range(2):
+                    ckpt, reports = pretrain(dataset, tiny_cfg(steps=1), tiny_model())
+                    assert len(reports) == 1 and ckpt.step == 1
+        finally:
+            trainer._blas_threads.cache_clear()
+        warnings = [r for r in caplog.records if r.levelno == logging.WARNING]
+        assert len(warnings) == 1 and "OPENBLAS_NUM_THREADS" in warnings[0].getMessage()
 
 class TestCheckpointIO:
     def test_roundtrip_preserves_weights_and_config(self, dataset, tmp_path):

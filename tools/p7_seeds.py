@@ -1,7 +1,7 @@
-"""Replay acceptance criterion P7 at other training seeds, dtypes and BLAS thread counts.
+"""Replay acceptance criterion P7 at other training seeds and dtypes.
 
-    python3 tools/p7_seeds.py                          # seed 0, float32, default threads
-    python3 tools/p7_seeds.py --seeds 0 1 2 --dtype float64 --threads 1
+    python3 tools/p7_seeds.py                          # seed 0, float32
+    python3 tools/p7_seeds.py --seeds 0 1 2 --dtype float64
 
 The toy dataset, the training and model configurations and the probe seed are
 those of ``tests/test_acceptance.py`` (imported from it, not copied); only
@@ -11,6 +11,9 @@ probe margins, the ten 50-step window means of the total loss, whether they
 fall monotonically, the gap closure towards -3, and the training minutes.
 A last JSON line sums the run up for ROADMAP item 1's rule: the median
 margin over the seeds and the seeds whose windows do not fall monotonically.
+Training runs numpy's OpenBLAS at one thread whatever ``OPENBLAS_NUM_THREADS``
+says, and the probe's forward passes give the same bytes at any thread count,
+so the result does not depend on the BLAS thread count.
 """
 
 from __future__ import annotations
@@ -18,7 +21,6 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import statistics
 import sys
 import tempfile
@@ -33,11 +35,7 @@ def parse_args(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--seeds", type=int, nargs="+", default=[0], help="TrainConfig.seed values (default: 0, P7's)")
     ap.add_argument("--dtype", choices=("float32", "float64"), default="float32")
-    ap.add_argument("--threads", type=int, default=None, help="BLAS threads (default: the library's own choice)")
-    args = ap.parse_args(argv)
-    if args.threads is not None and args.threads < 1:
-        ap.error("--threads must be at least 1")
-    return args
+    return ap.parse_args(argv)
 
 
 def summarize(records: list[dict]) -> dict:
@@ -45,7 +43,6 @@ def summarize(records: list[dict]) -> dict:
     return {
         "summary": True,
         "dtype": records[0]["dtype"],
-        "threads": records[0]["threads"],
         "seeds": [r["seed"] for r in records],
         "median_margin": round(statistics.median(r["margin"] for r in records), 4),
         "non_monotone_seeds": [r["seed"] for r in records if not r["monotone"]],
@@ -54,10 +51,6 @@ def summarize(records: list[dict]) -> dict:
 
 def main(argv=None) -> int:
     args = parse_args(argv)
-    if args.threads is not None:
-        # read by the BLAS library when NumPy is first imported, so set before any import of it
-        for var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-            os.environ[var] = str(args.threads)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import numpy as np
     import test_acceptance as p7
@@ -89,7 +82,6 @@ def main(argv=None) -> int:
             records.append({
                 "seed": seed,
                 "dtype": args.dtype,
-                "threads": args.threads,
                 "margin": round(trained["margin"], 4),
                 "untrained_margin": round(base["margin"], 4),
                 "windows": [round(w, 3) for w in windows],
