@@ -247,8 +247,9 @@ def export_backbone(ckpt: Checkpoint) -> Checkpoint:
 def _inference_params(ckpt: Checkpoint, prefixes: str | tuple[str, ...]) -> dict[str, Var]:
     """The checkpoint tensors whose names start with one of ``prefixes``, as
     float32 constants: inference runs in float32 whatever dtype the run
-    trained in."""
-    return {k: Var(v.astype(np.float32)) for k, v in ckpt.tensors.items() if k.startswith(prefixes)}
+    trained in. Float32 tensors are shared, not copied: no forward pass
+    writes into its weights."""
+    return {k: Var(v.astype(np.float32, copy=False)) for k, v in ckpt.tensors.items() if k.startswith(prefixes)}
 
 
 def backbone_features(points: np.ndarray, ckpt: Checkpoint) -> tuple[np.ndarray, np.ndarray]:

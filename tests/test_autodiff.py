@@ -227,6 +227,82 @@ class TestChannelNorm:
             assert np.array_equal(y, want)
 
 
+def channel_norm_reference(x, g, eps=1e-5):
+    """`channel_norm`'s output and input gradient in NumPy's ``mean(axis=0)``
+    forms."""
+    d = x - x.mean(axis=0)
+    inv = 1.0 / np.sqrt((d * d).mean(axis=0) + eps)
+    y = d * inv
+    return y, (g - g.mean(axis=0) - y * (g * y).mean(axis=0)) * inv
+
+
+def column_block(rng, rows, cols, dtype):
+    """Values spread over 16 decades, so that a change of summation order
+    shows in the last bits, with one column of -0.0 when there are two or
+    more and -0.0 and +0.0 entries elsewhere."""
+    a = rng.normal(size=(rows, cols)) * 10.0 ** rng.integers(-8, 8, size=(rows, cols))
+    a[::5, 0] = -0.0
+    a[1::7, -1] = 0.0
+    if cols > 1:
+        a[:, 1] = -0.0
+    return a.astype(dtype)
+
+
+class TestColumnSums:
+    """`col_sum` and `col_mean` have the bytes of ``sum(axis=0)`` and
+    ``mean(axis=0)``, and so do `channel_norm` and `linear`'s bias gradient,
+    which use them."""
+
+    ROWS = [1, 2, 3, 17, 256, 4857, 7623, 30196]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("cols", [1, 2, 3, 8, 16, 32, 64])
+    def test_match_numpy_byte_for_byte(self, dtype, cols):
+        """C-ordered rows, the two column slices `concat_cols`' backward
+        gives, and an F-ordered copy, which is left to NumPy."""
+        rng = np.random.default_rng(cols)
+        for n in self.ROWS:
+            wide = column_block(rng, n, 2 * cols + 3, dtype)
+            a = wide[:, :cols].copy()
+            for x in (a, wide[:, :cols], wide[:, cols + 3 :], np.asfortranarray(a)):
+                s, m = ad.col_sum(x), ad.col_mean(x)
+                assert s.dtype == m.dtype == dtype
+                assert s.tobytes() == x.sum(axis=0).tobytes(), (n, x.strides)
+                assert m.tobytes() == x.mean(axis=0).tobytes(), (n, x.strides)
+
+    def test_a_column_of_negative_zeros_sums_to_positive_zero(self):
+        """As in NumPy's sum, every column starts from +0.0."""
+        x = np.full((9, 4), -0.0, np.float32)
+        assert ad.col_sum(x).tobytes() == x.sum(axis=0).tobytes() == np.zeros(4, np.float32).tobytes()
+        assert ad.col_mean(x).tobytes() == x.mean(axis=0).tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7623, 8), (4857, 16), (632, 16), (30196, 8), (3000, 64), (40, 1), (1, 8)])
+    def test_channel_norm_matches_the_mean_forms_byte_for_byte(self, dtype, shape):
+        """Output and input gradient, with the gradient given as a column
+        slice of a wider one, as `concat_cols`' backward gives it."""
+        rng = np.random.default_rng(shape[0])
+        x = (rng.normal(size=shape) * 3 + 2).astype(dtype)
+        g = rng.normal(size=(shape[0], shape[1] + 5)).astype(dtype)[:, 5:]
+        out = ad.channel_norm(ad.parameter(x))
+        (dx,) = out._backward(g)
+        y, want = channel_norm_reference(x, g)
+        assert out.value.dtype == dx.dtype == dtype
+        assert out.value.tobytes() == y.tobytes()
+        assert dx.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape", [(7623, 8), (4586, 16), (600, 32), (50, 1)])
+    def test_linear_bias_gradient_matches_the_sum_byte_for_byte(self, dtype, shape):
+        rng = np.random.default_rng(shape[0])
+        n, c = shape
+        x, w, b = (rng.normal(size=s).astype(dtype) for s in ((n, 4), (4, c), (c,)))
+        out = ad.linear(ad.parameter(x), ad.parameter(w), ad.parameter(b))
+        for g in (column_block(rng, n, c, dtype), column_block(rng, n, c + 2, dtype)[:, 2:]):
+            db = out._backward(g)[2]
+            assert db.dtype == dtype and db.tobytes() == g.sum(axis=0).tobytes()
+
+
 class TestStopGradient:
     def test_forward_identity_zero_grad(self):
         p = ad.parameter(np.arange(3.0))

@@ -1,8 +1,16 @@
-"""Checks of the scripts in tools/ that run no training."""
+"""Checks of the scripts in tools/, on inputs small enough to run in
+seconds."""
 
 import importlib.util
 import json
+from dataclasses import replace
 from pathlib import Path
+
+import pytest
+
+from seqcontrast import trainer
+from seqcontrast.nets import ModelConfig, UNetConfig
+from seqcontrast.trainer import TrainConfig, load_dataset
 
 TOOLS = Path(__file__).resolve().parents[1] / "tools"
 
@@ -43,3 +51,20 @@ def test_gen_digest_is_the_same_across_worker_counts_and_runs(capsys):
     record = json.loads(lines[0])
     assert lines[0] == lines[1]
     assert record["files"] == 4 and record["sha256"]["1"] == record["sha256"]["2"]
+
+
+@pytest.mark.parametrize("dtype", ["float32", "float64"])
+def test_train_digest_is_the_same_across_process_counts_and_runs(small_dataset, dtype):
+    """Two momentum steps of a tiny model give one digest at one and at two
+    processes, and again on a second run; another seed gives another digest,
+    and the process count is the trainer's own again afterwards."""
+    tool = load_tool("train_digest")
+    model = ModelConfig(UNetConfig(3, (4, 8), projection_width=8), UNetConfig(4, (3, 6), projection_width=8), 0.08, 0.16)
+    cfg = TrainConfig(steps=2, batch_size=2, voxel3d=0.08, voxel4d=0.16, max_corr_per_pair=64,
+                      max_points_3d4d=96, momentum=tool.MOMENTUM, dtype=dtype)
+    sequences = load_dataset(small_dataset)
+    chosen = trainer._process_count
+    runs = [tool.digests(sequences, model, cfg, (1, 2)) for _ in range(2)]
+    assert runs[0] == runs[1] and runs[0]["1"] == runs[0]["2"]
+    assert tool.digests(sequences, model, replace(cfg, seed=1), (1,))["1"] != runs[0]["1"]
+    assert trainer._process_count is chosen

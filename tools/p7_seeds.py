@@ -49,25 +49,35 @@ def summarize(records: list[dict]) -> dict:
     }
 
 
+def toy_sequences(tmp: str):
+    """P7's toy dataset, generated under ``tmp`` by the fixture of
+    ``tests/test_acceptance.py`` and loaded. ``src/`` and ``tests/`` must be
+    on ``sys.path``."""
+    import test_acceptance as p7
+    from seqcontrast.trainer import load_dataset
+
+    class Factory:  # the one method of pytest's tmp_path_factory the fixture calls
+        @staticmethod
+        def mktemp(name):
+            path = Path(tmp) / name
+            path.mkdir()
+            return path
+
+    out, _, _ = inspect.unwrap(p7.toy_dataset)(Factory())
+    return load_dataset(out)
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     sys.path[:0] = [str(ROOT / "src"), str(ROOT / "tests")]
     import numpy as np
     import test_acceptance as p7
     from seqcontrast.nets import build_parameters
-    from seqcontrast.trainer import Checkpoint, load_dataset, pretrain, probe
+    from seqcontrast.trainer import Checkpoint, pretrain, probe
 
     model = p7.toy_model_config()
     with tempfile.TemporaryDirectory() as tmp:
-        class Factory:  # the one method of pytest's tmp_path_factory the fixture calls
-            @staticmethod
-            def mktemp(name):
-                path = Path(tmp) / name
-                path.mkdir()
-                return path
-
-        out, _, _ = inspect.unwrap(p7.toy_dataset)(Factory())
-        sequences = load_dataset(out)
+        sequences = toy_sequences(tmp)
         records = []
         for seed in args.seeds:
             cfg = replace(p7.toy_train_config(), seed=seed, dtype=args.dtype)
