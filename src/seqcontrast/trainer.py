@@ -15,7 +15,7 @@ import multiprocessing
 import os
 import signal
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -337,44 +337,49 @@ def _process_count(cfg: TrainConfig, steps: int) -> int:
     return min(cfg.batch_size, len(os.sched_getaffinity(0)))
 
 
-def _sequence_gradients(
-    states: dict[int, _SequenceState],
-    sequences,
-    seq_idx: int,
+def _share(
+    process: int,
+    processes: int,
     step: int,
+    batch,
+    sequences,
+    states: dict[int, _SequenceState],
     params: dict[str, Var],
     model: ModelConfig,
     cfg: TrainConfig,
-) -> tuple[dict[str, np.ndarray], LossReport]:
-    """One batch position: the gradients and report of sequence ``seq_idx``,
-    whose state ``states`` caches by index (built from ``sequences`` on first
-    use). A non-finite loss raises `FloatingPointError` naming the step, the
-    sequence and the non-finite terms. The loss, which holds the sequence's
-    whole graph, is gone when this returns, before the next forward pass."""
-    if seq_idx not in states:
-        states[seq_idx] = _SequenceState(sequences[seq_idx], cfg, seq_idx)
-    loss, rep = sequence_loss(states[seq_idx], params, model, cfg)
-    if not np.isfinite(rep.total):
-        terms = {"L3D": rep.l_3d, "L3D4D": rep.l_3d4d, "L4D": rep.l_4d}
-        bad = [name for name, v in terms.items() if not np.isfinite(v)] or ["the weighted total"]
-        raise FloatingPointError(
-            f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
-            f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
-        )
-    return ad.grad(loss, params), rep
+) -> list:
+    """The share of a batch that ``process`` of ``processes`` computes (the
+    parent is process 0): the (gradients, report) of batch positions
+    ``process``, ``process + processes``, ... in order, ending early with the
+    exception of the first that fails. ``states`` caches each sequence's
+    state by index, built from ``sequences`` on first use. A non-finite loss
+    ends the share with a `FloatingPointError` naming the step, the sequence
+    and the non-finite terms."""
+    out = []
+    for seq_idx in map(int, batch[process::processes]):
+        try:
+            if seq_idx not in states:
+                states[seq_idx] = _SequenceState(sequences[seq_idx], cfg, seq_idx)
+            loss, rep = sequence_loss(states[seq_idx], params, model, cfg)
+            if not np.isfinite(rep.total):
+                terms = {"L3D": rep.l_3d, "L3D4D": rep.l_3d4d, "L4D": rep.l_4d}
+                bad = [name for name, v in terms.items() if not np.isfinite(v)] or ["the weighted total"]
+                raise FloatingPointError(
+                    f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
+                    f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
+                )
+            out.append((ad.grad(loss, params), rep))
+            del loss  # the sequence's whole graph: gone before the next forward pass
+        except Exception as exc:
+            out.append(exc)
+            break
+    return out
 
 
-def _positions(batch, process: int, processes: int) -> range:
-    """The batch positions that ``process`` of ``processes`` computes (the
-    parent is process 0): ``process``, ``process + processes``, ..."""
-    return range(process, len(batch), processes)
-
-
-def _worker(conn, model: ModelConfig, cfg: TrainConfig) -> None:
+def _worker(conn, process: int, processes: int, model: ModelConfig, cfg: TrainConfig) -> None:
     """A worker process's loop. Each message is a step's (step, parameter
-    values, [(sequence index, the sequence the first time it is sent, else
-    None), ...]); the answer lists each position's (gradients, report) in
-    that order, ending early with the exception of the first that fails.
+    values, batch, {sequence index: sequence} for the sequences of its
+    positions not sent before); the answer is its `_share` of the batch.
     Ends when the parent closes its end of ``conn``."""
     signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
     states: dict[int, _SequenceState] = {}
@@ -382,43 +387,37 @@ def _worker(conn, model: ModelConfig, cfg: TrainConfig) -> None:
     with _one_blas_thread():
         while True:
             try:
-                step, values, work = conn.recv()
+                step, values, batch, new = conn.recv()
             except EOFError:
                 return
+            sequences |= new
             params = {k: ad.parameter(v, name=k) for k, v in values.items()}
-            out = []
-            for seq_idx, seq in work:
-                if seq is not None:
-                    sequences[seq_idx] = seq
-                try:
-                    out.append(_sequence_gradients(states, sequences, seq_idx, step, params, model, cfg))
-                except Exception as exc:
-                    out.append(exc)
-                    break
-            conn.send(out)
+            conn.send(_share(process, processes, step, batch, sequences, states, params, model, cfg))
 
 
-class _Workers:
-    """The processes besides this one that share each batch. With ``n``
-    processes, worker ``w`` (1 .. n-1) computes the positions `_positions`
-    gives it, the same at every step whatever the timing. Each keeps its own
-    sequence states and gets a sequence the first time it needs it. Every
-    worker is joined on leaving the ``with`` block; after an error they are
-    terminated first."""
+class _Processes:
+    """The processes that share each batch: this one, process 0, and with
+    ``n`` processes the workers ``w`` = 1 .. n-1. Process ``p`` computes
+    `_share` ``p`` of ``n``, the same positions at every step whatever the
+    timing. Each keeps its own sequence states, and a worker gets a sequence
+    the first time it needs it. Every worker is joined on leaving the
+    ``with`` block; after an error they are terminated first."""
 
     def __init__(self, processes: int, sequences, model: ModelConfig, cfg: TrainConfig):
         self.processes, self.sequences = processes, sequences
         self.model, self.cfg = model, cfg
+        self.states: dict[int, _SequenceState] = {}
         self.procs, self.conns, self.sent = [], [], []
 
     def __enter__(self):
         ctx = multiprocessing.get_context("spawn")
         try:
-            for _ in range(self.processes - 1):
+            for w in range(1, self.processes):
                 here, there = ctx.Pipe()
                 self.conns.append(here)
                 self.sent.append(set())
-                self.procs.append(ctx.Process(target=_worker, args=(there, self.model, self.cfg), daemon=True))
+                args = (there, w, self.processes, self.model, self.cfg)
+                self.procs.append(ctx.Process(target=_worker, args=args, daemon=True))
                 self.procs[-1].start()
                 there.close()
         except BaseException:
@@ -436,53 +435,35 @@ class _Workers:
                 proc.join()
         return False
 
-    def send(self, step: int, params: dict[str, Var], batch) -> None:
-        values = {k: p.value for k, p in params.items()}
+    def _talk(self, w: int, call, *args):
+        """``call(*args)`` on worker ``w``'s connection. A worker that has
+        stopped raises the same `RuntimeError` whether a send or a receive
+        finds it gone."""
+        try:
+            return call(*args)
+        except (EOFError, ConnectionError):
+            proc = self.procs[w - 1]
+            proc.join(5)  # its end of the pipe closes as it exits: wait for the exit code
+            msg = f"training worker {w} (pid {proc.pid}) stopped with exit code {proc.exitcode}"
+            raise RuntimeError(msg) from None
+
+    def gradients(self, step: int, batch, params: dict[str, Var]) -> tuple[dict[str, np.ndarray], LossReport]:
+        """The batch's summed gradients and mean report. Once every share has
+        arrived, every position's terms are added in batch order, so any
+        process count gives the serial bits. Each share stops at its first
+        failing position, so the error raised is the one at the earliest
+        position, as in one process."""
+        n, values = self.processes, {k: p.value for k, p in params.items()}
         for w, (conn, sent) in enumerate(zip(self.conns, self.sent), start=1):
-            work = []
-            for pos in _positions(batch, w, self.processes):
-                seq_idx = int(batch[pos])
-                work.append((seq_idx, None if seq_idx in sent else self.sequences[seq_idx]))
-                sent.add(seq_idx)
-            conn.send((step, values, work))
-
-    def receive(self, batch) -> dict[int, object]:
-        """Each worker's results by batch position."""
-        results = {}
-        for w, (proc, conn) in enumerate(zip(self.procs, self.conns), start=1):
-            try:
-                out = conn.recv()
-            except EOFError:
-                raise RuntimeError(f"training worker {w} (pid {proc.pid}) stopped") from None
-            results.update(zip(_positions(batch, w, self.processes), out))
-        return results
-
-
-def _batch_gradients(
-    step: int,
-    batch,
-    sequences,
-    states: dict[int, _SequenceState],
-    params: dict[str, Var],
-    model: ModelConfig,
-    cfg: TrainConfig,
-    workers: _Workers,
-) -> tuple[dict[str, np.ndarray], LossReport]:
-    """The batch's summed gradients and mean report. Every position's terms
-    are added in batch order, whichever process computed them, so any
-    process count gives the serial bits. Each process stops at its first
-    failing position, so the error raised is the one at the earliest
-    position, as in one process."""
-    workers.send(step, params, batch)
-    grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
-    step_report = LossReport(weights=cfg.weights)
-    results: dict[int, object] = {}
-    added = 0
-
-    def add_ready() -> None:
-        nonlocal added
-        while added in results:
-            res = results.pop(added)
+            new = {i: self.sequences[i] for i in map(int, batch[w::n]) if i not in sent}
+            sent |= new.keys()
+            self._talk(w, conn.send, (step, values, batch, new))
+        shares = [_share(0, n, step, batch, self.sequences, self.states, params, self.model, self.cfg)]
+        shares += [self._talk(w, conn.recv) for w, conn in enumerate(self.conns, start=1)]
+        grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
+        step_report = LossReport(weights=self.cfg.weights)
+        for pos in range(len(batch)):
+            res = shares[pos % n][pos // n]
             if isinstance(res, Exception):
                 raise res
             grads, rep = res
@@ -492,18 +473,7 @@ def _batch_gradients(
             step_report.l_3d4d += rep.l_3d4d / len(batch)
             step_report.l_4d += rep.l_4d / len(batch)
             step_report.total += rep.total / len(batch)
-            added += 1
-
-    for pos in _positions(batch, 0, workers.processes):
-        try:
-            results[pos] = _sequence_gradients(states, sequences, int(batch[pos]), step, params, model, cfg)
-        except Exception as exc:
-            results[pos] = exc
-            break
-        add_ready()
-    results |= workers.receive(batch)
-    add_ready()
-    return grad_sum, step_report
+        return grad_sum, step_report
 
 
 def pretrain(
@@ -548,36 +518,35 @@ def pretrain(
             p.value = resume.tensors[k]
         velocity |= resume.velocity
         first = resume.step + 1
-    states: dict[int, _SequenceState] = {}
     reports: list[LossReport] = []
     processes = _process_count(cfg, cfg.steps - first + 1)
 
-    log_file = open(log_path, "w") if log_path else None
-    try:
-        with _one_blas_thread(), _Workers(processes, sequences, model, cfg) as workers:
-            for step in range(first, cfg.steps + 1):
-                rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
-                batch = rng.choice(len(sequences), size=cfg.batch_size, replace=len(sequences) < cfg.batch_size)
-                grad_sum, step_report = _batch_gradients(step, batch, sequences, states, params, model, cfg, workers)
+    # the log opens first, so that an unwritable path fails before any worker starts
+    with (
+        open(log_path, "w") if log_path else nullcontext() as log_file,
+        _one_blas_thread(),
+        _Processes(processes, sequences, model, cfg) as shared,
+    ):
+        for step in range(first, cfg.steps + 1):
+            rng = np.random.default_rng(np.random.SeedSequence((cfg.seed, 101, step)))
+            batch = rng.choice(len(sequences), size=cfg.batch_size, replace=len(sequences) < cfg.batch_size)
+            grad_sum, step_report = shared.gradients(step, batch, params)
 
-                lr = learning_rate_at(step, cfg)
-                inv_b = 1.0 / len(batch)
-                for k, p in params.items():
-                    g = grad_sum[k] * inv_b
-                    if cfg.momentum:
-                        velocity[k] = cfg.momentum * velocity[k] + g
-                        g = velocity[k]
-                    p.value = p.value - (lr * g).astype(dtype)
-                reports.append(step_report)
-                if log_file:
-                    log_file.write(
-                        f"{step}\t{lr:.8g}\t{step_report.l_3d:.8g}\t{step_report.l_3d4d:.8g}"
-                        f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\n"
-                    )
-                    log_file.flush()
-    finally:
-        if log_file:
-            log_file.close()
+            lr = learning_rate_at(step, cfg)
+            inv_b = 1.0 / len(batch)
+            for k, p in params.items():
+                g = grad_sum[k] * inv_b
+                if cfg.momentum:
+                    velocity[k] = cfg.momentum * velocity[k] + g
+                    g = velocity[k]
+                p.value = p.value - (lr * g).astype(dtype)
+            reports.append(step_report)
+            if log_file:
+                log_file.write(
+                    f"{step}\t{lr:.8g}\t{step_report.l_3d:.8g}\t{step_report.l_3d4d:.8g}"
+                    f"\t{step_report.l_4d:.8g}\t{step_report.total:.8g}\n"
+                )
+                log_file.flush()
 
     tensors = {k: p.value.copy() for k, p in params.items()}
     return Checkpoint(tensors, cfg.steps, model, cfg, velocity if cfg.momentum else {}), reports

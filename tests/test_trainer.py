@@ -2,6 +2,7 @@ import hashlib
 import logging
 import multiprocessing
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -381,6 +382,44 @@ class TestProcesses:
             assert multiprocessing.active_children() == []
         assert errors[0].startswith(f"non-finite loss at step 1, sequence {_batch(len(dataset), cfg, 1)[1]}: L3D, L3D4D (")
         assert errors == [errors[0]] * 3
+
+    def test_a_worker_killed_between_steps_is_named_with_its_exit_code(self, dataset, monkeypatch):
+        """The worker dies after step 2's gradients, so step 3 finds it gone
+        when it sends; the error names the worker, its pid and the signal."""
+        killed = []
+
+        def learning_rate_at(step, cfg):
+            if step == 2:
+                (proc,) = multiprocessing.active_children()
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=30)
+                assert not proc.is_alive()
+                killed.append(proc.pid)
+            return trainer_learning_rate_at(step, cfg)
+
+        trainer_learning_rate_at = trainer.learning_rate_at
+        monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
+        with pytest.raises(RuntimeError) as exc:
+            pretrain(dataset, tiny_cfg(steps=6), tiny_model())
+        assert str(exc.value) == f"training worker 1 (pid {killed[0]}) stopped with exit code -9"
+        assert multiprocessing.active_children() == []
+
+    def test_an_interrupt_stops_every_worker(self, dataset, monkeypatch):
+        """An interrupt in the parent between steps is raised again, after
+        the worker is terminated and joined."""
+
+        def learning_rate_at(step, cfg):
+            if step == 2:
+                raise KeyboardInterrupt
+            return trainer_learning_rate_at(step, cfg)
+
+        trainer_learning_rate_at = trainer.learning_rate_at
+        monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
+        with pytest.raises(KeyboardInterrupt):
+            pretrain(dataset, tiny_cfg(steps=6), tiny_model())
+        assert multiprocessing.active_children() == []
 
     def test_long_runs_use_a_process_per_core_up_to_the_batch(self):
         cores = len(os.sched_getaffinity(0))
