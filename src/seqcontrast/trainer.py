@@ -347,15 +347,14 @@ def _share(
     params: dict[str, Var],
     model: ModelConfig,
     cfg: TrainConfig,
-) -> list:
+):
     """The share of a batch that ``process`` of ``processes`` computes (the
-    parent is process 0): the (gradients, report) of batch positions
+    parent is process 0): yields the (gradients, report) of batch positions
     ``process``, ``process + processes``, ... in order, ending early with the
     exception of the first that fails. ``states`` caches each sequence's
     state by index, built from ``sequences`` on first use. A non-finite loss
     ends the share with a `FloatingPointError` naming the step, the sequence
     and the non-finite terms."""
-    out = []
     for seq_idx in map(int, batch[process::processes]):
         try:
             if seq_idx not in states:
@@ -368,12 +367,13 @@ def _share(
                     f"non-finite loss at step {step}, sequence {seq_idx}: {', '.join(bad)} "
                     f"(L3D={rep.l_3d} L3D4D={rep.l_3d4d} L4D={rep.l_4d})"
                 )
-            out.append((ad.grad(loss, params), rep))
+            grads = ad.grad(loss, params)
             del loss  # the sequence's whole graph: gone before the next forward pass
         except Exception as exc:
-            out.append(exc)
-            break
-    return out
+            yield exc
+            return
+        yield grads, rep
+        del grads  # and its gradients, once the caller holds them
 
 
 def _worker(conn, process: int, processes: int, model: ModelConfig, cfg: TrainConfig) -> None:
@@ -392,7 +392,7 @@ def _worker(conn, process: int, processes: int, model: ModelConfig, cfg: TrainCo
                 return
             sequences |= new
             params = {k: ad.parameter(v, name=k) for k, v in values.items()}
-            conn.send(_share(process, processes, step, batch, sequences, states, params, model, cfg))
+            conn.send(list(_share(process, processes, step, batch, sequences, states, params, model, cfg)))
 
 
 class _Processes:
@@ -448,22 +448,24 @@ class _Processes:
             raise RuntimeError(msg) from None
 
     def gradients(self, step: int, batch, params: dict[str, Var]) -> tuple[dict[str, np.ndarray], LossReport]:
-        """The batch's summed gradients and mean report. Once every share has
-        arrived, every position's terms are added in batch order, so any
-        process count gives the serial bits. Each share stops at its first
-        failing position, so the error raised is the one at the earliest
-        position, as in one process."""
+        """The batch's summed gradients and mean report. Every position's
+        terms are added in batch order, once every share has arrived (in one
+        process, as each is computed), so any process count gives the serial
+        bits. Each share stops at its first failing position, so the error
+        raised is the one at the earliest position, as in one process."""
         n, values = self.processes, {k: p.value for k, p in params.items()}
         for w, (conn, sent) in enumerate(zip(self.conns, self.sent), start=1):
             new = {i: self.sequences[i] for i in map(int, batch[w::n]) if i not in sent}
-            sent |= new.keys()
+            sent.update(new)
             self._talk(w, conn.send, (step, values, batch, new))
-        shares = [_share(0, n, step, batch, self.sequences, self.states, params, self.model, self.cfg)]
-        shares += [self._talk(w, conn.recv) for w, conn in enumerate(self.conns, start=1)]
+        mine = _share(0, n, step, batch, self.sequences, self.states, params, self.model, self.cfg)
+        if n > 1:
+            mine = iter(list(mine))  # computed in full while the workers compute theirs
+        shares = [mine] + [iter(self._talk(w, conn.recv)) for w, conn in enumerate(self.conns, start=1)]
         grad_sum = {k: np.zeros_like(p.value) for k, p in params.items()}
         step_report = LossReport(weights=self.cfg.weights)
         for pos in range(len(batch)):
-            res = shares[pos % n][pos // n]
+            res = next(shares[pos % n])
             if isinstance(res, Exception):
                 raise res
             grads, rep = res
@@ -473,6 +475,7 @@ class _Processes:
             step_report.l_3d4d += rep.l_3d4d / len(batch)
             step_report.l_4d += rep.l_4d / len(batch)
             step_report.total += rep.total / len(batch)
+            del res, grads  # in one process, gone before the next position is computed
         return grad_sum, step_report
 
 

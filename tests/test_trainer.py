@@ -6,7 +6,9 @@ import signal
 import subprocess
 import sys
 import tracemalloc
+import weakref
 from dataclasses import fields, replace
+from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -231,6 +233,27 @@ class TestPretrain:
         assert len(traced) == 4
         assert start2 - start1 < (graph1 - start1) / 2, [t / 1e6 for t in traced]
 
+    def test_in_one_process_a_positions_gradients_are_gone_before_the_next_is_built(self, dataset, monkeypatch):
+        """One process adds each position's gradients as it computes them, so
+        no earlier position's gradients are alive at a forward pass."""
+        made, alive = [], []
+        grad = ad.grad
+
+        def grad_tracked(loss, params):
+            out = grad(loss, params)
+            made.append(weakref.ref(next(iter(out.values()))))
+            return out
+
+        def sequence_loss_counted(*args):
+            alive.append(sum(ref() is not None for ref in made))
+            return sequence_loss(*args)
+
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
+        monkeypatch.setattr(ad, "grad", grad_tracked)
+        monkeypatch.setattr(trainer, "sequence_loss", sequence_loss_counted)
+        pretrain(dataset, tiny_cfg(steps=2, batch_size=4), tiny_model())
+        assert alive == [0] * 8
+
     def test_loss_decreases_and_reports_consistent(self, dataset):
         ckpt, reports = pretrain(dataset, tiny_cfg(steps=3), tiny_model())
         assert len(reports) == 3
@@ -382,6 +405,24 @@ class TestProcesses:
             assert multiprocessing.active_children() == []
         assert errors[0].startswith(f"non-finite loss at step 1, sequence {_batch(len(dataset), cfg, 1)[1]}: L3D, L3D4D (")
         assert errors == [errors[0]] * 3
+
+    def test_each_sequence_is_sent_to_a_worker_once(self, dataset, monkeypatch):
+        """Over a run, the parent sends a worker each sequence of its positions
+        the first time it needs it, and never again."""
+        sent = []
+        send = Connection.send
+
+        def send_recorded(conn, msg):
+            sent.append(list(msg[3]))
+            send(conn, msg)
+
+        monkeypatch.setattr(Connection, "send", send_recorded)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
+        cfg = tiny_cfg(steps=6, batch_size=4)
+        pretrain(dataset, cfg, tiny_model())
+        needed = {i for step in range(1, 7) for i in _batch(len(dataset), cfg, step)[1::2]}
+        assert len(sent) == 6
+        assert sorted(i for new in sent for i in new) == sorted(needed)
 
     def test_a_worker_killed_between_steps_is_named_with_its_exit_code(self, dataset, monkeypatch):
         """The worker dies after step 2's gradients, so step 3 finds it gone
