@@ -1,7 +1,8 @@
 """Command-line surface: synth, gen, pretrain, gradcheck, probe, export, inspect.
 
 Exit codes: 0 success, 2 usage error, 3 data error (also `gen` writing fewer
-sequences than requested), 4 numerical-check failure.
+sequences than requested, a path that cannot be read or written, and a
+training worker that stopped), 4 numerical-check failure.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataFormatError, EmptyInputError, FileNotFoundError, ConfigError) as exc:
+    except (DataFormatError, EmptyInputError, OSError, ConfigError) as exc:
         print(f"error: data: {exc}", file=sys.stderr)
         return EXIT_DATA
     except FloatingPointError as exc:

@@ -29,3 +29,7 @@ class LossUndefinedError(SeqContrastError):
 
 class ConfigError(SeqContrastError, ValueError):
     """Invalid or unknown configuration key/value."""
+
+
+class WorkerError(SeqContrastError, RuntimeError):
+    """A training worker process stopped before it answered."""

@@ -24,7 +24,7 @@ import numpy as np
 from . import autodiff as ad
 from . import nets
 from .autodiff import Var
-from .errors import ConfigError, DataFormatError, EmptyInputError
+from .errors import ConfigError, DataFormatError, EmptyInputError, WorkerError
 from .formats import read_checkpoint, write_checkpoint
 from .geom import PointCloud
 from .losses import LossReport, LossWeights, loss_3d, loss_3d4d, loss_4d, loss_total
@@ -325,15 +325,9 @@ def _one_blas_thread():
         set_(before)
 
 
-MIN_PARALLEL_STEPS = 4  # a worker takes ~0.25 s to start: shorter runs stay in one process
-
-
-def _process_count(cfg: TrainConfig, steps: int) -> int:
+def _process_count(cfg: TrainConfig) -> int:
     """Processes that share each batch, this one included: one per usable
-    core up to the batch size, or one for a run of fewer than
-    `MIN_PARALLEL_STEPS` steps."""
-    if steps < MIN_PARALLEL_STEPS:
-        return 1
+    core up to the batch size."""
     return min(cfg.batch_size, len(os.sched_getaffinity(0)))
 
 
@@ -376,48 +370,28 @@ def _share(
         del grads  # and its gradients, once the caller holds them
 
 
-def _worker(conn, process: int, processes: int, model: ModelConfig, cfg: TrainConfig) -> None:
-    """A worker process's loop. Each message is a step's (step, parameter
-    values, batch, {sequence index: sequence} for the sequences of its
-    positions not sent before); the answer is its `_share` of the batch.
-    Ends when the parent closes its end of ``conn``."""
-    signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
-    states: dict[int, _SequenceState] = {}
-    sequences: dict[int, Sequence] = {}
-    with _one_blas_thread():
-        while True:
-            try:
-                step, values, batch, new = conn.recv()
-            except EOFError:
-                return
-            sequences |= new
-            params = {k: ad.parameter(v, name=k) for k, v in values.items()}
-            conn.send(list(_share(process, processes, step, batch, sequences, states, params, model, cfg)))
-
-
 class _Processes:
     """The processes that share each batch: this one, process 0, and with
-    ``n`` processes the workers ``w`` = 1 .. n-1. Process ``p`` computes
-    `_share` ``p`` of ``n``, the same positions at every step whatever the
-    timing. Each keeps its own sequence states, and a worker gets a sequence
-    the first time it needs it. Every worker is joined on leaving the
-    ``with`` block; after an error they are terminated first."""
+    ``n`` processes the workers ``w`` = 1 .. n-1, forked from the calling
+    thread. Process ``p`` computes `_share` ``p`` of ``n``, the same
+    positions at every step whatever the timing. Each process has its own
+    copy of this object, and so its own sequence states, from the fork on.
+    Every worker is joined on leaving the ``with`` block; after an error
+    they are terminated first."""
 
     def __init__(self, processes: int, sequences, model: ModelConfig, cfg: TrainConfig):
         self.processes, self.sequences = processes, sequences
         self.model, self.cfg = model, cfg
         self.states: dict[int, _SequenceState] = {}
-        self.procs, self.conns, self.sent = [], [], []
+        self.procs, self.conns = [], []
 
     def __enter__(self):
-        ctx = multiprocessing.get_context("spawn")
+        ctx = multiprocessing.get_context("fork")
         try:
             for w in range(1, self.processes):
                 here, there = ctx.Pipe()
                 self.conns.append(here)
-                self.sent.append(set())
-                args = (there, w, self.processes, self.model, self.cfg)
-                self.procs.append(ctx.Process(target=_worker, args=args, daemon=True))
+                self.procs.append(ctx.Process(target=self._work, args=(there, w), daemon=True))
                 self.procs[-1].start()
                 there.close()
         except BaseException:
@@ -435,9 +409,26 @@ class _Processes:
                 proc.join()
         return False
 
+    def _work(self, conn, process: int) -> None:
+        """A worker's loop. Each message is a step's (step, parameter values,
+        batch); the answer is its `_share` of the batch. Ends when the parent
+        closes its end of ``conn``. The worker inherits the parent's
+        one-BLAS-thread pin."""
+        for end in self.conns:
+            end.close()  # the parent's ends: a worker sees EOF only once every copy is closed
+        signal.signal(signal.SIGINT, signal.SIG_IGN)  # the parent stops its workers
+        while True:
+            try:
+                step, values, batch = conn.recv()
+            except EOFError:
+                return
+            params = {k: ad.parameter(v, name=k) for k, v in values.items()}
+            share = _share(process, self.processes, step, batch, self.sequences, self.states, params, self.model, self.cfg)
+            conn.send(list(share))
+
     def _talk(self, w: int, call, *args):
         """``call(*args)`` on worker ``w``'s connection. A worker that has
-        stopped raises the same `RuntimeError` whether a send or a receive
+        stopped raises the same `WorkerError` whether a send or a receive
         finds it gone."""
         try:
             return call(*args)
@@ -445,7 +436,7 @@ class _Processes:
             proc = self.procs[w - 1]
             proc.join(5)  # its end of the pipe closes as it exits: wait for the exit code
             msg = f"training worker {w} (pid {proc.pid}) stopped with exit code {proc.exitcode}"
-            raise RuntimeError(msg) from None
+            raise WorkerError(msg) from None
 
     def gradients(self, step: int, batch, params: dict[str, Var]) -> tuple[dict[str, np.ndarray], LossReport]:
         """The batch's summed gradients and mean report. Every position's
@@ -454,10 +445,8 @@ class _Processes:
         bits. Each share stops at its first failing position, so the error
         raised is the one at the earliest position, as in one process."""
         n, values = self.processes, {k: p.value for k, p in params.items()}
-        for w, (conn, sent) in enumerate(zip(self.conns, self.sent), start=1):
-            new = {i: self.sequences[i] for i in map(int, batch[w::n]) if i not in sent}
-            sent.update(new)
-            self._talk(w, conn.send, (step, values, batch, new))
+        for w, conn in enumerate(self.conns, start=1):
+            self._talk(w, conn.send, (step, values, batch))
         mine = _share(0, n, step, batch, self.sequences, self.states, params, self.model, self.cfg)
         if n > 1:
             mine = iter(list(mine))  # computed in full while the workers compute theirs
@@ -522,7 +511,7 @@ def pretrain(
         velocity |= resume.velocity
         first = resume.step + 1
     reports: list[LossReport] = []
-    processes = _process_count(cfg, cfg.steps - first + 1)
+    processes = _process_count(cfg)
 
     # the log opens first, so that an unwritable path fails before any worker starts
     with (

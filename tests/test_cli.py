@@ -1,4 +1,7 @@
+import multiprocessing
+import os
 import re
+import signal
 import shutil
 import struct
 import zlib
@@ -7,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from seqcontrast import seqgen
+from seqcontrast import seqgen, trainer
 from seqcontrast.cli import EXIT_DATA, EXIT_NUMERIC, EXIT_OK, EXIT_USAGE, main
 from seqcontrast.config import KEYS, RunConfig, dump_config, load_config
 from seqcontrast.errors import ConfigError, TrajectoryFailure
@@ -127,6 +130,46 @@ class TestExitCodes:
         assert code == EXIT_NUMERIC
         err = capsys.readouterr().err.strip().splitlines()
         assert re.match(r"error: numeric: non-finite loss at step 2, sequence \d+: L3D, L3D4D, L4D \(", err[-1]), err[-1]
+        assert not (tmp_path / "x").exists()
+
+    def test_a_killed_training_worker_is_3_with_one_line(self, tmp_path, assets, capsys, monkeypatch):
+        """A worker killed after step 2's gradients stops the run with one
+        line naming it, its pid and the signal; no worker is left and no
+        checkpoint is written."""
+        killed = []
+
+        def learning_rate_at(step, cfg):
+            if step == 2:
+                (proc,) = multiprocessing.active_children()
+                os.kill(proc.pid, signal.SIGKILL)
+                proc.join(timeout=30)
+                assert not proc.is_alive()
+                killed.append(proc.pid)
+            return trainer_learning_rate_at(step, cfg)
+
+        trainer_learning_rate_at = trainer.learning_rate_at
+        monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 2)
+        *_, data, _ = assets
+        code = run(
+            "pretrain", "--data", str(data), "--out", str(tmp_path / "x"),
+            "--set", "steps=6", "--set", "batch_size=2", "--set", "t=3",
+            "--set", "voxel3d=0.08", "--set", "voxel4d=0.16",
+            "--set", "unet3d_channels=4,8", "--set", "unet4d_channels=3,6",
+            "--set", "max_corr_per_pair=64", "--set", "max_points_3d4d=96",
+        )
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [f"error: training worker 1 (pid {killed[0]}) stopped with exit code -9"]
+        assert multiprocessing.active_children() == []
+        assert not (tmp_path / "x").exists()
+
+    def test_a_log_path_that_is_a_directory_is_3(self, tmp_path, assets, capsys):
+        *_, data, _ = assets
+        code = run("pretrain", "--data", str(data), "--out", str(tmp_path / "x"), "--log", str(tmp_path), "--set", "steps=1")
+        assert code == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error: data: ") and str(tmp_path) in err[0]
         assert not (tmp_path / "x").exists()
 
     def test_version_1_checkpoint_is_3(self, tmp_path, assets, capsys):

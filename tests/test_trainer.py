@@ -8,7 +8,6 @@ import sys
 import tracemalloc
 import weakref
 from dataclasses import fields, replace
-from multiprocessing.connection import Connection
 
 import numpy as np
 import pytest
@@ -221,8 +220,8 @@ class TestPretrain:
             traced.append(tracemalloc.get_traced_memory()[0])
             return out
 
-        # a worker process would not see the patch: every position runs here
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
+        # a worker's readings would stay in the worker: every position runs here
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 1)
         monkeypatch.setattr(trainer, "sequence_loss", sequence_loss_traced)
         tracemalloc.start()
         try:
@@ -248,7 +247,7 @@ class TestPretrain:
             alive.append(sum(ref() is not None for ref in made))
             return sequence_loss(*args)
 
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 1)
         monkeypatch.setattr(ad, "grad", grad_tracked)
         monkeypatch.setattr(trainer, "sequence_loss", sequence_loss_counted)
         pretrain(dataset, tiny_cfg(steps=2, batch_size=4), tiny_model())
@@ -369,7 +368,7 @@ class TestProcesses:
         cfg, model = tiny_cfg(steps=3, batch_size=4, momentum=0.9, dtype=dtype), tiny_model()
         digests = []
         for n in (1, 2, 3):
-            monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: n)
+            monkeypatch.setattr(trainer, "_process_count", lambda cfg: n)
             digests.append(_digest(*pretrain(dataset, cfg, model)))
             assert multiprocessing.active_children() == []
         assert digests == [digests[0]] * 3
@@ -398,31 +397,13 @@ class TestProcesses:
         resume = Checkpoint({k: p.value for k, p in params.items()}, 0, model, cfg)
         errors = []
         for n in (1, 2, 3):
-            monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: n)
+            monkeypatch.setattr(trainer, "_process_count", lambda cfg: n)
             with pytest.raises(FloatingPointError) as exc:
                 pretrain(dataset, cfg, model, resume=resume)
             errors.append(str(exc.value))
             assert multiprocessing.active_children() == []
         assert errors[0].startswith(f"non-finite loss at step 1, sequence {_batch(len(dataset), cfg, 1)[1]}: L3D, L3D4D (")
         assert errors == [errors[0]] * 3
-
-    def test_each_sequence_is_sent_to_a_worker_once(self, dataset, monkeypatch):
-        """Over a run, the parent sends a worker each sequence of its positions
-        the first time it needs it, and never again."""
-        sent = []
-        send = Connection.send
-
-        def send_recorded(conn, msg):
-            sent.append(list(msg[3]))
-            send(conn, msg)
-
-        monkeypatch.setattr(Connection, "send", send_recorded)
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
-        cfg = tiny_cfg(steps=6, batch_size=4)
-        pretrain(dataset, cfg, tiny_model())
-        needed = {i for step in range(1, 7) for i in _batch(len(dataset), cfg, step)[1::2]}
-        assert len(sent) == 6
-        assert sorted(i for new in sent for i in new) == sorted(needed)
 
     def test_a_worker_killed_between_steps_is_named_with_its_exit_code(self, dataset, monkeypatch):
         """The worker dies after step 2's gradients, so step 3 finds it gone
@@ -440,7 +421,7 @@ class TestProcesses:
 
         trainer_learning_rate_at = trainer.learning_rate_at
         monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 2)
         with pytest.raises(RuntimeError) as exc:
             pretrain(dataset, tiny_cfg(steps=6), tiny_model())
         assert str(exc.value) == f"training worker 1 (pid {killed[0]}) stopped with exit code -9"
@@ -457,28 +438,54 @@ class TestProcesses:
 
         trainer_learning_rate_at = trainer.learning_rate_at
         monkeypatch.setattr(trainer, "learning_rate_at", learning_rate_at)
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 2)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 2)
         with pytest.raises(KeyboardInterrupt):
             pretrain(dataset, tiny_cfg(steps=6), tiny_model())
         assert multiprocessing.active_children() == []
 
-    def test_long_runs_use_a_process_per_core_up_to_the_batch(self):
+    def test_a_script_without_a_main_guard_trains(self, small_dataset, tmp_path):
+        """Workers are forked, so a script may train at its top level. Each
+        worker closes the parent's pipe ends it inherits: one left open would
+        keep a worker from seeing its end of input, and the run would hang
+        until the timeout."""
+        script = tmp_path / "train.py"
+        script.write_text(_UNGUARDED_SCRIPT)
+        env = os.environ | {"PYTHONPATH": os.pathsep.join(sys.path)}
+        run = subprocess.run([sys.executable, str(script), str(small_dataset)],
+                             env=env, capture_output=True, text=True, timeout=120)
+        assert run.returncode == 0, run.stderr
+        assert run.stdout.split() == ["2", "0"]
+
+    def test_a_process_per_core_up_to_the_batch(self):
         cores = len(os.sched_getaffinity(0))
-        assert trainer._process_count(tiny_cfg(batch_size=64), trainer.MIN_PARALLEL_STEPS) == min(64, cores)
-        assert trainer._process_count(tiny_cfg(batch_size=2), 500) == min(2, cores)
-        assert trainer._process_count(tiny_cfg(batch_size=64), trainer.MIN_PARALLEL_STEPS - 1) == 1
+        assert trainer._process_count(tiny_cfg(batch_size=64)) == min(64, cores)
+        assert trainer._process_count(tiny_cfg(batch_size=2)) == min(2, cores)
+
+
+_UNGUARDED_SCRIPT = """
+import multiprocessing, sys
+from seqcontrast import trainer
+from seqcontrast.nets import ModelConfig, UNetConfig
+trainer._process_count = lambda cfg: 3
+model = ModelConfig(UNetConfig(3, (4, 8), projection_width=8), UNetConfig(4, (3, 6), projection_width=8), 0.08, 0.16)
+est = trainer.ContrastivePretrainer(steps=2, batch_size=3, model=model).fit(sys.argv[1])
+print(len(est.reports_), len(multiprocessing.active_children()))
+"""
 
 
 _TRAIN_DIGESTS = """
 import hashlib, sys
+from seqcontrast import trainer
 from seqcontrast.trainer import TrainConfig, load_dataset, pretrain
 from seqcontrast.nets import ModelConfig, UNetConfig
 model = ModelConfig(UNetConfig(3, (8, 16), projection_width=32), UNetConfig(4, (8, 16), projection_width=32), 0.06, 0.12)
 for dtype in ("float32", "float64"):
-    cfg = TrainConfig(steps=2, batch_size=2, voxel3d=0.06, voxel4d=0.12, max_corr_per_pair=64,
-                      max_points_3d4d=96, momentum=0.9, dtype=dtype)
-    ckpt, _ = pretrain(load_dataset(sys.argv[1]), cfg, model)
-    print(dtype, hashlib.sha256(b"".join(ckpt.tensors[k].tobytes() for k in sorted(ckpt.tensors))).hexdigest())
+    for n in (1, 2):
+        trainer._process_count = lambda cfg: n
+        cfg = TrainConfig(steps=2, batch_size=2, voxel3d=0.06, voxel4d=0.12, max_corr_per_pair=64,
+                          max_points_3d4d=96, momentum=0.9, dtype=dtype)
+        ckpt, _ = pretrain(load_dataset(sys.argv[1]), cfg, model)
+        print(dtype, hashlib.sha256(b"".join(ckpt.tensors[k].tobytes() for k in sorted(ckpt.tensors))).hexdigest())
 """
 
 
@@ -489,16 +496,18 @@ class TestBlasThreads:
     def test_weights_do_not_depend_on_openblas_num_threads(self, small_dataset):
         """Two steps at the P7 widths, whose products are large enough for
         OpenBLAS to split over two threads, give the same weights whatever
-        ``OPENBLAS_NUM_THREADS`` says."""
+        ``OPENBLAS_NUM_THREADS`` says, in one process and with a worker, which
+        computes at the thread count it inherits."""
         out = []
         for threads in ("1", "2"):
             env = os.environ | {"OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(sys.path)}
             run = subprocess.run([sys.executable, "-c", _TRAIN_DIGESTS, str(small_dataset)],
                                  env=env, capture_output=True, text=True, timeout=300)
             assert run.returncode == 0, run.stderr
-            out.append(run.stdout)
-        assert len(out[0].splitlines()) == 2
+            out.append(run.stdout.splitlines())
+        assert len(out[0]) == 4
         assert out[0] == out[1]
+        assert out[0][0] == out[0][1] and out[0][2] == out[0][3]
 
     def test_the_thread_count_is_restored_after_a_return_and_a_raise(self, dataset, monkeypatch):
         if trainer._blas_threads() is None:
@@ -527,7 +536,7 @@ class TestBlasThreads:
             set_(original)
 
     def test_without_the_thread_setter_training_warns_once_and_runs(self, dataset, monkeypatch, caplog):
-        monkeypatch.setattr(trainer, "_process_count", lambda cfg, steps: 1)
+        monkeypatch.setattr(trainer, "_process_count", lambda cfg: 1)
         monkeypatch.setattr(np, "show_config", lambda mode: {})
         trainer._blas_threads.cache_clear()
         try:

@@ -58,7 +58,7 @@ def digests(sequences, model, cfg, processes) -> dict[str, str]:
     out = {}
     try:
         for n in processes:
-            trainer._process_count = lambda cfg, steps, n=n: n
+            trainer._process_count = lambda cfg, n=n: n
             out[str(n)] = digest(*trainer.pretrain(sequences, cfg, model))
     finally:
         trainer._process_count = chosen
